@@ -553,8 +553,8 @@ def _run_mean_abs_n(scn, t, records):
     ref = abs_moment(spec.alpha, 1.0)
     rel = est / ref - 1.0
     z = moment_test(dev / g, 1, ref)
-    records.append(TestRecord(t, 1.0, MEAN_ABS_N, est, ref, None, z,
-                              abs(rel) < 0.05))
+    records.append(TestRecord(t, 1.0, MEAN_ABS_N, float(est), float(ref),
+                              None, z, bool(abs(rel) < 0.05)))
 
 
 def run_scenario(s: Scenario) -> TestReport:

@@ -159,6 +159,15 @@ def test_verify_outputs_and_exit(a1_config, tmp_path):
     assert (tmp_path / "report.plot.csv").exists()
 
 
+def test_verify_mean_abs_n_exits_0_or_1(tmp_path):
+    p = tmp_path / "mean_abs_n.ini"
+    p.write_text(A1_CONFIG.replace("plans = KS_MARGINAL", "plans = MEAN_ABS_N"))
+    rc = cli.main(["verify", "--config", str(p), "--out", str(tmp_path / "r")])
+    assert rc in (0, 1)
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert [r["test"] for r in payload["records"]] == ["MEAN_ABS_N"]
+
+
 def test_verify_designed_failure_exits_1(tmp_path):
     # a t far too small for the CLT leaves the KS reference mismatched
     p = tmp_path / "fail.ini"

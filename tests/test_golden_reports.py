@@ -1,0 +1,77 @@
+"""Golden reports: sha256 of every report output for a fixed seed.
+
+One small scenario per admissible (regime, plan) pair.  The hashes in
+golden_reports.json pin `TestReport.to_json()`, `write_csv` and
+`write_plot_data` byte for byte, so a refactor that changes any float
+expression, stream key or record order fails here.
+
+Regenerate the fixture (only for an intended output change) with
+`PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json`.
+"""
+
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
+                              ParetoTailMatch, PowerDecay)
+from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
+                                   NOSCALE_DRI, LimitSpec)
+from renewalshot.verify import Scenario, run_scenario
+
+FIXTURE = Path(__file__).with_name("golden_reports.json")
+
+NOSCALE_PLANS = ("KS_MARGINAL", "MOMENTS:4", "JOINT_PAIRWISE_INDEPENDENCE",
+                 "TIME_REVERSAL")
+FINITE_MEAN_SCALED_PLANS = ("KS_MARGINAL", "MOMENTS:4", "TIME_REVERSAL",
+                            "SELF_SIMILARITY", "MEAN_ABS_N")
+D4_PLANS = ("KS_MARGINAL", "MOMENTS:4", "SELF_SIMILARITY")
+
+CASES = {
+    "noscale_dri": (LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0),
+                              ExpDecay(1.0)), NOSCALE_PLANS, {}),
+    "noscale_centered": (LimitSpec(NOSCALE_CENTERED, 2.0, 0.0,
+                                   Exponential(1.0), PowerDecay(0.75)),
+                         NOSCALE_PLANS, {"x_star_truncation": 200.0}),
+    "a1": (LimitSpec(A1, 2.0, 0.25, Exponential(1.0), PowerDecay(0.25)),
+           FINITE_MEAN_SCALED_PLANS, {}),
+    "a2": (LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(1.0)),
+           FINITE_MEAN_SCALED_PLANS, {}),
+    "a3": (LimitSpec(A3, 1.5, 0.25, Pareto(1.5, 1.0), PowerDecay(0.25)),
+           FINITE_MEAN_SCALED_PLANS, {}),
+    "d4_beta_below_alpha": (LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0),
+                                      PowerDecay(0.25)), D4_PLANS, {}),
+    "d4_beta_equals_alpha": (LimitSpec(D4, 0.5, 0.5, Pareto(0.5, 1.0),
+                                       ParetoTailMatch(0.5, 1.0, 1.0)),
+                             D4_PLANS + ("STATIONARITY_LOGTIME",), {}),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_hashes(name):
+    spec, plans, knobs = CASES[name]
+    rep = run_scenario(Scenario(spec=spec, u_grid=(1.0, 2.0),
+                                t_ladder=(100.0, 400.0), replicates=100,
+                                seed=5, plans=plans, **knobs))
+    csv_buf, plot_buf = io.StringIO(), io.StringIO()
+    rep.write_csv(csv_buf)
+    rep.write_plot_data(plot_buf)
+    return {"json": _sha(rep.to_json()), "csv": _sha(csv_buf.getvalue()),
+            "plot": _sha(plot_buf.getvalue())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name):
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert report_hashes(name) == golden[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: report_hashes(name) for name in sorted(CASES)},
+                     indent=1, sort_keys=True))

@@ -112,6 +112,18 @@ def test_run_scenario_deterministic_reports():
     assert buf1.getvalue() == buf2.getvalue()
 
 
+def test_mean_abs_n_report_serialises():
+    scn = _a1_scenario(replicates=100, plans=("MEAN_ABS_N",))
+    rep = run_scenario(scn)
+    payload = json.loads(rep.to_json())
+    (rec,) = payload["records"]
+    assert rec["test"] == "MEAN_ABS_N"
+    assert isinstance(rec["passed"], bool)
+    buf = io.StringIO()
+    rep.write_csv(buf)
+    assert "np." not in buf.getvalue()
+
+
 def test_worker_count_does_not_change_output():
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     m1 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=1)
