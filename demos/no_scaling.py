@@ -9,7 +9,7 @@ X*.  This script checks both claims on an exponential kernel.
 import numpy as np
 from scipy import stats
 
-from renewalshot import limits, verify
+from renewalshot import limits, shotnoise, verify
 from renewalshot.laws import ExpDecay, Exponential
 from renewalshot.shotnoise import NOSCALE_DRI, LimitSpec
 from renewalshot.streams import substream
@@ -19,7 +19,7 @@ n = 5000
 
 m = verify.simulate_scaled_matrix(spec, (1.0, 3.0), 500.0, n, 21,
                                   max_shots=1e9)
-trunc = verify.default_x_star_truncation(spec)
+trunc = shotnoise.default_x_star_truncation(spec)
 ref = np.array([limits.sample_X_star(spec.law, spec.h, trunc,
                                      substream(21, 2, 8, r))
                 for r in range(n)])

@@ -14,7 +14,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import os
 import sys
 
@@ -38,31 +37,24 @@ class ConfigError(ValueError):
     pass
 
 
-_LAW_KEYS = {
-    "exponential": {"rate"},
-    "uniform": {"a", "b"},
-    "gamma": {"shape", "rate"},
-    "pareto": {"alpha", "xm"},
+# value of the selecting key -> (class, required keys, optional keys), the
+# keys in the order of the constructor's arguments
+_LAWS = {
+    "exponential": (Exponential, ("rate",), ()),
+    "uniform": (Uniform, ("a", "b"), ()),
+    "gamma": (Gamma, ("shape", "rate"), ()),
+    "pareto": (Pareto, ("alpha", "xm"), ()),
 }
-_RESPONSE_KEYS = {
-    "constant": {"value"},
-    "expdecay": {"lam"},
-    "powerdecay": {"beta", "c0"},
-    "window": {"a", "b"},
-    "paretotailmatch": {"alpha", "xm", "c"},
+_RESPONSES = {
+    "constant": (Constant, ("value",), ()),
+    "expdecay": (ExpDecay, ("lam",), ()),
+    "powerdecay": (PowerDecay, ("beta",), ("c0",)),
+    "window": (Window, ("a", "b"), ()),
+    "paretotailmatch": (ParetoTailMatch, ("alpha", "xm", "c"), ()),
 }
 _RUN_KEYS = {"replicates", "seed", "plans", "significance", "max_shots",
              "threads", "horizon", "delay", "x_star_truncation",
              "reference_mesh_d", "reference_u_mesh_cells"}
-
-
-def _floats(section, keys):
-    out = {}
-    for k in keys:
-        if k not in section:
-            raise ConfigError(f"missing key {k!r}")
-        out[k] = float(section[k])
-    return out
 
 
 def _check_keys(section, allowed, name):
@@ -71,39 +63,18 @@ def _check_keys(section, allowed, name):
         raise ConfigError(f"unknown key(s) in [{name}]: {sorted(extra)}")
 
 
-def _build_law(section):
-    fam = section.get("family", "").lower()
-    if fam not in _LAW_KEYS:
-        raise ConfigError(f"unknown law family {fam!r}")
-    _check_keys(section, _LAW_KEYS[fam] | {"family"}, "law")
-    p = _floats(section, _LAW_KEYS[fam])
-    if fam == "exponential":
-        return Exponential(p["rate"])
-    if fam == "uniform":
-        return Uniform(p["a"], p["b"])
-    if fam == "gamma":
-        return Gamma(p["shape"], p["rate"])
-    return Pareto(p["alpha"], p["xm"])
-
-
-def _build_response(section):
-    kind = section.get("kind", "").lower()
-    if kind not in _RESPONSE_KEYS:
-        raise ConfigError(f"unknown response kind {kind!r}")
-    allowed = _RESPONSE_KEYS[kind]
-    _check_keys(section, allowed | {"kind"}, "response")
-    if kind == "powerdecay":
-        beta = float(section["beta"])
-        c0 = float(section.get("c0", 1.0))
-        return PowerDecay(beta, c0)
-    p = _floats(section, allowed)
-    if kind == "constant":
-        return Constant(p["value"])
-    if kind == "expdecay":
-        return ExpDecay(p["lam"])
-    if kind == "window":
-        return Window(p["a"], p["b"])
-    return ParetoTailMatch(p["alpha"], p["xm"], p["c"])
+def _build(section, name, selector, table):
+    """Instantiate the [name] section's class, chosen by its selector key."""
+    kind = section.get(selector, "").lower()
+    if kind not in table:
+        raise ConfigError(f"unknown {name} {selector} {kind!r}")
+    cls, required, optional = table[kind]
+    _check_keys(section, {selector, *required, *optional}, name)
+    for k in required:
+        if k not in section:
+            raise ConfigError(f"missing key {k!r} in [{name}]")
+    return cls(*(float(section[k]) for k in required + optional
+                 if k in section))
 
 
 def _float_list(text):
@@ -121,8 +92,8 @@ def load_config(path):
     for sec in ("law", "response", "regime", "grid", "run"):
         if sec not in cp:
             raise ConfigError(f"missing section [{sec}]")
-    law = _build_law(cp["law"])
-    h = _build_response(cp["response"])
+    law = _build(cp["law"], "law", "family", _LAWS)
+    h = _build(cp["response"], "response", "kind", _RESPONSES)
     _check_keys(cp["regime"], {"name", "alpha", "beta"}, "regime")
     name = cp["regime"].get("name", "")
     if name not in shotnoise.REGIMES:
@@ -147,12 +118,11 @@ def load_config(path):
         "significance": run.getfloat("significance", 0.01),
         "max_shots": run.getfloat("max_shots", 1e8),
     }
-    if "x_star_truncation" in run:
-        kw["x_star_truncation"] = run.getfloat("x_star_truncation")
-    if "reference_mesh_d" in run:
-        kw["reference_mesh_d"] = run.getfloat("reference_mesh_d")
-    if "reference_u_mesh_cells" in run:
-        kw["reference_u_mesh_cells"] = run.getint("reference_u_mesh_cells")
+    for key, get in (("x_star_truncation", run.getfloat),
+                     ("reference_mesh_d", run.getfloat),
+                     ("reference_u_mesh_cells", run.getint)):
+        if key in run:
+            kw[key] = get(key)
     extras = {
         "threads": run.getint("threads", 0) or None,
         "horizon": run.getfloat("horizon", 0.0),
@@ -173,15 +143,20 @@ def _resolve_threads(args, extras):
     return extras.get("threads") or 1
 
 
-def cmd_simulate(args):
+def _scenario(args):
     spec, kw, extras = load_config(args.config)
     if args.seed is not None:
         kw["seed"] = args.seed
-    threads = _resolve_threads(args, extras)
-    scn = verify.Scenario(spec=spec, threads=threads, **kw)
+    return verify.Scenario(spec=spec, threads=_resolve_threads(args, extras),
+                           **kw)
+
+
+def cmd_simulate(args):
+    scn = _scenario(args)
     t = scn.t_ladder[-1]
     samples = verify.simulate_scaled_matrix(
-        spec, scn.u_grid, t, scn.replicates, scn.seed, threads, scn.max_shots)
+        scn.spec, scn.u_grid, t, scn.replicates, scn.seed, scn.threads,
+        scn.max_shots)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["replicate", "u", "value"])
@@ -204,12 +179,7 @@ def _report_paths(out):
 
 
 def cmd_verify(args):
-    spec, kw, extras = load_config(args.config)
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    threads = _resolve_threads(args, extras)
-    scn = verify.Scenario(spec=spec, threads=threads, **kw)
-    report = verify.run_scenario(scn)
+    report = verify.run_scenario(_scenario(args))
     jpath, cpath, ppath = _report_paths(args.out)
     with open(jpath, "w", encoding="utf-8") as f:
         f.write(report.to_json())
@@ -225,22 +195,29 @@ def cmd_verify(args):
     return EXIT_OK if report.all_passed else EXIT_FAILED
 
 
+# name -> (function of the flag values, flags it needs in that order)
+_FORMULAS = {
+    "moments": (lambda alpha, beta, u, k: limits.moments_inverse_case(
+        alpha, beta, u, int(k)), ("alpha", "beta", "u", "k")),
+    "covariance": (lambda alpha, beta, t1, t2: limits.covariance_inverse_case(
+        alpha, beta, t1, t2), ("alpha", "beta", "t1", "t2")),
+    "rs": (lambda alpha, s: limits.stationary_covariance(alpha, s),
+           ("alpha", "s")),
+    "absmoment": (lambda alpha, r: abs_moment(alpha, r), ("alpha", "r")),
+    "solvec": (lambda alpha, xm, t: solve_c(Pareto(alpha, xm), t),
+               ("alpha", "xm", "t")),
+}
+
+
 def cmd_formula(args):
     name = args.name.lower()
-    if name == "moments":
-        val = limits.moments_inverse_case(args.alpha, args.beta, args.u,
-                                          int(args.k))
-    elif name == "covariance":
-        val = limits.covariance_inverse_case(args.alpha, args.beta,
-                                             args.t1, args.t2)
-    elif name == "rs":
-        val = limits.stationary_covariance(args.alpha, args.s)
-    elif name == "absmoment":
-        val = abs_moment(args.alpha, args.r)
-    elif name == "solvec":
-        val = solve_c(Pareto(args.alpha, args.xm), args.t)
-    else:
+    if name not in _FORMULAS:
         raise ConfigError(f"unknown formula {args.name!r}")
+    fn, flags = _FORMULAS[name]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ConfigError(f"formula {name} needs {' '.join(missing)}")
+    val = fn(*(getattr(args, f) for f in flags))
     if args.json:
         print(json.dumps({"formula": name, "value": val}, sort_keys=True))
     else:
@@ -306,8 +283,8 @@ def main(argv=None) -> int:
     except verify.ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, configparser.Error, FileNotFoundError, TypeError,
-            ValueError, AttributeError) as exc:
+    except (ConfigError, configparser.Error, FileNotFoundError,
+            ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

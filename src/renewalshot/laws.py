@@ -26,8 +26,6 @@ from scipy.optimize import brentq
 class IncrementLaw(ABC):
     """Positive, non-lattice law of the inter-arrival time."""
 
-    lattice = False
-
     #: (0, inf] tail index of P(xi > t); inf for light tails
     tail_index: float
 
@@ -268,7 +266,6 @@ class ResponseFunction(ABC):
     dri: bool
     integrable: bool
     square_integrable: bool
-    monotone_from: float = 0.0
 
     @abstractmethod
     def eval(self, t): ...
@@ -294,12 +291,10 @@ class PowerDecay(ResponseFunction):
         return self.beta
 
     @property
-    def dri(self):
-        return self.beta > 1
-
-    @property
     def integrable(self):
         return self.beta > 1
+
+    dri = integrable            # monotone: d.R.i. exactly when integrable
 
     @property
     def square_integrable(self):
@@ -397,12 +392,10 @@ class ParetoTailMatch(ResponseFunction):
         return self.alpha
 
     @property
-    def dri(self):
-        return self.alpha > 1
-
-    @property
     def integrable(self):
         return self.alpha > 1
+
+    dri = integrable            # monotone: d.R.i. exactly when integrable
 
     @property
     def square_integrable(self):
@@ -422,30 +415,3 @@ class ParetoTailMatch(ResponseFunction):
         if a == 1:
             return head + c * xm * math.log(T / xm)
         return head + c * xm**a * (T ** (1.0 - a) - xm ** (1.0 - a)) / (1.0 - a)
-
-
-# ---------------------------------------------------------------------------
-# operation layer (the module contract)
-# ---------------------------------------------------------------------------
-
-def tail_prob(law: IncrementLaw, t):
-    return law.tail_prob(t)
-
-
-def sample_increment(law: IncrementLaw, stream: np.random.Generator, size=None):
-    return law.sample(stream, size)
-
-
-def stationary_delay_sample(law: IncrementLaw, stream: np.random.Generator, size=None):
-    law._require_finite_mean()
-    return law.stationary_delay(stream, size)
-
-
-def response_eval(h: ResponseFunction, t):
-    return h.eval(t)
-
-
-def response_integral(h: ResponseFunction, T: float) -> float:
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    return h.integral(T)

@@ -30,7 +30,6 @@ class ProcessPath:
     values: np.ndarray     # W(y_k)
     kind: str
     alpha: float
-    mesh: float
 
     def value_at(self, u: float) -> float:
         """W at the largest grid point <= u."""
@@ -51,8 +50,7 @@ def simulate_levy_path(alpha: float, u_max: float, mesh: float,
     incs = mesh ** (1.0 / alpha) * sample_stable(spec, stream, n)
     values = np.concatenate(([0.0], np.cumsum(incs)))
     grid = np.arange(n + 1) * mesh
-    return ProcessPath(grid=grid, values=values, kind=LEVY_MOTION,
-                       alpha=alpha, mesh=mesh)
+    return ProcessPath(grid=grid, values=values, kind=LEVY_MOTION, alpha=alpha)
 
 
 def simulate_inverse_subordinator_path(alpha: float, u_max: float,
@@ -83,18 +81,16 @@ def simulate_inverse_subordinator_path(alpha: float, u_max: float,
     # W(0) = inf{t : D(t) > 0} = 0 since D leaves 0 immediately
     values[grid == 0.0] = 0.0
     return ProcessPath(grid=grid, values=values, kind=INVERSE_SUBORDINATOR,
-                       alpha=alpha, mesh=u_mesh)
+                       alpha=alpha)
 
 
-def frac_integral(path: ProcessPath, beta: float, u: float,
-                  drop_cells: int = 1) -> float:
+def frac_integral(path: ProcessPath, beta: float, u: float) -> float:
     """int_[0,u] (u-y)^{-beta} dW(y) by summation by parts on the path grid.
 
     Summation by parts of the defining formula over [0, u - delta] leaves
     the exact edge term (W(u) - W(u - delta)) * delta^{-beta}; only the
-    remaining sliver integral over [u - delta, u] is dropped (delta =
-    drop_cells mesh cells), and that vanishes in the limit for both
-    integrator types.
+    remaining sliver integral over [u - delta, u] is dropped (delta = one
+    grid cell), and that vanishes in the limit for both integrator types.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -107,7 +103,7 @@ def frac_integral(path: ProcessPath, beta: float, u: float,
     if beta == 0.0:
         return path.value_at(u)
     iu = int(np.searchsorted(path.grid, u * (1 + 1e-12), side="right") - 1)
-    last = iu - drop_cells          # keep cells with y_{k+1} <= u - drop
+    last = iu - 1                   # keep cells with y_{k+1} <= u - delta
     if last < 1:
         return 0.0
     y = path.grid[:last]
@@ -253,32 +249,24 @@ def sample_X_star(law: IncrementLaw, h: ResponseFunction, T: float,
     """One draw of X* = sum_k h(S_k*), truncated at T."""
     if not h.integrable:
         raise ValueError("X* requires an integrable (d.R.i.) response")
-    law._require_finite_mean()
     path = sample_path(law, T, STATIONARY, stream)
-    if len(path) == 0:
-        return 0.0
     return float(np.sum(h.eval(path.arrivals)))
 
 
 def sample_X_star_centered(law: IncrementLaw, h: ResponseFunction, T: float,
-                           stream: np.random.Generator,
-                           unchecked_hypotheses: bool = False) -> float:
+                           stream: np.random.Generator) -> float:
     """One draw of the centered no-scaling limit at truncation level T:
     sum_{S_k* <= T} h(S_k*) - mu^{-1} int_0^T h.
 
-    Only the finite-variance / square-integrable regime is validated; the
-    heavier-tail regimes require smoothness hypotheses this artifact cannot
-    check and must be requested with unchecked_hypotheses=True.
+    Only the finite-variance / square-integrable regime is supported; the
+    heavier-tail regimes require smoothness hypotheses that cannot be
+    checked here.
     """
     if h.integrable:
         raise ValueError("response is integrable; use sample_X_star")
-    if not unchecked_hypotheses:
-        if not math.isfinite(law.variance):
-            raise ValueError("finite variance required (pass "
-                             "unchecked_hypotheses=True to override)")
-        if not h.square_integrable:
-            raise ValueError("square-integrable response required")
-    law._require_finite_mean()
+    if not math.isfinite(law.variance):
+        raise ValueError("finite variance required")
+    if not h.square_integrable:
+        raise ValueError("square-integrable response required")
     path = sample_path(law, T, STATIONARY, stream)
-    total = float(np.sum(h.eval(path.arrivals))) if len(path) else 0.0
-    return total - h.integral(T) / law.mean
+    return float(np.sum(h.eval(path.arrivals))) - h.integral(T) / law.mean

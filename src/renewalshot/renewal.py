@@ -8,7 +8,7 @@ the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -26,7 +26,6 @@ class RenewalPath:
     arrivals: np.ndarray          # sorted epochs S_k <= horizon
     horizon: float
     delay_kind: str
-    seed_info: tuple = field(default=(), compare=False)
 
     def __len__(self):
         return len(self.arrivals)
@@ -57,16 +56,15 @@ def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
 
 
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,
-                stream: np.random.Generator, seed_info: tuple = ()) -> RenewalPath:
-    """Generate a renewal path on [0, T]."""
+                stream: np.random.Generator) -> RenewalPath:
+    """Generate a renewal path on [0, T].  A stationary delay needs a
+    finite-mean law; the law's stationary_delay raises otherwise."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    if delay_kind == STATIONARY:
-        law._require_finite_mean()
     blocks = list(_epoch_blocks(law, T, delay_kind, stream))
     arrivals = np.concatenate(blocks) if blocks else np.empty(0)
     return RenewalPath(arrivals=arrivals, horizon=float(T),
-                       delay_kind=delay_kind, seed_info=seed_info)
+                       delay_kind=delay_kind)
 
 
 def iter_epochs(law: IncrementLaw, T: float, delay_kind: str,
@@ -74,8 +72,6 @@ def iter_epochs(law: IncrementLaw, T: float, delay_kind: str,
     """Stream epochs one by one without materializing the path."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    if delay_kind == STATIONARY:
-        law._require_finite_mean()
     for block in _epoch_blocks(law, T, delay_kind, stream):
         yield from block
 

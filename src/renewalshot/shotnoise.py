@@ -1,18 +1,23 @@
-"""Shot noise evaluation and the regime-scaled statistics.
+"""Shot noise evaluation and the regime table.
 
 The regimes mirror the limit-theorem landscape: no-scaling regimes (direct
 and centered), Gaussian regimes A1/A2, the stable regime A3 (finite mean,
 heavy tail) and the infinite-mean regime D4 whose limit is a fractionally
-integrated inverse stable subordinator.
+integrated inverse stable subordinator.  Each regime is one `Regime` entry
+of `REGIMES` (hypotheses, normalizer, statistic, limit law, moments, Hurst
+index); adding a regime means adding one entry there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
+from . import limits
 from .laws import Constant, IncrementLaw, Pareto, ResponseFunction, Window
 from .renewal import RenewalPath
 
@@ -22,9 +27,6 @@ A1 = "A1"
 A2 = "A2"
 A3 = "A3"
 D4 = "D4"
-
-REGIMES = (NOSCALE_DRI, NOSCALE_CENTERED, A1, A2, A3, D4)
-SCALED_REGIMES = (A1, A2, A3, D4)
 
 
 class InadmissibleSpec(ValueError):
@@ -42,57 +44,13 @@ class LimitSpec:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise InadmissibleSpec(f"unknown regime {self.regime!r}")
-        self.validate()
-
-    def validate(self):
-        r, a, b = self.regime, self.alpha, self.beta
-        law, h = self.law, self.h
-        if r in SCALED_REGIMES and isinstance(h, Window):
-            raise InadmissibleSpec("Window response vanishes at large t; "
-                                   "scaled regimes need h > 0 eventually")
-        if r in (A1, A2):
-            if a != 2:
-                raise InadmissibleSpec(f"{r} requires alpha = 2")
-            if not 0 <= b < 0.5:
-                raise InadmissibleSpec(f"{r} requires beta in [0, 1/2), got {b}")
-            if r == A1 and not math.isfinite(law.variance):
-                raise InadmissibleSpec("A1 requires a finite-variance law")
-            if r == A2:
-                if math.isfinite(law.variance):
-                    raise InadmissibleSpec("A2 requires infinite variance")
-                if not (isinstance(law, Pareto) and law.alpha == 2):
-                    raise InadmissibleSpec("A2 normalizer needs the Pareto "
-                                           "tail-index-2 law")
-        elif r == A3:
-            if not 1 < a < 2:
-                raise InadmissibleSpec("A3 requires alpha in (1, 2)")
-            if not 0 <= b < 1.0 / a:
-                raise InadmissibleSpec(f"A3 requires beta in the interval (0,1/alpha); got {b}")
-            if not (isinstance(law, Pareto) and law.alpha == a):
-                raise InadmissibleSpec("A3 requires the matching Pareto law")
-        elif r == D4:
-            if not 0 < a < 1:
-                raise InadmissibleSpec("D4 requires alpha in (0, 1)")
-            if not 0 <= b <= a:
-                raise InadmissibleSpec(f"D4 requires beta in [0, alpha]; got {b}")
-            if not (isinstance(law, Pareto) and law.alpha == a):
-                raise InadmissibleSpec("D4 requires an infinite-mean Pareto law")
-        elif r == NOSCALE_DRI:
-            if not h.dri:
-                raise InadmissibleSpec("NOSCALE_DRI needs a directly Riemann "
-                                       "integrable response")
-            if not math.isfinite(law.mean):
-                raise InadmissibleSpec("no-scaling limit needs a finite mean")
-        elif r == NOSCALE_CENTERED:
-            if not math.isfinite(law.variance):
-                raise InadmissibleSpec("centered no-scaling regime (C1) needs "
-                                       "finite variance")
-            if h.integrable or not h.square_integrable:
-                raise InadmissibleSpec("centered regime needs a non-integrable, "
-                                       "square-integrable response")
-        if r in SCALED_REGIMES and h.rv_index is not None and h.rv_index != b:
-            raise InadmissibleSpec(f"response decays with index {h.rv_index}, "
-                                   f"spec declares beta = {b}")
+        regime = REGIMES[self.regime]
+        hypotheses = regime.admits
+        if regime.g is not None:
+            hypotheses = (_H_VISIBLE,) + hypotheses + (_H_DECLARED_BETA,)
+        for holds, why in hypotheses:
+            if not holds(self):
+                raise InadmissibleSpec(why.format(s=self))
 
 
 def evaluate(path: RenewalPath, h: ResponseFunction, t: float) -> float:
@@ -152,16 +110,10 @@ def scaling_g(spec: LimitSpec, t: float) -> float:
     """The counting-process normalizer g(t) of the scaled regimes."""
     if t <= 0:
         raise ValueError("t must be positive")
-    law = spec.law
-    if spec.regime == A1:
-        return math.sqrt(law.variance * law.mean ** (-3) * t)
-    if spec.regime == A2:
-        return law.mean ** (-1.5) * solve_c(law, t)
-    if spec.regime == A3:
-        return law.mean ** (-1.0 - 1.0 / spec.alpha) * solve_c(law, t)
-    if spec.regime == D4:
-        return 1.0 / float(law.tail_prob(t))
-    raise InadmissibleSpec(f"regime {spec.regime} has no scaling function")
+    g = REGIMES[spec.regime].g
+    if g is None:
+        raise InadmissibleSpec(f"regime {spec.regime} has no scaling function")
+    return g(spec, t)
 
 
 def scaled_statistic(spec: LimitSpec, path: RenewalPath,
@@ -172,21 +124,207 @@ def scaled_statistic(spec: LimitSpec, path: RenewalPath,
         raise ValueError("u-grid must be increasing and positive")
     if u[-1] * t > path.horizon:
         raise ValueError("u_max * t exceeds the generated horizon")
-    if spec.regime == NOSCALE_DRI:
-        return np.array([evaluate(path, spec.h, ui * t) for ui in u])
-    if spec.regime == NOSCALE_CENTERED:
-        return np.array(
-            [centered_statistic(path, spec.h, spec.law, ui * t) for ui in u])
+    return REGIMES[spec.regime].statistic(spec, path, u, t)
+
+
+def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
+    """Level T where the X* truncation bound is at most tol (T < 1e6 allowing)."""
+    law, h = spec.law, spec.h
+    T = 10.0 * law.mean
+    while limits.x_star_tail_bound(law, h, T) > tol and T < 1e6:
+        T *= 2.0
+    return T
+
+
+# ---------------------------------------------------------------------------
+# the regime table
+# ---------------------------------------------------------------------------
+
+# hypotheses: (condition on the spec, message formatted with s=spec); every
+# scaled regime (g is not None) also needs the first and the last of these
+_H_VISIBLE = (lambda s: not isinstance(s.h, Window),
+              "Window response vanishes at large t; scaled regimes need "
+              "h > 0 eventually")
+_H_DECLARED_BETA = (lambda s: s.h.rv_index is None or s.h.rv_index == s.beta,
+                    "response decays with index {s.h.rv_index}, spec declares "
+                    "beta = {s.beta}")
+_GAUSSIAN_HYPOTHESES = (
+    (lambda s: s.alpha == 2, "{s.regime} requires alpha = 2"),
+    (lambda s: 0 <= s.beta < 0.5,
+     "{s.regime} requires beta in [0, 1/2), got {s.beta}"),
+)
+
+
+def _matching_pareto(spec):
+    return isinstance(spec.law, Pareto) and spec.law.alpha == spec.alpha
+
+
+def _plain(spec, path, u, t):
+    """X(ut) itself."""
+    return np.array([evaluate(path, spec.h, ui * t) for ui in u])
+
+
+def _centered(spec, path, u, t, h=None):
+    """X(ut) - mu^{-1} int_0^{ut} h, with h = spec.h unless given."""
+    h = spec.h if h is None else h
+    return np.array([centered_statistic(path, h, spec.law, ui * t) for ui in u])
+
+
+def _tail_scaled(spec, path, u, t):
+    """P(xi > t)/h(t) * X(ut)."""
     ht = float(spec.h.eval(t))
-    if spec.regime == D4:
-        pt = float(spec.law.tail_prob(t))
-        return np.array([evaluate(path, spec.h, ui * t) for ui in u]) * (pt / ht)
-    h = spec.h
+    pt = float(spec.law.tail_prob(t))
+    return _plain(spec, path, u, t) * (pt / ht)
+
+
+_UNIT = Constant(1.0)
+
+
+def _g_scaled(spec, path, u, t):
+    """(X(ut) - mu^{-1} int_0^{ut} h) / (g(t) h(t))."""
+    h, ht = spec.h, float(spec.h.eval(t))
     if isinstance(h, Constant):
         # the constant cancels algebraically; compute with h == 1 so the
         # result is bit-identical for every value of the constant
-        h = Constant(1.0)
-        ht = 1.0
-    denom = scaling_g(spec, t) * ht
-    return np.array(
-        [centered_statistic(path, h, spec.law, ui * t) for ui in u]) / denom
+        h, ht = _UNIT, 1.0
+    return _centered(spec, path, u, t, h) / (scaling_g(spec, t) * ht)
+
+
+class ExactLaw(NamedTuple):
+    cdf: Callable         # q -> P(Y(u) <= q)
+    sample: Callable      # (rng, n) -> n draws of Y(u)
+
+
+def _gaussian_variance(spec, u):
+    b = spec.beta
+    return u ** (1.0 - 2.0 * b) / (1.0 - 2.0 * b) if b > 0 else u
+
+
+def _gaussian_exact(spec, u):
+    sd = math.sqrt(_gaussian_variance(spec, u))
+    return ExactLaw(lambda q: special.ndtr(q / sd),
+                    lambda rng, n: rng.normal(0, sd, n))
+
+
+def _d4_exact(spec, u):
+    if spec.alpha != spec.beta:
+        return None
+    # beta = alpha: Hurst index 0, every marginal is Exp(1)
+    return ExactLaw(lambda q: -np.expm1(-np.maximum(q, 0.0)),
+                    lambda rng, n: rng.exponential(1.0, n))
+
+
+def _x_star_draws(sample, spec, n, rng, scenario):
+    trunc = scenario.x_star_truncation or default_x_star_truncation(spec)
+    return np.array([sample(spec.law, spec.h, trunc, rng) for _ in range(n)])
+
+
+def _inverse_subordinator_draws(spec, u, n, rng, scenario):
+    out = np.empty(n)
+    for i in range(n):
+        p = limits.simulate_inverse_subordinator_path(
+            spec.alpha, u, scenario.reference_mesh_d, rng,
+            u_mesh=u / scenario.reference_u_mesh_cells)
+        out[i] = limits.frac_integral(p, spec.beta, u)
+    return out
+
+
+def _gaussian_moment(spec, u, k):
+    if k % 2 == 1:
+        return 0.0
+    return _gaussian_variance(spec, u) ** (k // 2) * math.prod(range(1, k, 2))
+
+
+def _zero_mean(spec, u, k):
+    if k == 1:
+        return 0.0
+    raise ValueError(f"no finite or closed-form moment of order {k}")
+
+
+def _x_star_mean(spec, u, k):
+    if k != 1:
+        raise ValueError("no closed-form higher moments for X*")
+    big = max(1e9, 1e4 * spec.law.mean)
+    return spec.h.integral(big) / spec.law.mean
+
+
+def _levy_hurst(spec):
+    return 1.0 / spec.alpha - spec.beta
+
+
+@dataclass(frozen=True)
+class Regime:
+    """One row of the limit-theorem table; every callable takes the
+    LimitSpec first.  Callables reach `limits` through the module, so
+    wrapping a `limits` function (for tracing, say) reaches them too."""
+
+    admits: tuple               # hypotheses: (spec -> bool, message) pairs
+    g: Callable | None          # (spec, t) -> g(t); None: no scaling
+    statistic: Callable         # (spec, path, u, t) -> statistic per u
+    exact: Callable             # (spec, u) -> ExactLaw of Y(u), or None
+    reference: Callable | None  # (spec, u, n, rng, scenario) -> n draws of Y(u)
+    moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
+    hurst: Callable | None      # (spec) -> H; None: stationary limit
+
+
+REGIMES = {
+    NOSCALE_DRI: Regime(
+        admits=((lambda s: s.h.dri,
+                 "NOSCALE_DRI needs a directly Riemann integrable response"),
+                (lambda s: math.isfinite(s.law.mean),
+                 "no-scaling limit needs a finite mean")),
+        g=None, statistic=_plain, exact=lambda spec, u: None,
+        reference=lambda spec, u, n, rng, scn: _x_star_draws(
+            limits.sample_X_star, spec, n, rng, scn),
+        moment=_x_star_mean, hurst=None),
+    NOSCALE_CENTERED: Regime(
+        admits=((lambda s: math.isfinite(s.law.variance),
+                 "centered no-scaling regime (C1) needs finite variance"),
+                (lambda s: not s.h.integrable and s.h.square_integrable,
+                 "centered regime needs a non-integrable, square-integrable "
+                 "response")),
+        g=None, statistic=_centered, exact=lambda spec, u: None,
+        reference=lambda spec, u, n, rng, scn: _x_star_draws(
+            limits.sample_X_star_centered, spec, n, rng, scn),
+        moment=_zero_mean, hurst=None),
+    A1: Regime(
+        admits=_GAUSSIAN_HYPOTHESES + (
+            (lambda s: math.isfinite(s.law.variance),
+             "A1 requires a finite-variance law"),),
+        g=lambda spec, t: math.sqrt(
+            spec.law.variance * spec.law.mean ** (-3) * t),
+        statistic=_g_scaled, exact=_gaussian_exact, reference=None,
+        moment=_gaussian_moment, hurst=_levy_hurst),
+    A2: Regime(
+        admits=_GAUSSIAN_HYPOTHESES + (
+            (lambda s: not math.isfinite(s.law.variance),
+             "A2 requires infinite variance"),
+            (lambda s: isinstance(s.law, Pareto) and s.law.alpha == 2,
+             "A2 normalizer needs the Pareto tail-index-2 law")),
+        g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
+        statistic=_g_scaled, exact=_gaussian_exact, reference=None,
+        moment=_gaussian_moment, hurst=_levy_hurst),
+    A3: Regime(
+        admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
+                (lambda s: 0 <= s.beta < 1.0 / s.alpha,
+                 "A3 requires beta in the interval (0,1/alpha); got {s.beta}"),
+                (_matching_pareto, "A3 requires the matching Pareto law")),
+        g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
+                           * solve_c(spec.law, t)),
+        statistic=_g_scaled, exact=lambda spec, u: None,
+        reference=lambda spec, u, n, rng, scn:
+            limits.marginal_sample_finite_mean(spec.alpha, spec.beta, u,
+                                               rng, n),
+        moment=_zero_mean, hurst=_levy_hurst),
+    D4: Regime(
+        admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),
+                (lambda s: 0 <= s.beta <= s.alpha,
+                 "D4 requires beta in [0, alpha]; got {s.beta}"),
+                (_matching_pareto, "D4 requires an infinite-mean Pareto law")),
+        g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
+        statistic=_tail_scaled, exact=_d4_exact,
+        reference=_inverse_subordinator_draws,
+        moment=lambda spec, u, k: limits.moments_inverse_case(
+            spec.alpha, spec.beta, u, k),
+        hurst=lambda spec: spec.alpha - spec.beta),
+}

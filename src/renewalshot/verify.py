@@ -15,17 +15,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special, stats
 
 from . import limits, renewal, shotnoise
-from .laws import Constant, ParetoTailMatch, PowerDecay, ResponseFunction
-from .shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED, NOSCALE_DRI,
-                        LimitSpec, InadmissibleSpec)
+from .shotnoise import REGIMES, LimitSpec, InadmissibleSpec
 from .stable import abs_moment
 from .streams import DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE, substream
 
@@ -36,10 +34,6 @@ TIME_REVERSAL = "TIME_REVERSAL"
 SELF_SIMILARITY = "SELF_SIMILARITY"
 STATIONARITY_LOGTIME = "STATIONARITY_LOGTIME"
 MEAN_ABS_N = "MEAN_ABS_N"
-
-PLAN_NAMES = (KS_MARGINAL, MOMENTS, JOINT_PAIRWISE_INDEPENDENCE,
-              TIME_REVERSAL, SELF_SIMILARITY, STATIONARITY_LOGTIME,
-              MEAN_ABS_N)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -81,16 +75,9 @@ def ks_one_sample_normal(x, mean, variance):
     return ks_one_sample(x, lambda q: special.ndtr((q - mean) / sd))
 
 
-def moment_test(x, k, reference):
-    """z-score of the empirical k-th moment against a reference, with the
-    standard error estimated by sectioning into 20 batches (robust to
-    heavy tails)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = np.asarray(x, dtype=float)
-    v = x**k
-    if not np.all(np.isfinite(v)):
-        return math.inf
+def _sectioned_z(v, reference):
+    """z-score of the mean of v against a reference, with the standard
+    error estimated by sectioning into 20 batches (robust to heavy tails)."""
     nb = 20
     usable = (len(v) // nb) * nb
     if usable == 0:
@@ -103,16 +90,21 @@ def moment_test(x, k, reference):
     return float((est - reference) / se)
 
 
-def covariance_z(a, b, reference, nb=20):
-    """z-score of the empirical covariance of centered pairs against a
-    reference value, sectioned standard error."""
+def moment_test(x, k, reference):
+    """Sectioned z-score of the empirical k-th moment against a reference."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    v = np.asarray(x, dtype=float) ** k
+    if not np.all(np.isfinite(v)):
+        return math.inf
+    return _sectioned_z(v, reference)
+
+
+def covariance_z(a, b, reference):
+    """Sectioned z-score of the empirical covariance of centered pairs
+    against a reference value."""
     prod = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-    usable = (len(prod) // nb) * nb
-    batches = prod[:usable].reshape(nb, -1).mean(axis=1)
-    se = batches.std(ddof=1) / math.sqrt(nb)
-    if se == 0.0:
-        return 0.0 if batches.mean() == reference else math.inf
-    return float((batches.mean() - reference) / se)
+    return _sectioned_z(prod, reference)
 
 
 def energy_distance_test(x, y, n_perm=199, seed=0, max_n=2000):
@@ -209,13 +201,12 @@ class Scenario:
         if not u or u[0] <= 0 or any(b <= a for a, b in zip(u, u[1:])):
             raise InadmissibleSpec("u-grid must be positive and increasing")
         for p in self.plans:
-            name = p.split(":")[0]
-            if name not in PLAN_NAMES:
+            plan = PLANS.get(p.split(":")[0])
+            if plan is None:
                 raise InadmissibleSpec(f"unknown test plan {p!r}")
-            if (name == JOINT_PAIRWISE_INDEPENDENCE
-                    and self.spec.regime not in (NOSCALE_DRI, NOSCALE_CENTERED)):
-                raise InadmissibleSpec("pairwise independence holds only for "
-                                       "the no-scaling (i.i.d. copies) limits")
+            if not plan.admits(self.spec):
+                raise InadmissibleSpec(f"plan {p!r} does not apply to this "
+                                       f"{self.spec.regime} spec")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -291,16 +282,9 @@ def _estimated_shots(spec: LimitSpec, horizon: float, n: int) -> float:
         per_path = horizon / law.mean + 10.0 * math.sqrt(horizon / law.mean + 1)
     else:
         a = law.tail_index
-        per_path = (horizon / law.xm) ** a / (_g1(a) * _g2(a)) + 100.0
+        per_path = (horizon / law.xm) ** a / (special.gamma(1 + a)
+                                              * special.gamma(1 - a)) + 100.0
     return n * per_path
-
-
-def _g1(a):
-    return special.gamma(1 + a)
-
-
-def _g2(a):
-    return special.gamma(1 - a)
 
 
 def _simulate_chunk(args):
@@ -336,105 +320,40 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# references for the limit laws
+# plan runners: (scenario, t, samples or None, plan argument, records)
 # ---------------------------------------------------------------------------
-
-def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
-    law, h = spec.law, spec.h
-    T = 10.0 * law.mean
-    while limits.x_star_tail_bound(law, h, T) > tol and T < 1e6:
-        T *= 2.0
-    return T
-
 
 def _limit_reference_sample(spec: LimitSpec, u: float, n: int, seed: int,
-                            scenario: Scenario | None = None):
+                            scenario: Scenario):
     """Draws from the limit law of the scaled statistic at time point u.
-    Returns None when an exact CDF is used instead (A1/A2)."""
+    Returns None when the regime gives the exact law instead."""
     rng = substream(seed, DOMAIN_REFERENCE, int(u * 2**20) & 0x7FFFFFFF)
-    if spec.regime in (A1, A2):
+    regime = REGIMES[spec.regime]
+    if regime.exact(spec, u) is not None:
         return None
-    if spec.regime == A3:
-        return limits.marginal_sample_finite_mean(spec.alpha, spec.beta, u,
-                                                  rng, n)
-    if spec.regime == D4:
-        if spec.alpha == spec.beta:
-            return None                      # exact Exp(1) marginal
-        mesh_d = scenario.reference_mesh_d if scenario else 1e-3
-        cells = scenario.reference_u_mesh_cells if scenario else 4096
-        out = np.empty(n)
-        for i in range(n):
-            p = limits.simulate_inverse_subordinator_path(
-                spec.alpha, u, mesh_d, rng, u_mesh=u / cells)
-            out[i] = limits.frac_integral(p, spec.beta, u)
-        return out
-    trunc = (scenario.x_star_truncation if scenario and
-             scenario.x_star_truncation else default_x_star_truncation(spec))
-    out = np.empty(n)
-    if spec.regime == NOSCALE_DRI:
-        for i in range(n):
-            out[i] = limits.sample_X_star(spec.law, spec.h, trunc, rng)
-    else:
-        for i in range(n):
-            out[i] = limits.sample_X_star_centered(spec.law, spec.h, trunc, rng)
-    return out
+    return regime.reference(spec, u, n, rng, scenario)
 
 
-def _gaussian_limit_variance(spec: LimitSpec, u: float) -> float:
-    b = spec.beta
-    return u ** (1.0 - 2.0 * b) / (1.0 - 2.0 * b) if b > 0 else u
-
-
-def _limit_moment(spec: LimitSpec, u: float, k: int) -> float:
-    if spec.regime in (A1, A2):
-        if k % 2 == 1:
-            return 0.0
-        v = _gaussian_limit_variance(spec, u)
-        return v ** (k // 2) * math.prod(range(1, k, 2))
-    if spec.regime == A3:
-        if k == 1:
-            return 0.0
-        raise ValueError("stable limit has no finite moments of order >= alpha")
-    if spec.regime == D4:
-        return limits.moments_inverse_case(spec.alpha, spec.beta, u, k)
-    if spec.regime == NOSCALE_DRI:
-        if k == 1:
-            big = max(1e9, 1e4 * spec.law.mean)
-            return spec.h.integral(big) / spec.law.mean
-        raise ValueError("no closed-form higher moments for X*")
-    if k == 1:
-        return 0.0
-    raise ValueError("no closed-form higher moments for the centered limit")
-
-
-# ---------------------------------------------------------------------------
-# plan runners
-# ---------------------------------------------------------------------------
-
-def _run_ks_marginal(scn, t, samples, records):
+def _run_ks_marginal(scn, t, samples, arg, records):
     spec = scn.spec
     for j, u in enumerate(scn.u_grid):
         col = samples[:, j]
-        if spec.regime in (A1, A2):
-            d, p = ks_one_sample_normal(col, 0.0, _gaussian_limit_variance(spec, u))
-            ref = 0.0
-        elif spec.regime == D4 and spec.alpha == spec.beta:
-            d, p = ks_one_sample(col, lambda q: -np.expm1(-np.maximum(q, 0.0)))
-            ref = 0.0
+        exact = REGIMES[spec.regime].exact(spec, u)
+        if exact is not None:
+            d, p = ks_one_sample(col, exact.cdf)
         else:
             refs = _limit_reference_sample(spec, u, len(col), scn.seed, scn)
             d, p = ks_two_sample(col, refs)
-            ref = 0.0
-        records.append(TestRecord(t, u, KS_MARGINAL, d, ref, p, None,
+        records.append(TestRecord(t, u, KS_MARGINAL, d, 0.0, p, None,
                                   p > scn.significance))
 
 
-def _run_moments(scn, t, samples, k_max, records):
-    spec = scn.spec
+def _run_moments(scn, t, samples, arg, records):
+    moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
-        for k in range(1, k_max + 1):
+        for k in range(1, int(arg or 2) + 1):
             try:
-                ref = _limit_moment(spec, u, k)
+                ref = moment(scn.spec, u, k)
             except ValueError:
                 continue
             z = moment_test(samples[:, j], k, ref)
@@ -443,7 +362,7 @@ def _run_moments(scn, t, samples, k_max, records):
                                       None, z, abs(z) < 3.0))
 
 
-def _run_pairwise_independence(scn, t, samples, records):
+def _run_pairwise_independence(scn, t, samples, arg, records):
     n = len(samples)
     for i in range(len(scn.u_grid)):
         for j in range(i + 1, len(scn.u_grid)):
@@ -459,7 +378,7 @@ def _run_pairwise_independence(scn, t, samples, records):
                 p, None, p > scn.significance))
 
 
-def _run_time_reversal(scn, t, records):
+def _run_time_reversal(scn, t, samples, arg, records):
     law = scn.spec.law
     n = scn.replicates
     for idx, (s, horizon) in enumerate(scn.reversal_pairs):
@@ -477,7 +396,7 @@ def _run_time_reversal(scn, t, records):
                                   p > scn.significance))
 
 
-def _run_self_similarity(scn, t, records):
+def _run_self_similarity(scn, t, samples, arg, records):
     """Check the limit law's Hurst scaling between the smallest and largest
     grid points using independent reference batches."""
     spec = scn.spec
@@ -485,32 +404,22 @@ def _run_self_similarity(scn, t, records):
         return
     u_lo, u_hi = scn.u_grid[0], scn.u_grid[-1]
     n = scn.replicates
-    if spec.regime == D4:
-        hurst = spec.alpha - spec.beta
-    else:
-        hurst = 1.0 / spec.alpha - spec.beta
+    regime = REGIMES[spec.regime]
+    hurst = regime.hurst(spec)
     a = _limit_reference_sample(spec, u_lo, n, scn.seed + 1, scn)
     b = _limit_reference_sample(spec, u_hi, n, scn.seed + 2, scn)
     if a is None or b is None:
-        rng_a = substream(scn.seed, DOMAIN_AUX, 301)
-        rng_b = substream(scn.seed, DOMAIN_AUX, 302)
-        if spec.regime in (A1, A2):
-            a = rng_a.normal(0, math.sqrt(_gaussian_limit_variance(spec, u_lo)), n)
-            b = rng_b.normal(0, math.sqrt(_gaussian_limit_variance(spec, u_hi)), n)
-        else:                                 # exponential marginal case
-            a = rng_a.exponential(1.0, n) * u_lo ** hurst
-            b = rng_b.exponential(1.0, n) * u_hi ** hurst
+        a = regime.exact(spec, u_lo).sample(
+            substream(scn.seed, DOMAIN_AUX, 301), n)
+        b = regime.exact(spec, u_hi).sample(
+            substream(scn.seed, DOMAIN_AUX, 302), n)
     d, p = ks_two_sample(a * (u_hi / u_lo) ** hurst, b)
     records.append(TestRecord(t, u_hi, SELF_SIMILARITY, d, hurst, p, None,
                               p > scn.significance))
 
 
-def _run_stationarity_logtime(scn, t, records):
-    spec = scn.spec
-    if spec.regime != D4 or spec.alpha != spec.beta:
-        raise InadmissibleSpec("log-time stationarity needs the alpha = beta "
-                               "inverse-subordinator regime")
-    a = spec.alpha
+def _run_stationarity_logtime(scn, t, samples, arg, records):
+    a = scn.spec.alpha
     n = scn.replicates
     v = 0.5                                  # log-time shift for the lag pair
     lags = scn.logtime_lags
@@ -528,19 +437,15 @@ def _run_stationarity_logtime(scn, t, records):
     col = {u: ys[:, j] for j, u in enumerate(u_pts)}
     for s in lags:
         ref = limits.stationary_covariance(a, s)
-        z0 = covariance_z(col[1.0] - 1.0, col[math.exp(s)] - 1.0, ref)
-        zv = covariance_z(col[math.exp(v)] - 1.0, col[math.exp(v + s)] - 1.0, ref)
-        records.append(TestRecord(t, s, f"{STATIONARITY_LOGTIME}:lag0",
-                                  ref, ref, None, z0, abs(z0) < 3.0))
-        records.append(TestRecord(t, s, f"{STATIONARITY_LOGTIME}:lag{v}",
-                                  ref, ref, None, zv, abs(zv) < 3.0))
+        for w in (0, v):                     # pairs (e^w, e^(w+s))
+            z = covariance_z(col[math.exp(w)] - 1.0,
+                             col[math.exp(w + s)] - 1.0, ref)
+            records.append(TestRecord(t, s, f"{STATIONARITY_LOGTIME}:lag{w}",
+                                      ref, ref, None, z, abs(z) < 3.0))
 
 
-def _run_mean_abs_n(scn, t, records):
+def _run_mean_abs_n(scn, t, samples, arg, records):
     spec = scn.spec
-    if spec.regime not in (A1, A2, A3):
-        raise InadmissibleSpec("MEAN_ABS_N applies to the finite-mean scaled "
-                               "regimes")
     law = spec.law
     n = scn.replicates
     g = shotnoise.scaling_g(spec, t)
@@ -557,11 +462,54 @@ def _run_mean_abs_n(scn, t, records):
                               None, z, bool(abs(rel) < 0.05)))
 
 
+# ---------------------------------------------------------------------------
+# plan registry
+# ---------------------------------------------------------------------------
+
+class Plan(NamedTuple):
+    runner: Callable        # (scenario, t, samples, arg, records)
+    every_rung: bool        # False: run on the first rung of the t-ladder only
+    needs_samples: bool     # reads the simulated matrix of the rung
+    admits: Callable        # (spec) -> bool, checked by Scenario
+
+
+def _hurst_zero(spec):
+    # a self-similar limit with H = 0 is stationary in log time (Lamperti);
+    # in the table only D4 with beta = alpha, the inverse-subordinator
+    # functional the runner simulates, has H = 0
+    hurst = REGIMES[spec.regime].hurst
+    return hurst is not None and hurst(spec) == 0.0
+
+
+PLANS = {
+    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda spec: True),
+    MOMENTS: Plan(_run_moments, True, True, lambda spec: True),
+    # i.i.d. copies: only the no-scaling limits
+    JOINT_PAIRWISE_INDEPENDENCE: Plan(
+        _run_pairwise_independence, True, True,
+        lambda spec: REGIMES[spec.regime].g is None),
+    # stationary renewal paths need a finite mean
+    TIME_REVERSAL: Plan(_run_time_reversal, False, False,
+                        lambda spec: math.isfinite(spec.law.mean)),
+    SELF_SIMILARITY: Plan(
+        _run_self_similarity, False, False,
+        lambda spec: REGIMES[spec.regime].hurst is not None),
+    STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False,
+                               _hurst_zero),
+    # the stable limit of the counting process: finite-mean scaled regimes
+    MEAN_ABS_N: Plan(_run_mean_abs_n, True, False,
+                     lambda spec: (REGIMES[spec.regime].g is not None
+                                   and math.isfinite(spec.law.mean))),
+}
+PLAN_NAMES = tuple(PLANS)
+
+
 def run_scenario(s: Scenario) -> TestReport:
     """Run every plan of the scenario on each rung of the t-ladder."""
     report = TestReport(scenario=s.echo(), seed=s.seed)
-    per_t_plans = {KS_MARGINAL, MOMENTS, JOINT_PAIRWISE_INDEPENDENCE}
-    needs_samples = any(p.split(":")[0] in per_t_plans for p in s.plans)
+    plans = [(PLANS[name], arg)
+             for name, _, arg in (p.partition(":") for p in s.plans)]
+    needs_samples = any(plan.needs_samples for plan, _ in plans)
     for t in s.t_ladder:
         samples = None
         if needs_samples:
@@ -571,23 +519,7 @@ def run_scenario(s: Scenario) -> TestReport:
             for j, u in enumerate(s.u_grid):
                 report.plot_data[(t, u)] = np.quantile(
                     samples[:, j], np.linspace(0.0, 1.0, 101))
-        for plan in s.plans:
-            name, _, arg = plan.partition(":")
-            if name == KS_MARGINAL:
-                _run_ks_marginal(s, t, samples, report.records)
-            elif name == MOMENTS:
-                _run_moments(s, t, samples, int(arg or 2), report.records)
-            elif name == JOINT_PAIRWISE_INDEPENDENCE:
-                _run_pairwise_independence(s, t, samples, report.records)
-            elif name == TIME_REVERSAL:
-                if t == s.t_ladder[0]:
-                    _run_time_reversal(s, t, report.records)
-            elif name == SELF_SIMILARITY:
-                if t == s.t_ladder[0]:
-                    _run_self_similarity(s, t, report.records)
-            elif name == STATIONARITY_LOGTIME:
-                if t == s.t_ladder[0]:
-                    _run_stationarity_logtime(s, t, report.records)
-            elif name == MEAN_ABS_N:
-                _run_mean_abs_n(s, t, report.records)
+        for plan, arg in plans:
+            if plan.every_rung or t == s.t_ladder[0]:
+                plan.runner(s, t, samples, arg, report.records)
     return report

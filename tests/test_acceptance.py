@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from renewalshot import cli, limits, renewal, verify
+from renewalshot import cli, limits, renewal, shotnoise, verify
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.shotnoise import (A1, A3, D4, NOSCALE_DRI, LimitSpec)
@@ -140,7 +140,7 @@ def test_acceptance_6_no_scaling_iid_copies(report):
     spec = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
     n = 10000
     m = simulate_scaled_matrix(spec, (1.0, 2.0), 1e3, n, 0, max_shots=1e9)
-    trunc = verify.default_x_star_truncation(spec)
+    trunc = shotnoise.default_x_star_truncation(spec)
     ps = []
     for j in (0, 1):
         ref = np.array([limits.sample_X_star(spec.law, spec.h, trunc,

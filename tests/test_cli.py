@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from renewalshot import cli
+from renewalshot import cli, limits, verify
 
 
 A1_CONFIG = """\
@@ -127,6 +128,34 @@ def test_inadmissible_beta_exits_3(tmp_path, capsys):
     assert "(0,1/alpha)" in capsys.readouterr().err
 
 
+def test_inadmissible_plan_exits_3(tmp_path, capsys):
+    p = tmp_path / "logtime.ini"
+    p.write_text(A1_CONFIG.replace("plans = KS_MARGINAL",
+                                   "plans = STATIONARITY_LOGTIME"))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    assert "STATIONARITY_LOGTIME" in capsys.readouterr().err
+
+
+def test_powerdecay_without_beta_exits_2(tmp_path, capsys):
+    p = tmp_path / "nobeta.ini"
+    p.write_text(A1_CONFIG.replace("kind = constant\nvalue = 1.0",
+                                   "kind = powerdecay\nc0 = 1.0"))
+    assert cli.main(["simulate", "--config", str(p),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "'beta'" in capsys.readouterr().err
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    p = tmp_path / "readme.ini"
+    p.write_text(readme.split("```ini\n")[1].split("```")[0])
+    spec, kw, _ = cli.load_config(str(p))
+    assert spec.regime == "A3"
+    verify.Scenario(spec=spec, **kw)
+
+
 def test_unknown_key_exits_2(tmp_path):
     p = tmp_path / "typo.ini"
     p.write_text(A1_CONFIG + "\nwobble = 3\n")
@@ -211,6 +240,20 @@ def test_formula_values(capsys):
 
 def test_formula_unknown_name_exits_2():
     assert cli.main(["formula", "frobnicate"]) == 2
+
+
+def test_formula_missing_flags_exit_2(capsys):
+    assert cli.main(["formula", "moments", "--alpha", "0.5"]) == 2
+    assert "needs --beta --u --k" in capsys.readouterr().err
+
+
+def test_program_bug_is_not_a_config_error(monkeypatch):
+    def broken(alpha, s):
+        raise TypeError("a bug, not a config error")
+
+    monkeypatch.setattr(limits, "stationary_covariance", broken)
+    with pytest.raises(TypeError):
+        cli.main(["formula", "rs", "--alpha", "0.5", "--s", "0"])
 
 
 def test_path_dump(a1_config, tmp_path):

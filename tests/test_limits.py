@@ -24,7 +24,7 @@ from renewalshot.verify import ks_one_sample_normal, ks_two_sample, moment_test
 def _identity_path(cells=4096, alpha=0.9):
     grid = np.arange(cells + 1) / cells
     return ProcessPath(grid=grid, values=grid.copy(),
-                       kind=INVERSE_SUBORDINATOR, alpha=alpha, mesh=1 / cells)
+                       kind=INVERSE_SUBORDINATOR, alpha=alpha)
 
 
 def test_beta_zero_recovers_the_path():

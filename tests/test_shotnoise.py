@@ -1,5 +1,6 @@
 """Shot noise evaluation, normalizers, and regime admissibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
 from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
-                                   NOSCALE_DRI, InadmissibleSpec, LimitSpec,
-                                   centered_statistic, evaluate,
-                                   scaled_statistic, scaling_g, solve_c)
+                                   NOSCALE_DRI, REGIMES, InadmissibleSpec,
+                                   LimitSpec, Regime, centered_statistic,
+                                   evaluate, scaled_statistic, scaling_g,
+                                   solve_c)
 from renewalshot.streams import substream
-from renewalshot.verify import (ks_one_sample, moment_test,
+from renewalshot.verify import (Scenario, _limit_reference_sample,
+                                ks_one_sample, moment_test,
                                 simulate_scaled_matrix)
 
 
@@ -150,3 +153,54 @@ def test_tail_matched_d4_floor_and_renewal_identity():
         assert d >= -math.expm1(-ht)
         z = moment_test(x, 1, 1.0)
         assert abs(z) < 3, (t, z)
+
+
+# one admissible spec per regime table entry; D4 twice, because its limit
+# law is exact for beta = alpha and self-simulated otherwise
+TABLE_SPECS = [
+    LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0)),
+    LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Exponential(1.0), PowerDecay(0.75)),
+    LimitSpec(A1, 2.0, 0.25, Exponential(1.0), PowerDecay(0.25)),
+    LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(1.0)),
+    LimitSpec(A3, 1.5, 0.25, Pareto(1.5, 1.0), PowerDecay(0.25)),
+    LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0), PowerDecay(0.25)),
+    LimitSpec(D4, 0.5, 0.5, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS,
+                         ids=lambda s: f"{s.regime}-beta={s.beta}")
+def test_regime_table_entry_is_complete(spec):
+    assert {s.regime for s in TABLE_SPECS} == set(REGIMES)
+    regime = REGIMES[spec.regime]
+    assert regime.admits
+    for holds, why in regime.admits:
+        assert callable(holds) and isinstance(why, str)
+        assert holds(spec), why
+    for f in dataclasses.fields(Regime)[1:]:
+        assert getattr(regime, f.name) is None or callable(
+            getattr(regime, f.name)), f.name
+    for name in ("statistic", "exact", "moment"):
+        assert getattr(regime, name) is not None, name
+    # no normalizer exactly when the limit is stationary (no Hurst index)
+    assert (regime.g is None) == (regime.hurst is None)
+    if regime.g is not None:
+        assert scaling_g(spec, 100.0) > 0
+        assert math.isfinite(regime.hurst(spec))
+    stat = scaled_statistic(spec, _path(law=spec.law, T=220.0), (1.0, 2.0),
+                            100.0)
+    assert stat.shape == (2,) and np.all(np.isfinite(stat))
+    assert math.isfinite(regime.moment(spec, 1.0, 1))
+    scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
+                   replicates=100, seed=0, x_star_truncation=50.0,
+                   reference_mesh_d=1e-2, reference_u_mesh_cells=256)
+    refs = _limit_reference_sample(spec, 1.0, 5, 0, scn)
+    exact = regime.exact(spec, 1.0)
+    if exact is None:
+        assert regime.reference is not None
+        assert refs.shape == (5,) and np.all(np.isfinite(refs))
+    else:
+        assert refs is None
+        draws = exact.sample(substream(0, 3, 9), 5)
+        cdf = np.asarray(exact.cdf(draws))
+        assert np.all((cdf > 0) & (cdf < 1))

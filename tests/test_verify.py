@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from renewalshot.laws import Constant, ExpDecay, Exponential
-from renewalshot.shotnoise import A1, NOSCALE_DRI, InadmissibleSpec, LimitSpec
+from renewalshot.laws import Constant, ExpDecay, Exponential, Pareto, PowerDecay
+from renewalshot.shotnoise import (A1, D4, NOSCALE_DRI, InadmissibleSpec,
+                                   LimitSpec)
 from renewalshot import verify
 from renewalshot.streams import substream
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
@@ -78,6 +79,10 @@ def test_copula_independence():
     assert p_dep <= 0.01
 
 
+D4_SPEC = LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0), PowerDecay(0.25))
+DRI_SPEC = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
+
+
 def _a1_scenario(**kw):
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     base = dict(spec=spec, u_grid=(1.0,), t_ladder=(100.0,), replicates=300,
@@ -99,6 +104,25 @@ def test_scenario_validation():
         # pairwise independence only holds for the no-scaling limits
         _a1_scenario(u_grid=(1.0, 2.0),
                      plans=("JOINT_PAIRWISE_INDEPENDENCE",))
+    with pytest.raises(InadmissibleSpec):
+        # log-time stationarity needs the beta = alpha D4 limit
+        _a1_scenario(plans=("STATIONARITY_LOGTIME",))
+    with pytest.raises(InadmissibleSpec):
+        _a1_scenario(spec=D4_SPEC, plans=("STATIONARITY_LOGTIME",))
+    with pytest.raises(InadmissibleSpec):
+        # MEAN_ABS_N needs a finite-mean scaled regime
+        _a1_scenario(spec=D4_SPEC, plans=("MEAN_ABS_N",))
+    with pytest.raises(InadmissibleSpec):
+        _a1_scenario(spec=DRI_SPEC, plans=("MEAN_ABS_N",))
+    with pytest.raises(InadmissibleSpec):
+        # a stationary no-scaling limit has no Hurst index
+        _a1_scenario(spec=DRI_SPEC, u_grid=(1.0, 4.0),
+                     plans=("SELF_SIMILARITY",))
+    with pytest.raises(InadmissibleSpec):
+        # no stationary renewal process for an infinite-mean law
+        _a1_scenario(spec=D4_SPEC, plans=("TIME_REVERSAL",))
+    _a1_scenario(spec=D4_SPEC, plans=("SELF_SIMILARITY",))
+    _a1_scenario(spec=DRI_SPEC, plans=("TIME_REVERSAL",))
 
 
 def test_run_scenario_deterministic_reports():
