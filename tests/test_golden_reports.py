@@ -3,7 +3,9 @@
 One small scenario per admissible (regime, plan) pair.  The hashes in
 golden_reports.json pin `TestReport.to_json()`, `write_csv` and
 `write_plot_data` byte for byte, so a refactor that changes any float
-expression, stream key or record order fails here.
+expression, stream key or record order fails here.  Its "matrices" entry
+pins the raw bytes of `simulate_scaled_matrix` for one spec per regime,
+which report quantiles alone could let a one-ulp change slip past.
 
 Regenerate the fixture (only for an intended output change) with
 `PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json`.
@@ -20,7 +22,7 @@ from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, LimitSpec)
-from renewalshot.verify import Scenario, run_scenario
+from renewalshot.verify import Scenario, run_scenario, simulate_scaled_matrix
 
 FIXTURE = Path(__file__).with_name("golden_reports.json")
 
@@ -50,6 +52,22 @@ CASES = {
 }
 
 
+# (spec, t, replicates) on the u-grid (0.5, 1, 2), seed 11: one per regime
+# table entry (D4 twice), an A1 case whose paths hold more than one
+# 4096-gap block, and a D4 case with several thousand epochs in all
+MATRIX_CASES = {
+    "noscale_dri": (CASES["noscale_dri"][0], 100.0, 200),
+    "noscale_centered": (CASES["noscale_centered"][0], 100.0, 200),
+    "a1": (CASES["a1"][0], 100.0, 200),
+    "a1_past_one_block": (CASES["a1"][0], 3000.0, 100),
+    "a2": (LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(3.0)),
+           100.0, 200),
+    "a3": (CASES["a3"][0], 100.0, 200),
+    "d4_beta_below_alpha": (CASES["d4_beta_below_alpha"][0], 1000.0, 200),
+    "d4_beta_equals_alpha": (CASES["d4_beta_equals_alpha"][0], 1e4, 600),
+}
+
+
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -66,12 +84,26 @@ def report_hashes(name):
             "plot": _sha(plot_buf.getvalue())}
 
 
+def matrix_hash(name):
+    spec, t, n = MATRIX_CASES[name]
+    m = simulate_scaled_matrix(spec, (0.5, 1.0, 2.0), t, n, 11)
+    return hashlib.sha256(m.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert report_hashes(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_matrix_bytes_match_golden(name):
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert matrix_hash(name) == golden["matrices"][name]
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: report_hashes(name) for name in sorted(CASES)},
-                     indent=1, sort_keys=True))
+    fixture = {name: report_hashes(name) for name in sorted(CASES)}
+    fixture["matrices"] = {name: matrix_hash(name)
+                           for name in sorted(MATRIX_CASES)}
+    print(json.dumps(fixture, indent=1, sort_keys=True))
