@@ -8,10 +8,12 @@ the horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import special
 
 from .laws import IncrementLaw
 
@@ -31,10 +33,33 @@ class RenewalPath:
         return len(self.arrivals)
 
 
+def expected_count(law: IncrementLaw, T: float) -> float:
+    """A generous estimate of N(T) on one path: T/mu plus ten times
+    sqrt(T/mu + 1) for a finite mean; for an infinite-mean Pareto law the
+    Mittag-Leffler mean (T/x_m)^a / (Gamma(1+a) Gamma(1-a)) plus 100."""
+    if math.isfinite(law.mean):
+        return T / law.mean + 10.0 * math.sqrt(T / law.mean + 1)
+    a = law.tail_index
+    return (T / law.xm) ** a / (special.gamma(1 + a)
+                                * special.gamma(1 - a)) + 100.0
+
+
+def _first_piece(law: IncrementLaw, T: float) -> int:
+    return int(min(_BLOCK, math.ceil(expected_count(law, max(T, 0.0)))))
+
+
 def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
-                  rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield blocks of epochs <= T; identical draw pattern for the list and
-    iterator consumers, so both are bit-identical for the same stream."""
+                  rng: np.random.Generator,
+                  first: int = _BLOCK) -> Iterator[np.ndarray]:
+    """Yield pieces of the epochs <= T, in order.
+
+    Gaps come in blocks of _BLOCK; a block's epochs are the block's start
+    plus the running sum of its gaps.  Within a block the gaps are drawn in
+    pieces, the first of `first` gaps and each later one as large as all
+    drawn before it in the block, and the running sum continues exactly
+    from piece to piece.  The epochs therefore do not depend on `first`,
+    but the number of gaps taken from rng does: callers that draw further
+    from the same stream keep first = _BLOCK."""
     if delay_kind == STATIONARY:
         start = float(law.stationary_delay(rng))
     elif delay_kind == ZERO_DELAYED:
@@ -45,14 +70,19 @@ def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
         return
     last = start
     yield np.array([start])
+    piece = first
     while True:
-        incs = law.sample(rng, _BLOCK)
-        epochs = last + np.cumsum(incs)
-        if epochs[-1] > T:
-            yield epochs[epochs <= T]
-            return
-        last = epochs[-1]
-        yield epochs
+        run, drawn = 0.0, 0
+        while drawn < _BLOCK:
+            sums = np.cumsum(np.concatenate(([run], law.sample(rng, piece))))[1:]
+            epochs = last + sums
+            if epochs[-1] > T:
+                yield epochs[epochs <= T]
+                return
+            yield epochs
+            run, drawn = sums[-1], drawn + piece
+            piece = min(drawn, _BLOCK - drawn)
+        last, piece = epochs[-1], _BLOCK
 
 
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,
@@ -65,6 +95,21 @@ def sample_path(law: IncrementLaw, T: float, delay_kind: str,
     arrivals = np.concatenate(blocks) if blocks else np.empty(0)
     return RenewalPath(arrivals=arrivals, horizon=float(T),
                        delay_kind=delay_kind)
+
+
+def own_stream_paths(law: IncrementLaw, T: float,
+                     streams: Iterable[np.random.Generator]
+                     ) -> Iterator[np.ndarray]:
+    """For each stream, the arrivals of `sample_path(law, T, ZERO_DELAYED,
+    stream)`, drawing about as many gaps as the path uses.  What is left of
+    each stream differs from sample_path's, so each must serve its one
+    path only."""
+    if T <= 0:
+        raise ValueError("horizon must be positive")
+    first = _first_piece(law, T)
+    for stream in streams:
+        yield np.concatenate(list(_epoch_blocks(law, T, ZERO_DELAYED, stream,
+                                                first)))
 
 
 def iter_epochs(law: IncrementLaw, T: float, delay_kind: str,
@@ -115,8 +160,10 @@ def dump_csv(path: RenewalPath, fileobj) -> None:
 
 def count_at(law: IncrementLaw, t: float, delay_kind: str,
              rng: np.random.Generator) -> int:
-    """N(t) without retaining the path (block-streamed)."""
+    """N(t) without retaining the path.  Gaps are drawn as for
+    `own_stream_paths`, so rng should serve this one count only."""
     n = 0
-    for block in _epoch_blocks(law, t, delay_kind, rng):
+    for block in _epoch_blocks(law, t, delay_kind, rng,
+                               _first_piece(law, t)):
         n += len(block)
     return n

@@ -67,13 +67,6 @@ def evaluate(path: RenewalPath, h: ResponseFunction, t: float) -> float:
     return float(np.sum(h.eval(ages)))
 
 
-def centered_statistic(path: RenewalPath, h: ResponseFunction,
-                       law: IncrementLaw, t: float) -> float:
-    """X(t) - mu^{-1} int_0^t h(y) dy."""
-    law._require_finite_mean()
-    return evaluate(path, h, t) - h.integral(t) / law.mean
-
-
 def solve_c(law: IncrementLaw, t: float) -> float:
     """Normalizer c(t) with t * ell(c) / c^alpha -> 1.
 
@@ -116,15 +109,39 @@ def scaling_g(spec: LimitSpec, t: float) -> float:
     return g(spec, t)
 
 
-def scaled_statistic(spec: LimitSpec, path: RenewalPath,
-                     u_grid, t: float) -> np.ndarray:
-    """The theorem statistic at each u of the grid, on one shared path."""
+def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
+    """X(tau) on each path (row; its sorted arrival epochs) at each tau of
+    times (column).  The ages of all paths go through one h.eval per tau,
+    each path's in ascending order, and each X is np.sum (pairwise) over
+    its own slice, so it equals `evaluate` bit for bit (np.add.reduce is
+    np.sum without its Python wrapper)."""
+    out = np.empty((len(paths), len(times)))
+    for j, tau in enumerate(times):
+        used = [a[:a.searchsorted(tau, side="right")][::-1] for a in paths]
+        vals = h.eval(tau - np.concatenate(used))
+        cut = np.cumsum([0] + [len(a) for a in used]).tolist()
+        out[:, j] = [np.add.reduce(vals[a:b]) for a, b in zip(cut, cut[1:])]
+    return out
+
+
+def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
+    """The theorem statistic on each path (row; its sorted arrival epochs)
+    at each u of the grid (column); every path must be generated up to
+    u_max * t."""
     u = np.asarray(u_grid, dtype=float)
     if np.any(np.diff(u) <= 0) or np.any(u <= 0):
         raise ValueError("u-grid must be increasing and positive")
-    if u[-1] * t > path.horizon:
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return REGIMES[spec.regime].statistic(spec, paths, u, t)
+
+
+def scaled_statistic(spec: LimitSpec, path: RenewalPath,
+                     u_grid, t: float) -> np.ndarray:
+    """The theorem statistic at each u of the grid, on one shared path."""
+    if np.max(u_grid) * t > path.horizon:
         raise ValueError("u_max * t exceeds the generated horizon")
-    return REGIMES[spec.regime].statistic(spec, path, u, t)
+    return batch_statistic(spec, [path.arrivals], u_grid, t)[0]
 
 
 def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
@@ -159,35 +176,37 @@ def _matching_pareto(spec):
     return isinstance(spec.law, Pareto) and spec.law.alpha == spec.alpha
 
 
-def _plain(spec, path, u, t):
+def _plain(spec, paths, u, t):
     """X(ut) itself."""
-    return np.array([evaluate(path, spec.h, ui * t) for ui in u])
+    return shot_noise(paths, spec.h, u * t)
 
 
-def _centered(spec, path, u, t, h=None):
+def _centered(spec, paths, u, t, h=None):
     """X(ut) - mu^{-1} int_0^{ut} h, with h = spec.h unless given."""
     h = spec.h if h is None else h
-    return np.array([centered_statistic(path, h, spec.law, ui * t) for ui in u])
+    times = u * t
+    return shot_noise(paths, h, times) - [h.integral(tau) / spec.law.mean
+                                          for tau in times]
 
 
-def _tail_scaled(spec, path, u, t):
+def _tail_scaled(spec, paths, u, t):
     """P(xi > t)/h(t) * X(ut)."""
     ht = float(spec.h.eval(t))
     pt = float(spec.law.tail_prob(t))
-    return _plain(spec, path, u, t) * (pt / ht)
+    return _plain(spec, paths, u, t) * (pt / ht)
 
 
 _UNIT = Constant(1.0)
 
 
-def _g_scaled(spec, path, u, t):
+def _g_scaled(spec, paths, u, t):
     """(X(ut) - mu^{-1} int_0^{ut} h) / (g(t) h(t))."""
     h, ht = spec.h, float(spec.h.eval(t))
     if isinstance(h, Constant):
         # the constant cancels algebraically; compute with h == 1 so the
         # result is bit-identical for every value of the constant
         h, ht = _UNIT, 1.0
-    return _centered(spec, path, u, t, h) / (scaling_g(spec, t) * ht)
+    return _centered(spec, paths, u, t, h) / (scaling_g(spec, t) * ht)
 
 
 class ExactLaw(NamedTuple):
@@ -260,7 +279,8 @@ class Regime:
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
-    statistic: Callable         # (spec, path, u, t) -> statistic per u
+    statistic: Callable         # (spec, paths, u, t) -> statistic
+                                # per path (row) and u (column)
     exact: Callable             # (spec, u) -> ExactLaw of Y(u), or None
     reference: Callable | None  # (spec, u, n, rng, scenario) -> n draws of Y(u)
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError

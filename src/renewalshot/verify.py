@@ -276,25 +276,26 @@ class TestReport:
 # simulation of the scaled statistic
 # ---------------------------------------------------------------------------
 
-def _estimated_shots(spec: LimitSpec, horizon: float, n: int) -> float:
-    law = spec.law
-    if math.isfinite(law.mean):
-        per_path = horizon / law.mean + 10.0 * math.sqrt(horizon / law.mean + 1)
-    else:
-        a = law.tail_index
-        per_path = (horizon / law.xm) ** a / (special.gamma(1 + a)
-                                              * special.gamma(1 - a)) + 100.0
-    return n * per_path
+# epochs per sub-batch of replicates: the statistic's vector passes over
+# one sub-batch then stay cache-sized whatever the replicate count
+_SUB_BATCH_EPOCHS = 2**13
 
 
 def _simulate_chunk(args):
+    """Rows lo..hi-1: each replicate's path from its own substream, the
+    statistic for a sub-batch of paths at a time."""
     spec, u_grid, t, seed, lo, hi = args
     out = np.empty((hi - lo, len(u_grid)))
-    horizon = max(u_grid) * t
-    for r in range(lo, hi):
-        rng = substream(seed, DOMAIN_REPLICATE, r)
-        path = renewal.sample_path(spec.law, horizon, renewal.ZERO_DELAYED, rng)
-        out[r - lo] = shotnoise.scaled_statistic(spec, path, u_grid, t)
+    streams = (substream(seed, DOMAIN_REPLICATE, r) for r in range(lo, hi))
+    rows, epochs, done = [], 0, 0
+    for path in renewal.own_stream_paths(spec.law, max(u_grid) * t, streams):
+        rows.append(path)
+        epochs += len(path)
+        if epochs >= _SUB_BATCH_EPOCHS or done + len(rows) == hi - lo:
+            out[done:done + len(rows)] = shotnoise.batch_statistic(
+                spec, rows, u_grid, t)
+            done += len(rows)
+            rows, epochs = [], 0
     return lo, out
 
 
@@ -304,7 +305,7 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     """(n, len(u_grid)) matrix of the scaled statistic, one zero-delayed
     path per replicate shared across the u-grid."""
     u_grid = tuple(float(u) for u in u_grid)
-    if _estimated_shots(spec, max(u_grid) * t, n) > max_shots:
+    if n * renewal.expected_count(spec.law, max(u_grid) * t) > max_shots:
         raise ResourceCapExceeded(
             f"estimated shot count exceeds cap {max_shots:g}")
     if threads <= 1:

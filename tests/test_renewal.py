@@ -124,6 +124,36 @@ def test_iterator_and_list_paths_agree():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("law", [Exponential(1.0), Uniform(0.5, 2.0),
+                                 Gamma(2.0, 2.0), Pareto(1.5, 1.0)],
+                         ids=repr)
+@pytest.mark.parametrize("delay", [ZERO_DELAYED, STATIONARY])
+def test_epochs_do_not_depend_on_piece_sizes(law, delay):
+    # 9000 gaps span three 4096-gap blocks; first = 1 and 7 grow piece by
+    # piece inside each block, 4096 draws whole blocks (sample_path)
+    T = 9000.0 * law.mean
+    blocks = [np.concatenate(list(renewal._epoch_blocks(
+        law, T, delay, substream(10, 3, 0), first))) for first in (1, 7, 4096)]
+    assert len(blocks[0]) > 2 * 4096
+    for b in blocks[1:]:
+        assert b.tobytes() == blocks[0].tobytes()
+
+
+def test_own_stream_paths_equal_sample_path():
+    # Pareto(1/2) counts are heavy-tailed, so some paths outgrow the first
+    # piece sized by expected_count
+    for law, T in ((Pareto(0.5, 1.0), 2e4), (Exponential(1.0), 1e4)):
+        keys = range(200)
+        got = list(renewal.own_stream_paths(
+            law, T, (substream(11, 3, k) for k in keys)))
+        want = [sample_path(law, T, ZERO_DELAYED, substream(11, 3, k))
+                for k in keys]
+        for a, p in zip(got, want):
+            assert a.tobytes() == p.arrivals.tobytes()
+        first = math.ceil(renewal.expected_count(law, T))
+        assert max(len(a) for a in got) > min(first, 4096)
+
+
 def test_count_at_agrees_with_path():
     law = Exponential(1.0)
     n_stream = count_at(law, 500.0, ZERO_DELAYED, substream(8, 3, 0))

@@ -11,9 +11,8 @@ from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
 from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, REGIMES, InadmissibleSpec,
-                                   LimitSpec, Regime, centered_statistic,
-                                   evaluate, scaled_statistic, scaling_g,
-                                   solve_c)
+                                   LimitSpec, Regime, evaluate,
+                                   scaled_statistic, scaling_g, solve_c)
 from renewalshot.streams import substream
 from renewalshot.verify import (Scenario, _limit_reference_sample,
                                 ks_one_sample, moment_test,
@@ -44,10 +43,12 @@ def test_evaluate_window_counts_recent_shots():
 def test_centered_statistic_centering():
     p = _path()
     law = Exponential(1.0)
-    h = PowerDecay(0.25)
-    t = 40.0
-    assert centered_statistic(p, h, law, t) == pytest.approx(
-        evaluate(p, h, t) - h.integral(t) / law.mean, rel=1e-12)
+    h = PowerDecay(0.75)
+    spec = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, h)
+    u, t = np.array([0.5, 1.0]), 40.0
+    got = scaled_statistic(spec, p, u, t)
+    assert got.tolist() == [evaluate(p, h, tau) - h.integral(tau) / law.mean
+                            for tau in u * t]
 
 
 def test_solve_c_constant_ell_closed_form():

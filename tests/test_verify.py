@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from renewalshot.laws import Constant, ExpDecay, Exponential, Pareto, PowerDecay
-from renewalshot.shotnoise import (A1, D4, NOSCALE_DRI, InadmissibleSpec,
-                                   LimitSpec)
-from renewalshot import verify
-from renewalshot.streams import substream
+from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
+                              ParetoTailMatch, PowerDecay)
+from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
+from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_DRI, InadmissibleSpec,
+                                   LimitSpec, scaled_statistic)
+from renewalshot import renewal, verify
+from renewalshot.streams import DOMAIN_REPLICATE, substream
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
                                 copula_independence_test, covariance_z,
                                 energy_distance_test, ks_one_sample_normal,
@@ -153,6 +155,47 @@ def test_worker_count_does_not_change_output():
     m1 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=1)
     m2 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=3)
     np.testing.assert_array_equal(m1, m2)
+
+
+ORACLE_CASES = [
+    # heavy-tailed counts: some rows outgrow the first piece of gaps
+    (LimitSpec(D4, 0.5, 0.5, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)),
+     1e4, 300),
+    # constant response: statistic computed with h == 1
+    (LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(3.0)), 50.0, 100),
+    # paths of about 5000 shots: more than one 4096-gap block
+    (LimitSpec(A1, 2.0, 0.25, Gamma(2.0, 2.0), PowerDecay(0.25)),
+     2500.0, 100),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec,t,n", ORACLE_CASES,
+                         ids=lambda c: getattr(c, "regime", None))
+def test_matrix_equals_one_path_per_replicate(spec, t, n, threads):
+    u, seed = (0.5, 1.0, 2.0), 23
+    m = simulate_scaled_matrix(spec, u, t, n, seed, threads=threads)
+    paths = [sample_path(spec.law, u[-1] * t, ZERO_DELAYED,
+                         substream(seed, DOMAIN_REPLICATE, r))
+             for r in range(n)]
+    first = math.ceil(renewal.expected_count(spec.law, u[-1] * t))
+    if spec.regime == D4:
+        assert max(len(p) for p in paths) > first
+    oracle = np.array([scaled_statistic(spec, p, u, t) for p in paths])
+    assert m.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("delay", [ZERO_DELAYED, STATIONARY])
+def test_sample_path_draws_whole_blocks_from_a_shared_stream(delay):
+    # callers that draw several paths from one stream (the X* references)
+    # rely on sample_path taking 4096 gaps per block, whatever it uses
+    law = Exponential(1.0)
+    for horizon, blocks in ((50.0, 1), (6000.0, 2)):
+        rng, twin = substream(29, 3, 0), substream(29, 3, 0)
+        path = sample_path(law, horizon, delay, rng)
+        assert 4096 * (blocks - 1) < len(path) < 4096 * blocks
+        twin.random(4096 * blocks + (delay == STATIONARY))
+        assert rng.random() == twin.random()
 
 
 def test_resource_cap():
