@@ -321,7 +321,8 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# plan runners: (scenario, t, samples or None, plan argument, records)
+# plan runners: (scenario, t, samples or None, plan argument, records,
+# references: the KS reference draws of this run_scenario call, by u)
 # ---------------------------------------------------------------------------
 
 def _limit_reference_sample(spec: LimitSpec, u: float, n: int, seed: int,
@@ -335,7 +336,7 @@ def _limit_reference_sample(spec: LimitSpec, u: float, n: int, seed: int,
     return regime.reference(spec, u, n, rng, scenario)
 
 
-def _run_ks_marginal(scn, t, samples, arg, records):
+def _run_ks_marginal(scn, t, samples, arg, records, references):
     spec = scn.spec
     for j, u in enumerate(scn.u_grid):
         col = samples[:, j]
@@ -343,13 +344,17 @@ def _run_ks_marginal(scn, t, samples, arg, records):
         if exact is not None:
             d, p = ks_one_sample(col, exact.cdf)
         else:
-            refs = _limit_reference_sample(spec, u, len(col), scn.seed, scn)
-            d, p = ks_two_sample(col, refs)
+            # the reference stream is keyed by (seed, u) alone, so every
+            # rung would draw the same array
+            if u not in references:
+                references[u] = _limit_reference_sample(spec, u, len(col),
+                                                        scn.seed, scn)
+            d, p = ks_two_sample(col, references[u])
         records.append(TestRecord(t, u, KS_MARGINAL, d, 0.0, p, None,
                                   p > scn.significance))
 
 
-def _run_moments(scn, t, samples, arg, records):
+def _run_moments(scn, t, samples, arg, records, references):
     moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
         for k in range(1, int(arg or 2) + 1):
@@ -363,7 +368,7 @@ def _run_moments(scn, t, samples, arg, records):
                                       None, z, abs(z) < 3.0))
 
 
-def _run_pairwise_independence(scn, t, samples, arg, records):
+def _run_pairwise_independence(scn, t, samples, arg, records, references):
     n = len(samples)
     for i in range(len(scn.u_grid)):
         for j in range(i + 1, len(scn.u_grid)):
@@ -379,7 +384,7 @@ def _run_pairwise_independence(scn, t, samples, arg, records):
                 p, None, p > scn.significance))
 
 
-def _run_time_reversal(scn, t, samples, arg, records):
+def _run_time_reversal(scn, t, samples, arg, records, references):
     law = scn.spec.law
     n = scn.replicates
     for idx, (s, horizon) in enumerate(scn.reversal_pairs):
@@ -397,7 +402,7 @@ def _run_time_reversal(scn, t, samples, arg, records):
                                   p > scn.significance))
 
 
-def _run_self_similarity(scn, t, samples, arg, records):
+def _run_self_similarity(scn, t, samples, arg, records, references):
     """Check the limit law's Hurst scaling between the smallest and largest
     grid points using independent reference batches."""
     spec = scn.spec
@@ -419,7 +424,7 @@ def _run_self_similarity(scn, t, samples, arg, records):
                               p > scn.significance))
 
 
-def _run_stationarity_logtime(scn, t, samples, arg, records):
+def _run_stationarity_logtime(scn, t, samples, arg, records, references):
     a = scn.spec.alpha
     n = scn.replicates
     v = 0.5                                  # log-time shift for the lag pair
@@ -445,7 +450,7 @@ def _run_stationarity_logtime(scn, t, samples, arg, records):
                                       ref, ref, None, z, abs(z) < 3.0))
 
 
-def _run_mean_abs_n(scn, t, samples, arg, records):
+def _run_mean_abs_n(scn, t, samples, arg, records, references):
     spec = scn.spec
     law = spec.law
     n = scn.replicates
@@ -468,7 +473,8 @@ def _run_mean_abs_n(scn, t, samples, arg, records):
 # ---------------------------------------------------------------------------
 
 class Plan(NamedTuple):
-    runner: Callable        # (scenario, t, samples, arg, records)
+    runner: Callable        # (scenario, t, samples, arg, records,
+                            #  references)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
     admits: Callable        # (spec) -> bool, checked by Scenario
@@ -511,6 +517,7 @@ def run_scenario(s: Scenario) -> TestReport:
     plans = [(PLANS[name], arg)
              for name, _, arg in (p.partition(":") for p in s.plans)]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
+    references = {}
     for t in s.t_ladder:
         samples = None
         if needs_samples:
@@ -522,5 +529,5 @@ def run_scenario(s: Scenario) -> TestReport:
                     samples[:, j], np.linspace(0.0, 1.0, 101))
         for plan, arg in plans:
             if plan.every_rung or t == s.t_ladder[0]:
-                plan.runner(s, t, samples, arg, report.records)
+                plan.runner(s, t, samples, arg, report.records, references)
     return report

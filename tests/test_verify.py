@@ -127,6 +127,22 @@ def test_scenario_validation():
     _a1_scenario(spec=DRI_SPEC, plans=("TIME_REVERSAL",))
 
 
+def test_ks_references_drawn_once_per_grid_point(monkeypatch):
+    drawn = []
+    inner = verify._limit_reference_sample
+
+    def counted(spec, u, n, seed, scenario):
+        drawn.append(u)
+        return inner(spec, u, n, seed, scenario)
+
+    monkeypatch.setattr(verify, "_limit_reference_sample", counted)
+    scn = _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0),
+                       t_ladder=(50.0, 100.0, 200.0), replicates=100,
+                       reference_mesh_d=1e-2, reference_u_mesh_cells=256)
+    rep = run_scenario(scn)
+    assert drawn == [1.0, 2.0] and len(rep.records) == 6
+
+
 def test_run_scenario_deterministic_reports():
     scn = _a1_scenario(plans=("KS_MARGINAL", "MOMENTS:2"))
     r1 = run_scenario(scn)
