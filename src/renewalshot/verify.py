@@ -359,7 +359,7 @@ def _run_moments(scn, t, samples, arg, records, references):
     for j, u in enumerate(scn.u_grid):
         for k in range(1, int(arg or 2) + 1):
             try:
-                ref = moment(scn.spec, u, k)
+                ref = float(moment(scn.spec, u, k))
             except ValueError:
                 continue
             z = moment_test(samples[:, j], k, ref)

@@ -127,6 +127,16 @@ def test_scenario_validation():
     _a1_scenario(spec=DRI_SPEC, plans=("TIME_REVERSAL",))
 
 
+def test_d4_moments_csv_has_plain_floats():
+    # limits.moments_inverse_case returns numpy.float64, whose repr is
+    # "np.float64(...)"
+    rep = run_scenario(_a1_scenario(spec=D4_SPEC, replicates=100,
+                                    plans=("MOMENTS:2",)))
+    buf = io.StringIO()
+    rep.write_csv(buf)
+    assert len(rep.records) == 2 and "np." not in buf.getvalue()
+
+
 def test_ks_references_drawn_once_per_grid_point(monkeypatch):
     drawn = []
     inner = verify._limit_reference_sample
