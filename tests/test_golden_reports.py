@@ -54,7 +54,7 @@ CASES = {
 
 # (spec, t, replicates) on the u-grid (0.5, 1, 2), seed 11: one per regime
 # table entry (D4 twice), an A1 case whose paths hold more than one
-# 4096-gap block, and a D4 case with several thousand epochs in all
+# 4096-gap block, and a D4 case that spans several sub-batches
 MATRIX_CASES = {
     "noscale_dri": (CASES["noscale_dri"][0], 100.0, 200),
     "noscale_centered": (CASES["noscale_centered"][0], 100.0, 200),
