@@ -5,7 +5,7 @@ from .laws import (Constant, ExpDecay, Exponential, Gamma, IncrementLaw,
                    Pareto, ParetoTailMatch, PowerDecay, ResponseFunction,
                    Uniform, Window)
 from .renewal import (RenewalPath, STATIONARY, ZERO_DELAYED, count,
-                      count_increment, iter_epochs, sample_path, undershoot)
+                      count_increment, sample_path, undershoot)
 from .shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED, NOSCALE_DRI,
                         InadmissibleSpec, LimitSpec, evaluate,
                         scaled_statistic, scaling_g, solve_c)
@@ -22,7 +22,7 @@ __all__ = [
     "PowerDecay", "RenewalPath", "ResponseFunction", "STATIONARY",
     "Scenario", "StableSpec", "TestReport", "Uniform", "Window",
     "ZERO_DELAYED", "abs_moment", "count", "count_increment", "evaluate",
-    "iter_epochs", "run_scenario", "sample_path", "sample_positive_stable",
+    "run_scenario", "sample_path", "sample_positive_stable",
     "sample_stable", "scaled_statistic", "scaling_g", "solve_c",
     "substream", "undershoot",
 ]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
-from scipy import special
 
 from .laws import IncrementLaw
 
@@ -40,26 +39,19 @@ def expected_count(law: IncrementLaw, T: float) -> float:
     if math.isfinite(law.mean):
         return T / law.mean + 10.0 * math.sqrt(T / law.mean + 1)
     a = law.tail_index
-    return (T / law.xm) ** a / (special.gamma(1 + a)
-                                * special.gamma(1 - a)) + 100.0
-
-
-def _first_piece(law: IncrementLaw, T: float) -> int:
-    return int(min(_BLOCK, math.ceil(expected_count(law, max(T, 0.0)))))
+    return (T / law.xm) ** a / (math.gamma(1 + a) * math.gamma(1 - a)) + 100.0
 
 
 def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
-                  rng: np.random.Generator,
-                  first: int = _BLOCK) -> Iterator[np.ndarray]:
+                  rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield pieces of the epochs <= T, in order.
 
     Gaps come in blocks of _BLOCK; a block's epochs are the block's start
     plus the running sum of its gaps.  Within a block the gaps are drawn in
-    pieces, the first of `first` gaps and each later one as large as all
-    drawn before it in the block, and the running sum continues exactly
-    from piece to piece.  The epochs therefore do not depend on `first`,
-    but the number of gaps taken from rng does: callers that draw further
-    from the same stream keep first = _BLOCK."""
+    pieces, the path's first piece sized by expected_count and each later
+    one as large as all drawn before it in the block, and the running sum
+    continues exactly from piece to piece, so the epochs do not depend on
+    the piece sizes."""
     if delay_kind == STATIONARY:
         start = float(law.stationary_delay(rng))
     elif delay_kind == ZERO_DELAYED:
@@ -70,7 +62,7 @@ def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
         return
     last = start
     yield np.array([start])
-    piece = first
+    piece = int(min(_BLOCK, math.ceil(expected_count(law, T))))
     while True:
         run, drawn = 0.0, 0
         while drawn < _BLOCK:
@@ -88,37 +80,17 @@ def _epoch_blocks(law: IncrementLaw, T: float, delay_kind: str,
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,
                 stream: np.random.Generator) -> RenewalPath:
     """Generate a renewal path on [0, T].  A stationary delay needs a
-    finite-mean law; the law's stationary_delay raises otherwise."""
+    finite-mean law; the law's stationary_delay raises otherwise.
+
+    A stream serves one path: the path draws about as many gaps as it
+    uses, so what is left of the stream depends on how the gaps were
+    sized.  Give every path its own stream."""
     if T <= 0:
         raise ValueError("horizon must be positive")
     blocks = list(_epoch_blocks(law, T, delay_kind, stream))
     arrivals = np.concatenate(blocks) if blocks else np.empty(0)
     return RenewalPath(arrivals=arrivals, horizon=float(T),
                        delay_kind=delay_kind)
-
-
-def own_stream_paths(law: IncrementLaw, T: float,
-                     streams: Iterable[np.random.Generator]
-                     ) -> Iterator[np.ndarray]:
-    """For each stream, the arrivals of `sample_path(law, T, ZERO_DELAYED,
-    stream)`, drawing about as many gaps as the path uses.  What is left of
-    each stream differs from sample_path's, so each must serve its one
-    path only."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    first = _first_piece(law, T)
-    for stream in streams:
-        yield np.concatenate(list(_epoch_blocks(law, T, ZERO_DELAYED, stream,
-                                                first)))
-
-
-def iter_epochs(law: IncrementLaw, T: float, delay_kind: str,
-                stream: np.random.Generator) -> Iterator[float]:
-    """Stream epochs one by one without materializing the path."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    for block in _epoch_blocks(law, T, delay_kind, stream):
-        yield from block
 
 
 def _check_t(path: RenewalPath, t: float):
@@ -160,10 +132,5 @@ def dump_csv(path: RenewalPath, fileobj) -> None:
 
 def count_at(law: IncrementLaw, t: float, delay_kind: str,
              rng: np.random.Generator) -> int:
-    """N(t) without retaining the path.  Gaps are drawn as for
-    `own_stream_paths`, so rng should serve this one count only."""
-    n = 0
-    for block in _epoch_blocks(law, t, delay_kind, rng,
-                               _first_piece(law, t)):
-        n += len(block)
-    return n
+    """N(t) on a fresh path from rng, without keeping the path."""
+    return len(sample_path(law, t, delay_kind, rng))

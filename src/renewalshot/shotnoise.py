@@ -234,8 +234,10 @@ def _d4_exact(spec, u):
 
 
 def _x_star_draws(sample, spec, n, rng, scenario):
+    """n draws of X*, draw i from its own child stream rng.spawn(n)[i]."""
     trunc = scenario.x_star_truncation or default_x_star_truncation(spec)
-    return np.array([sample(spec.law, spec.h, trunc, rng) for _ in range(n)])
+    return np.array([sample(spec.law, spec.h, trunc, child)
+                     for child in rng.spawn(n)])
 
 
 def _inverse_subordinator_draws(spec, u, n, rng, scenario):

@@ -286,10 +286,11 @@ def _simulate_chunk(args):
     statistic for a sub-batch of paths at a time."""
     spec, u_grid, t, seed, lo, hi = args
     out = np.empty((hi - lo, len(u_grid)))
-    streams = (substream(seed, DOMAIN_REPLICATE, r) for r in range(lo, hi))
-    rows, epochs, done = [], 0, 0
-    for path in renewal.own_stream_paths(spec.law, max(u_grid) * t, streams):
-        rows.append(path)
+    horizon, rows, epochs, done = max(u_grid) * t, [], 0, 0
+    for r in range(lo, hi):
+        path = renewal.sample_path(spec.law, horizon, renewal.ZERO_DELAYED,
+                                   substream(seed, DOMAIN_REPLICATE, r))
+        rows.append(path.arrivals)
         epochs += len(path)
         if epochs >= _SUB_BATCH_EPOCHS or done + len(rows) == hi - lo:
             out[done:done + len(rows)] = shotnoise.batch_statistic(

@@ -11,8 +11,8 @@ from scipy import special, stats
 from renewalshot.laws import Exponential, Gamma, Pareto, Uniform
 from renewalshot import renewal
 from renewalshot.renewal import (STATIONARY, ZERO_DELAYED, count, count_at,
-                                 count_increment, dump_csv, iter_epochs,
-                                 sample_path, undershoot)
+                                 count_increment, dump_csv, sample_path,
+                                 undershoot)
 from renewalshot.streams import substream
 from renewalshot.verify import ks_one_sample, ks_two_sample
 
@@ -116,12 +116,18 @@ def test_time_reversal_of_stationary_increments():
     assert p_val > 1e-3, (d, p_val)
 
 
-def test_iterator_and_list_paths_agree():
-    law = Gamma(1.5, 1.0)
-    a = sample_path(law, 200.0, STATIONARY, substream(7, 3, 0)).arrivals
-    b = np.fromiter(iter_epochs(law, 200.0, STATIONARY, substream(7, 3, 0)),
-                    dtype=float)
-    np.testing.assert_array_equal(a, b)
+def _whole_block_epochs(law, T, delay, rng):
+    """The epochs <= T drawn 4096 gaps at a time: the stationary delay
+    first, then each block's epochs as its start plus np.cumsum(gaps)."""
+    last = float(law.stationary_delay(rng)) if delay == STATIONARY else 0.0
+    if last > T:
+        return np.empty(0)
+    out = [np.array([last])]
+    while last <= T:
+        epochs = last + np.cumsum(law.sample(rng, 4096))
+        out.append(epochs[epochs <= T])
+        last = epochs[-1]
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("law", [Exponential(1.0), Uniform(0.5, 2.0),
@@ -129,29 +135,14 @@ def test_iterator_and_list_paths_agree():
                          ids=repr)
 @pytest.mark.parametrize("delay", [ZERO_DELAYED, STATIONARY])
 def test_epochs_do_not_depend_on_piece_sizes(law, delay):
-    # 9000 gaps span three 4096-gap blocks; first = 1 and 7 grow piece by
-    # piece inside each block, 4096 draws whole blocks (sample_path)
-    T = 9000.0 * law.mean
-    blocks = [np.concatenate(list(renewal._epoch_blocks(
-        law, T, delay, substream(10, 3, 0), first))) for first in (1, 7, 4096)]
-    assert len(blocks[0]) > 2 * 4096
-    for b in blocks[1:]:
-        assert b.tobytes() == blocks[0].tobytes()
-
-
-def test_own_stream_paths_equal_sample_path():
-    # Pareto(1/2) counts are heavy-tailed, so some paths outgrow the first
-    # piece sized by expected_count
-    for law, T in ((Pareto(0.5, 1.0), 2e4), (Exponential(1.0), 1e4)):
-        keys = range(200)
-        got = list(renewal.own_stream_paths(
-            law, T, (substream(11, 3, k) for k in keys)))
-        want = [sample_path(law, T, ZERO_DELAYED, substream(11, 3, k))
-                for k in keys]
-        for a, p in zip(got, want):
-            assert a.tobytes() == p.arrivals.tobytes()
-        first = math.ceil(renewal.expected_count(law, T))
-        assert max(len(a) for a in got) > min(first, 4096)
+    # sample_path draws about as many gaps as the path uses, in pieces
+    # inside each 4096-gap block; the epochs equal whole-block running sums
+    # on a twin stream, for a short path and one of three blocks
+    for T in (5.0 * law.mean, 9000.0 * law.mean):
+        got = sample_path(law, T, delay, substream(10, 3, 0)).arrivals
+        want = _whole_block_epochs(law, T, delay, substream(10, 3, 0))
+        assert got.tobytes() == want.tobytes()
+    assert len(got) > 2 * 4096
 
 
 def test_count_at_agrees_with_path():

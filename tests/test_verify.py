@@ -9,11 +9,11 @@ import pytest
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay)
-from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
+from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_DRI, InadmissibleSpec,
                                    LimitSpec, scaled_statistic)
-from renewalshot import renewal, verify
-from renewalshot.streams import DOMAIN_REPLICATE, substream
+from renewalshot import limits, renewal, verify
+from renewalshot.streams import DOMAIN_REFERENCE, DOMAIN_REPLICATE, substream
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
                                 copula_independence_test, covariance_z,
                                 energy_distance_test, ks_one_sample_normal,
@@ -153,6 +153,18 @@ def test_ks_references_drawn_once_per_grid_point(monkeypatch):
     assert drawn == [1.0, 2.0] and len(rep.records) == 6
 
 
+def test_x_star_draws_use_one_stream_per_draw():
+    # a stream serves one path, so X* draw i has its own child stream
+    u, n, T = 2.0, 100, 30.0
+    scn = _a1_scenario(spec=DRI_SPEC, replicates=n, x_star_truncation=T)
+    got = verify._limit_reference_sample(DRI_SPEC, u, n, scn.seed, scn)
+    key = int(u * 2**20) & 0x7FFFFFFF
+    want = np.array([limits.sample_X_star(
+        DRI_SPEC.law, DRI_SPEC.h, T, substream(scn.seed, DOMAIN_REFERENCE,
+                                               key, i)) for i in range(n)])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_run_scenario_deterministic_reports():
     scn = _a1_scenario(plans=("KS_MARGINAL", "MOMENTS:2"))
     r1 = run_scenario(scn)
@@ -209,19 +221,6 @@ def test_matrix_equals_one_path_per_replicate(spec, t, n, threads):
         assert max(len(p) for p in paths) > first
     oracle = np.array([scaled_statistic(spec, p, u, t) for p in paths])
     assert m.tobytes() == oracle.tobytes()
-
-
-@pytest.mark.parametrize("delay", [ZERO_DELAYED, STATIONARY])
-def test_sample_path_draws_whole_blocks_from_a_shared_stream(delay):
-    # callers that draw several paths from one stream (the X* references)
-    # rely on sample_path taking 4096 gaps per block, whatever it uses
-    law = Exponential(1.0)
-    for horizon, blocks in ((50.0, 1), (6000.0, 2)):
-        rng, twin = substream(29, 3, 0), substream(29, 3, 0)
-        path = sample_path(law, horizon, delay, rng)
-        assert 4096 * (blocks - 1) < len(path) < 4096 * blocks
-        twin.random(4096 * blocks + (delay == STATIONARY))
-        assert rng.random() == twin.random()
 
 
 def test_resource_cap():
