@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +170,9 @@ class Gamma(IncrementLaw):
         return (r * t / k) * special.gammaincc(k, x) + special.gammainc(k + 1, x)
 
     def stationary_delay(self, rng, size=None):
-        u = np.atleast_1d(rng.random(size))
-        mu = self.mean
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            if ui <= 0.0:
-                out[i] = 0.0
-                continue
-            hi = mu
-            while self.stationary_cdf(hi) < ui:
-                hi *= 2.0
-            out[i] = brentq(lambda x: self.stationary_cdf(x) - ui, 0.0, hi,
-                            xtol=1e-14, rtol=1e-13)
-        return out[0] if size is None else out
+        # U times the size-biased law Gamma(k+1, r)
+        k, r = self.shape, self.rate
+        return rng.random(size) * rng.standard_gamma(k + 1, size) / r
 
 
 @dataclass(frozen=True)

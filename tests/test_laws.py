@@ -50,7 +50,9 @@ def test_mean_variance_monte_carlo(law):
 
 
 @pytest.mark.parametrize("law", [Exponential(1.0), Uniform(0.5, 2.0),
-                                 Gamma(2.5, 1.7), Pareto(1.5, 1.0)],
+                                 Gamma(2.5, 1.7), Pareto(1.5, 1.0),
+                                 pytest.param(Gamma(0.5, 1.0),
+                                              id="Gamma-shape-below-1")],
                          ids=lambda x: type(x).__name__)
 def test_stationary_delay_matches_stationary_cdf(law):
     rng = substream(101, 3, 3)
