@@ -145,8 +145,13 @@ def scaled_statistic(spec: LimitSpec, path: RenewalPath,
 
 
 def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
-    """Level T where the X* truncation bound is at most tol (T < 1e6 allowing)."""
+    """Level T where the X* truncation bound is at most tol (T < 1e6 allowing).
+    The bound needs an integrable response; for any other the level must
+    be given as x_star_truncation."""
     law, h = spec.law, spec.h
+    if not h.integrable:
+        raise ValueError(f"response {h!r} is not integrable, so there is no "
+                         f"default X* truncation level; set x_star_truncation")
     T = 10.0 * law.mean
     while limits.x_star_tail_bound(law, h, T) > tol and T < 1e6:
         T *= 2.0

@@ -146,6 +146,16 @@ def test_powerdecay_without_beta_exits_2(tmp_path, capsys):
     assert "'beta'" in capsys.readouterr().err
 
 
+def test_centered_references_without_truncation_exit_2(tmp_path, capsys):
+    p = tmp_path / "centered.ini"
+    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_CENTERED")
+                 .replace("kind = constant\nvalue = 1.0",
+                          "kind = powerdecay\nbeta = 0.75"))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "x_star_truncation" in capsys.readouterr().err
+
+
 def test_readme_config_block_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -8,10 +8,12 @@ import pytest
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
+from renewalshot.limits import x_star_tail_bound
 from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, REGIMES, InadmissibleSpec,
-                                   LimitSpec, Regime, evaluate,
+                                   LimitSpec, Regime,
+                                   default_x_star_truncation, evaluate,
                                    scaled_statistic, scaling_g, solve_c)
 from renewalshot.streams import substream
 from renewalshot.verify import (Scenario, _limit_reference_sample,
@@ -135,6 +137,17 @@ def test_scaled_statistic_validates_grid():
 def test_a2_admits_tail_two_pareto():
     spec = LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(1.0))
     assert scaling_g(spec, 500.0) > 0
+
+
+def test_default_x_star_truncation_needs_an_integrable_response():
+    dri = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
+    T = default_x_star_truncation(dri)
+    assert x_star_tail_bound(dri.law, dri.h, T) <= 1e-9
+    # the integrable-h tail bound never falls below tol for PowerDecay(0.75)
+    centered = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Exponential(1.0),
+                         PowerDecay(0.75))
+    with pytest.raises(ValueError, match="x_star_truncation"):
+        default_x_star_truncation(centered)
 
 
 def test_tail_matched_d4_floor_and_renewal_identity():
