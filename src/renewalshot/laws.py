@@ -122,11 +122,11 @@ class Uniform(IncrementLaw):
         return self.a + (self.b - self.a) * rng.random(size)
 
     def stationary_cdf(self, t):
+        # mu^{-1} (min(t, a) + d - d^2 / (2 (b - a))) with d = clip(t, a, b) - a
         a, b, mu = self.a, self.b, self.mean
         t = np.asarray(t, dtype=float)
-        low = np.minimum(t, a)
-        mid = np.clip(t, a, b)
-        return (low + (a != mid) * (0.5 * (b - a) - 0.5 * (b - mid) ** 2 / (b - a))) / mu
+        d = np.clip(t, a, b) - a
+        return np.minimum((np.minimum(t, a) + d * (1.0 - 0.5 * d / (b - a))) / mu, 1.0)
 
     def stationary_delay(self, rng, size=None):
         a, b, mu = self.a, self.b, self.mean
@@ -228,10 +228,9 @@ class Pareto(IncrementLaw):
         self._require_finite_mean()
         a, xm, mu = self.alpha, self.xm, self.mean
         t = np.asarray(t, dtype=float)
-        below = np.minimum(t, xm)
-        above = np.maximum(t, xm)
-        extra = (xm - xm**a * above ** (1.0 - a)) / (a - 1.0)
-        return (below + np.where(t > xm, extra, 0.0)) / mu
+        # past x_m the tail adds x_m (1 - (x_m/t)^(a-1)) / (a - 1) >= 0
+        extra = -xm * np.expm1((1.0 - a) * np.log(np.maximum(t, xm) / xm)) / (a - 1.0)
+        return np.minimum((np.minimum(t, xm) + extra) / mu, 1.0)
 
     def stationary_delay(self, rng, size=None):
         self._require_finite_mean()
