@@ -151,7 +151,7 @@ def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
     law, h = spec.law, spec.h
     if not h.integrable:
         raise ValueError(f"response {h!r} is not integrable, so there is no "
-                         f"default X* truncation level; set x_star_truncation")
+                         "default X* truncation level; set x_star_truncation")
     T = 10.0 * law.mean
     while limits.x_star_tail_bound(law, h, T) > tol and T < 1e6:
         T *= 2.0

@@ -286,7 +286,8 @@ def _simulate_chunk(args):
     statistic for a sub-batch of paths at a time."""
     spec, u_grid, t, seed, lo, hi = args
     out = np.empty((hi - lo, len(u_grid)))
-    horizon, rows, epochs, done = max(u_grid) * t, [], 0, 0
+    horizon = max(u_grid) * t
+    rows, epochs, done = [], 0, 0
     for r in range(lo, hi):
         path = renewal.sample_path(spec.law, horizon, renewal.ZERO_DELAYED,
                                    substream(seed, DOMAIN_REPLICATE, r))
