@@ -145,6 +145,19 @@ def test_epochs_do_not_depend_on_piece_sizes(law, delay):
     assert len(got) > 2 * 4096
 
 
+def test_paths_that_outgrow_the_first_piece_keep_their_epochs():
+    # Pareto(1/2) counts are heavy-tailed, so some paths outgrow the first
+    # piece sized by expected_count and draw further pieces in the block
+    law, T = Pareto(0.5, 1.0), 2e4
+    lengths = []
+    for k in range(200):
+        got = sample_path(law, T, ZERO_DELAYED, substream(11, 3, k)).arrivals
+        want = _whole_block_epochs(law, T, ZERO_DELAYED, substream(11, 3, k))
+        assert got.tobytes() == want.tobytes()
+        lengths.append(len(got))
+    assert max(lengths) > math.ceil(renewal.expected_count(law, T))
+
+
 def test_count_at_agrees_with_path():
     law = Exponential(1.0)
     n_stream = count_at(law, 500.0, ZERO_DELAYED, substream(8, 3, 0))
