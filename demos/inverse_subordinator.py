@@ -15,14 +15,11 @@ from renewalshot.streams import substream
 
 alpha, beta = 0.5, 0.25
 n = 4000
-mesh_d, u_mesh = 1e-3, 4.0 / 16384
+mesh_d = 1e-3
 
-y = np.empty((n, 3))
-for r in range(n):
-    path = limits.simulate_inverse_subordinator_path(
-        alpha, 4.0, mesh_d, substream(9, 3, 2, r), u_mesh=u_mesh)
-    for j, u in enumerate((1.0, 2.0, 4.0)):
-        y[r, j] = limits.frac_integral(path, beta, u)
+y = np.array([limits.inverse_frac_integral(
+    alpha, beta, (1.0, 2.0, 4.0), mesh_d, substream(9, 3, 2, r))
+    for r in range(n)])
 
 print("alpha=%.2f beta=%.2f, %d inverse-subordinator paths" % (alpha, beta, n))
 print("moments of Y(1):")

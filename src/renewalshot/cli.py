@@ -54,7 +54,7 @@ _RESPONSES = {
 }
 _RUN_KEYS = {"replicates", "seed", "plans", "significance", "max_shots",
              "threads", "horizon", "delay", "x_star_truncation",
-             "reference_mesh_d", "reference_u_mesh_cells"}
+             "reference_mesh_d"}
 
 
 def _check_keys(section, allowed, name):
@@ -118,11 +118,9 @@ def load_config(path):
         "significance": run.getfloat("significance", 0.01),
         "max_shots": run.getfloat("max_shots", 1e8),
     }
-    for key, get in (("x_star_truncation", run.getfloat),
-                     ("reference_mesh_d", run.getfloat),
-                     ("reference_u_mesh_cells", run.getint)):
+    for key in ("x_star_truncation", "reference_mesh_d"):
         if key in run:
-            kw[key] = get(key)
+            kw[key] = run.getfloat(key)
     extras = {
         "threads": run.getint("threads", 0) or None,
         "horizon": run.getfloat("horizon", 0.0),

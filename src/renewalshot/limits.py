@@ -1,10 +1,11 @@
 """Limiting processes and their closed-form moments.
 
 Simulates stable Levy motion and the inverse stable subordinator, builds
-the fractionally integrated functionals via the summation-by-parts
-discretization (weights (u-y_k)^{-beta} against integrator increments,
-never the raw singular kernel), and evaluates every closed-form moment
-and covariance the limit theorems provide.
+the fractionally integrated functionals (for Levy motion by summation by
+parts, weights (u-y_k)^{-beta} against increments, never the raw
+singular kernel; for the inverse subordinator as a sum over the jump
+epochs of the subordinator), and evaluates every closed-form moment and
+covariance the limit theorems provide.
 """
 
 from __future__ import annotations
@@ -20,15 +21,12 @@ from .laws import IncrementLaw, ResponseFunction
 from .renewal import STATIONARY, sample_path
 from .stable import StableSpec, sample_stable, sample_subordinator_increment
 
-LEVY_MOTION = "levy_motion"
-INVERSE_SUBORDINATOR = "inverse_subordinator"
-
 
 @dataclass(frozen=True)
 class ProcessPath:
+    """A Levy motion on a regular grid."""
     grid: np.ndarray       # 0 = y_0 < ... < y_n <= u_max
     values: np.ndarray     # W(y_k)
-    kind: str
     alpha: float
 
     def value_at(self, u: float) -> float:
@@ -50,22 +48,20 @@ def simulate_levy_path(alpha: float, u_max: float, mesh: float,
     incs = mesh ** (1.0 / alpha) * sample_stable(spec, stream, n)
     values = np.concatenate(([0.0], np.cumsum(incs)))
     grid = np.arange(n + 1) * mesh
-    return ProcessPath(grid=grid, values=values, kind=LEVY_MOTION, alpha=alpha)
+    return ProcessPath(grid=grid, values=values, alpha=alpha)
 
 
 def simulate_inverse_subordinator_path(alpha: float, u_max: float,
                                        mesh_d: float,
-                                       stream: np.random.Generator,
-                                       u_mesh: float | None = None) -> ProcessPath:
-    """First-passage inversion of the subordinator D on a time grid of step
-    mesh_d: W(u) = mesh_d * min{j : D(j*mesh_d) > u}.  Bias O(mesh_d)."""
+                                       stream: np.random.Generator
+                                       ) -> np.ndarray:
+    """The jump epochs 0 = D_0 < D_1 < ... <= u_max of the inverse
+    subordinator discretised at step mesh_d: D_j = D(j*mesh_d), where
+    W = mesh_d * #{j : D_j <= u} jumps by mesh_d.  Increments are drawn
+    in blocks of 2048 until D passes u_max, so the epochs up to any
+    u <= u_max do not depend on u_max."""
     if mesh_d <= 0 or u_max <= 0:
-        raise ValueError("meshes must be positive")
-    if u_mesh is None:
-        u_mesh = u_max / 1024.0
-    n_u = int(round(u_max / u_mesh))
-    grid = np.arange(n_u + 1) * u_mesh
-
+        raise ValueError("u_max and mesh_d must be positive")
     block = 2048
     d_vals = [np.array([0.0])]
     total = 0.0
@@ -75,13 +71,29 @@ def simulate_inverse_subordinator_path(alpha: float, u_max: float,
         d_vals.append(chunk)
         total = chunk[-1]
     d = np.concatenate(d_vals)
-    # right-continuous inversion: index of first D-value strictly above u
-    idx = np.searchsorted(d, grid, side="right")
-    values = idx * mesh_d
-    # W(0) = inf{t : D(t) > 0} = 0 since D leaves 0 immediately
-    values[grid == 0.0] = 0.0
-    return ProcessPath(grid=grid, values=values, kind=INVERSE_SUBORDINATOR,
-                       alpha=alpha)
+    return d[:np.searchsorted(d, u_max, side="right")]
+
+
+def inverse_frac_integral(alpha: float, beta: float, u_points, mesh_d: float,
+                          stream: np.random.Generator) -> np.ndarray:
+    """int_[0,u] (u-y)^{-beta} dW(y) for the inverse subordinator W, at
+    every u of u_points from one draw of its jump epochs D_j.
+
+    W jumps by mesh_d at each D_j, so the integral is the shot noise
+    mesh_d * sum_{D_j < u} (u - D_j)^{-beta}.  The sum keeps the jump at
+    D_0 = 0, so for beta = 0 it is W(u) = mesh_d * #{j >= 0 : D_j <= u}
+    (no D_j equals u almost surely), the upper O(mesh_d) approximation of
+    the first-passage time of D over u.
+    """
+    if not 0 <= beta <= alpha:
+        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    u = np.asarray(u_points, dtype=float)
+    if mesh_d <= 0 or np.any(u <= 0):
+        raise ValueError("u and mesh_d must be positive")
+    d = simulate_inverse_subordinator_path(alpha, float(u.max()), mesh_d,
+                                           stream)
+    return np.array([mesh_d * np.sum((x - d[:d.searchsorted(x)]) ** -beta)
+                     for x in u])
 
 
 def frac_integral(path: ProcessPath, beta: float, u: float) -> float:
@@ -90,14 +102,12 @@ def frac_integral(path: ProcessPath, beta: float, u: float) -> float:
     Summation by parts of the defining formula over [0, u - delta] leaves
     the exact edge term (W(u) - W(u - delta)) * delta^{-beta}; only the
     remaining sliver integral over [u - delta, u] is dropped (delta = one
-    grid cell), and that vanishes in the limit for both integrator types.
+    grid cell), and that vanishes in the limit.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if path.kind == LEVY_MOTION and beta >= 1.0 / path.alpha:
+    if beta >= 1.0 / path.alpha:
         raise ValueError("need beta < 1/alpha for the Levy integrator")
-    if path.kind == INVERSE_SUBORDINATOR and beta > path.alpha:
-        raise ValueError("need beta <= alpha for the inverse subordinator")
     if u > path.grid[-1] * (1 + 1e-12):
         raise ValueError("u beyond the simulated grid")
     if beta == 0.0:

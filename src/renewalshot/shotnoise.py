@@ -246,13 +246,10 @@ def _x_star_draws(sample, spec, n, rng, scenario):
 
 
 def _inverse_subordinator_draws(spec, u, n, rng, scenario):
-    out = np.empty(n)
-    for i in range(n):
-        p = limits.simulate_inverse_subordinator_path(
-            spec.alpha, u, scenario.reference_mesh_d, rng,
-            u_mesh=u / scenario.reference_u_mesh_cells)
-        out[i] = limits.frac_integral(p, spec.beta, u)
-    return out
+    """n draws of Y(u), draw i from its own child stream rng.spawn(n)[i]."""
+    return np.array([limits.inverse_frac_integral(
+        spec.alpha, spec.beta, (u,), scenario.reference_mesh_d, child)[0]
+        for child in rng.spawn(n)])
 
 
 def _gaussian_moment(spec, u, k):

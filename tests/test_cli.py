@@ -168,9 +168,11 @@ def test_readme_config_block_loads(tmp_path):
 
 def test_unknown_key_exits_2(tmp_path):
     p = tmp_path / "typo.ini"
-    p.write_text(A1_CONFIG + "\nwobble = 3\n")
-    assert cli.main(["verify", "--config", str(p),
-                     "--out", str(tmp_path / "r")]) == 2
+    # reference_u_mesh_cells: a removed knob is an unknown key
+    for line in ("wobble = 3", "reference_u_mesh_cells = 256"):
+        p.write_text(A1_CONFIG + f"\n{line}\n")
+        assert cli.main(["verify", "--config", str(p),
+                         "--out", str(tmp_path / "r")]) == 2, line
 
 
 def test_missing_config_exits_2(tmp_path):

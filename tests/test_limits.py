@@ -8,9 +8,9 @@ from scipy import special
 
 from renewalshot import limits
 from renewalshot.laws import Exponential, ExpDecay, Pareto, PowerDecay, Uniform
-from renewalshot.limits import (INVERSE_SUBORDINATOR, LEVY_MOTION,
-                                ProcessPath, covariance_inverse_case,
+from renewalshot.limits import (ProcessPath, covariance_inverse_case,
                                 frac_integral, increment_dependence_gap,
+                                inverse_frac_integral,
                                 marginal_sample_finite_mean,
                                 moments_inverse_case, sample_X_star,
                                 sample_X_star_centered,
@@ -23,8 +23,7 @@ from renewalshot.verify import ks_one_sample_normal, ks_two_sample, moment_test
 
 def _identity_path(cells=4096, alpha=0.9):
     grid = np.arange(cells + 1) / cells
-    return ProcessPath(grid=grid, values=grid.copy(),
-                       kind=INVERSE_SUBORDINATOR, alpha=alpha)
+    return ProcessPath(grid=grid, values=grid.copy(), alpha=alpha)
 
 
 def test_beta_zero_recovers_the_path():
@@ -124,10 +123,8 @@ def test_inverse_subordinator_mean():
     n, mesh_d = 20000, 1e-3
     w = np.empty(n)
     for r in range(n):
-        p = simulate_inverse_subordinator_path(0.5, 1.0, mesh_d,
-                                               substream(31, 3, 500 + r),
-                                               u_mesh=1 / 64)
-        w[r] = p.value_at(1.0)
+        w[r] = inverse_frac_integral(0.5, 0.0, (1.0,), mesh_d,
+                                     substream(31, 3, 500 + r))[0]
     se = w.std() / math.sqrt(n)
     bias_allowance = 2 * mesh_d
     assert abs(w.mean() - 2 / math.pi) < 3 * se + bias_allowance
@@ -139,10 +136,8 @@ def test_frac_moments_match_formula():
     for beta in (0.0, 0.25):
         y = np.empty(n)
         for r in range(n):
-            p = simulate_inverse_subordinator_path(0.5, 1.0, 1e-3,
-                                                   substream(31, 3, 900 + r),
-                                                   u_mesh=1 / 4096)
-            y[r] = frac_integral(p, beta, 1.0)
+            y[r] = inverse_frac_integral(0.5, beta, (1.0,), 1e-3,
+                                         substream(31, 3, 900 + r))[0]
         for k in (1, 2, 3, 4):
             ref = moments_inverse_case(0.5, beta, 1.0, k)
             z = moment_test(y, k, ref)
@@ -153,10 +148,8 @@ def test_exponential_marginal_at_alpha_equals_beta():
     n = 2000
     y = np.empty(n)
     for r in range(n):
-        p = simulate_inverse_subordinator_path(0.5, 1.0, 5e-4,
-                                               substream(31, 3, 5000 + r),
-                                               u_mesh=1 / 16384)
-        y[r] = frac_integral(p, 0.5, 1.0)
+        y[r] = inverse_frac_integral(0.5, 0.5, (1.0,), 5e-4,
+                                     substream(31, 3, 5000 + r))[0]
     ref = substream(31, 3, 9999).exponential(1.0, n)
     d, pv = ks_two_sample(y, ref)
     assert pv > 1e-3, (d, pv)
@@ -168,14 +161,10 @@ def test_inverse_self_similarity():
     y1 = np.empty(n)
     y2 = np.empty(n)
     for r in range(n):
-        p = simulate_inverse_subordinator_path(a, 2.0, 1e-3,
-                                               substream(31, 4, r),
-                                               u_mesh=2 / 8192)
-        y1[r] = frac_integral(p, b, 1.0)
-        q = simulate_inverse_subordinator_path(a, 2.0, 1e-3,
-                                               substream(31, 5, r),
-                                               u_mesh=2 / 8192)
-        y2[r] = frac_integral(q, b, 2.0)
+        y1[r] = inverse_frac_integral(a, b, (1.0,), 1e-3,
+                                      substream(31, 4, r))[0]
+        y2[r] = inverse_frac_integral(a, b, (2.0,), 1e-3,
+                                      substream(31, 5, r))[0]
     d, pv = ks_two_sample(y1 * 2 ** (a - b), y2)
     assert pv > 1e-3, (d, pv)
 
@@ -184,13 +173,32 @@ def test_frac_integral_admissibility():
     p = simulate_levy_path(1.5, 1.0, 1 / 256, substream(31, 3, 3))
     with pytest.raises(ValueError):
         frac_integral(p, 0.8, 1.0)          # beta >= 1/alpha
-    q = simulate_inverse_subordinator_path(0.5, 1.0, 1e-2, substream(31, 3, 4))
     with pytest.raises(ValueError):
-        frac_integral(q, 0.6, 1.0)          # beta > alpha
+        frac_integral(p, 0.25, 2.0)         # beyond the grid
     with pytest.raises(ValueError):
-        frac_integral(q, 0.25, 2.0)         # beyond the grid
+        frac_integral(p, -0.1, 0.5)
+    q = substream(31, 3, 4)
     with pytest.raises(ValueError):
-        frac_integral(q, -0.1, 0.5)
+        inverse_frac_integral(0.5, 0.6, (1.0,), 1e-2, q)   # beta > alpha
+    with pytest.raises(ValueError):
+        inverse_frac_integral(0.5, -0.1, (0.5,), 1e-2, q)
+    with pytest.raises(ValueError):
+        inverse_frac_integral(0.5, 0.25, (0.0, 1.0), 1e-2, q)
+    with pytest.raises(ValueError):
+        inverse_frac_integral(0.5, 0.25, (1.0,), 0.0, q)
+
+
+def test_one_epoch_draw_serves_every_u():
+    # the epochs up to u do not depend on how far past u the draw runs
+    both = inverse_frac_integral(0.5, 0.25, (1.0, 3.0), 1e-3,
+                                 substream(31, 3, 6))
+    each = [inverse_frac_integral(0.5, 0.25, (u,), 1e-3,
+                                  substream(31, 3, 6))[0] for u in (1.0, 3.0)]
+    assert both.tobytes() == np.array(each).tobytes()
+    d = simulate_inverse_subordinator_path(0.5, 3.0, 1e-3, substream(31, 3, 6))
+    assert d[0] == 0.0 and np.all(np.diff(d) > 0) and d[-1] <= 3.0
+    w = inverse_frac_integral(0.5, 0.0, (3.0,), 1e-3, substream(31, 3, 6))
+    assert w[0] == 1e-3 * len(d)             # beta = 0: W(u), D_0 counted
 
 
 def test_x_star_sampling():

@@ -207,7 +207,7 @@ def test_regime_table_entry_is_complete(spec):
     assert math.isfinite(regime.moment(spec, 1.0, 1))
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=100, seed=0, x_star_truncation=50.0,
-                   reference_mesh_d=1e-2, reference_u_mesh_cells=256)
+                   reference_mesh_d=1e-2)
     refs = _limit_reference_sample(spec, 1.0, 5, 0, scn)
     exact = regime.exact(spec, 1.0)
     if exact is None:

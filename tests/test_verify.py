@@ -148,20 +148,26 @@ def test_ks_references_drawn_once_per_grid_point(monkeypatch):
     monkeypatch.setattr(verify, "_limit_reference_sample", counted)
     scn = _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0),
                        t_ladder=(50.0, 100.0, 200.0), replicates=100,
-                       reference_mesh_d=1e-2, reference_u_mesh_cells=256)
+                       reference_mesh_d=1e-2)
     rep = run_scenario(scn)
     assert drawn == [1.0, 2.0] and len(rep.records) == 6
 
 
-def test_x_star_draws_use_one_stream_per_draw():
-    # a stream serves one path, so X* draw i has its own child stream
-    u, n, T = 2.0, 100, 30.0
-    scn = _a1_scenario(spec=DRI_SPEC, replicates=n, x_star_truncation=T)
-    got = verify._limit_reference_sample(DRI_SPEC, u, n, scn.seed, scn)
+@pytest.mark.parametrize("spec, draw", [
+    (DRI_SPEC, lambda s, scn, u, rng: limits.sample_X_star(
+        s.law, s.h, scn.x_star_truncation, rng)),
+    (D4_SPEC, lambda s, scn, u, rng: limits.inverse_frac_integral(
+        s.alpha, s.beta, (u,), scn.reference_mesh_d, rng)[0]),
+], ids=["NOSCALE_DRI", "D4"])
+def test_x_star_draws_use_one_stream_per_draw(spec, draw):
+    # a stream serves one path, so reference draw i has its own child stream
+    u, n = 2.0, 100
+    scn = _a1_scenario(spec=spec, replicates=n, x_star_truncation=30.0,
+                       reference_mesh_d=1e-2)
+    got = verify._limit_reference_sample(spec, u, n, scn.seed, scn)
     key = int(u * 2**20) & 0x7FFFFFFF
-    want = np.array([limits.sample_X_star(
-        DRI_SPEC.law, DRI_SPEC.h, T, substream(scn.seed, DOMAIN_REFERENCE,
-                                               key, i)) for i in range(n)])
+    want = np.array([draw(spec, scn, u, substream(scn.seed, DOMAIN_REFERENCE,
+                                                  key, i)) for i in range(n)])
     assert got.tobytes() == want.tobytes()
 
 
