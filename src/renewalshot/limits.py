@@ -88,8 +88,8 @@ def inverse_frac_integral(alpha: float, beta: float, u_points, mesh_d: float,
     if not 0 <= beta <= alpha:
         raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
     u = np.asarray(u_points, dtype=float)
-    if mesh_d <= 0 or np.any(u <= 0):
-        raise ValueError("u and mesh_d must be positive")
+    if np.any(u <= 0):
+        raise ValueError("u must be positive")
     d = simulate_inverse_subordinator_path(alpha, float(u.max()), mesh_d,
                                            stream)
     return np.array([mesh_d * np.sum((x - d[:d.searchsorted(x)]) ** -beta)
