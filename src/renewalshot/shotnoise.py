@@ -20,6 +20,7 @@ from scipy import special
 from . import limits
 from .laws import Constant, IncrementLaw, Pareto, ResponseFunction, Window
 from .renewal import RenewalPath
+from .streams import substreams
 
 NOSCALE_DRI = "NOSCALE_DRI"
 NOSCALE_CENTERED = "NOSCALE_CENTERED"
@@ -238,18 +239,25 @@ def _d4_exact(spec, u):
                     lambda rng, n: rng.exponential(1.0, n))
 
 
+def _children(rng, n):
+    """The streams rng.spawn(n) would give, one at a time (see substreams)."""
+    ss = rng.bit_generator.seed_seq
+    start = ss.n_children_spawned
+    return substreams(ss.entropy, ss.spawn_key, range(start, start + n))
+
+
 def _x_star_draws(sample, spec, n, rng, scenario):
     """n draws of X*, draw i from its own child stream rng.spawn(n)[i]."""
     trunc = scenario.x_star_truncation or default_x_star_truncation(spec)
     return np.array([sample(spec.law, spec.h, trunc, child)
-                     for child in rng.spawn(n)])
+                     for child in _children(rng, n)])
 
 
 def _inverse_subordinator_draws(spec, u, n, rng, scenario):
     """n draws of Y(u), draw i from its own child stream rng.spawn(n)[i]."""
     return np.array([limits.inverse_frac_integral(
         spec.alpha, spec.beta, (u,), scenario.reference_mesh_d, child)[0]
-        for child in rng.spawn(n)])
+        for child in _children(rng, n)])
 
 
 def _gaussian_moment(spec, u, k):

@@ -25,7 +25,8 @@ from scipy import special, stats
 from . import limits, renewal, shotnoise
 from .shotnoise import REGIMES, LimitSpec, InadmissibleSpec
 from .stable import abs_moment
-from .streams import DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE, substream
+from .streams import (DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE,
+                      substream, substreams)
 
 KS_MARGINAL = "KS_MARGINAL"
 MOMENTS = "MOMENTS"
@@ -289,9 +290,9 @@ def _simulate_chunk(args):
     out = np.empty((hi - lo, len(u_grid)))
     horizon = max(u_grid) * t
     rows, epochs, done = [], 0, 0
-    for r in range(lo, hi):
+    for rng in substreams(seed, (DOMAIN_REPLICATE,), range(lo, hi)):
         path = renewal.sample_path(spec.law, horizon, renewal.ZERO_DELAYED,
-                                   substream(seed, DOMAIN_REPLICATE, r))
+                                   rng)
         rows.append(path.arrivals)
         epochs += len(path)
         if epochs >= _SUB_BATCH_EPOCHS or done + len(rows) == hi - lo:
@@ -393,11 +394,11 @@ def _run_time_reversal(scn, t, samples, arg, records, references):
     for idx, (s, horizon) in enumerate(scn.reversal_pairs):
         fwd = np.empty(n, dtype=int)
         rev = np.empty(n, dtype=int)
-        for r in range(n):
-            rng = substream(scn.seed, DOMAIN_AUX, 100 + idx, r)
+        pairs = zip(substreams(scn.seed, (DOMAIN_AUX, 100 + idx), range(n)),
+                    substreams(scn.seed, (DOMAIN_AUX, 200 + idx), range(n)))
+        for r, (rng, rng2) in enumerate(pairs):
             path = renewal.sample_path(law, horizon, renewal.STATIONARY, rng)
             rev[r] = renewal.count_increment(path, horizon - s, horizon)
-            rng2 = substream(scn.seed, DOMAIN_AUX, 200 + idx, r)
             path2 = renewal.sample_path(law, s, renewal.STATIONARY, rng2)
             fwd[r] = renewal.count(path2, s)
         d, p = ks_two_sample(rev, fwd)
@@ -435,8 +436,8 @@ def _run_stationarity_logtime(scn, t, samples, arg, records, references):
     u_pts = sorted({1.0} | {math.exp(s) for s in lags}
                    | {math.exp(v)} | {math.exp(v + s) for s in lags})
     ys = np.array([limits.inverse_frac_integral(
-        a, a, u_pts, scn.reference_mesh_d,
-        substream(scn.seed, DOMAIN_AUX, 400, r)) for r in range(n)])
+        a, a, u_pts, scn.reference_mesh_d, rng)
+        for rng in substreams(scn.seed, (DOMAIN_AUX, 400), range(n))])
     col = {u: ys[:, j] for j, u in enumerate(u_pts)}
     for s in lags:
         ref = limits.stationary_covariance(a, s)
@@ -453,8 +454,7 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references):
     n = scn.replicates
     g = shotnoise.scaling_g(spec, t)
     dev = np.empty(n)
-    for r in range(n):
-        rng = substream(scn.seed, DOMAIN_AUX, 500, r)
+    for r, rng in enumerate(substreams(scn.seed, (DOMAIN_AUX, 500), range(n))):
         dev[r] = abs(renewal.count_at(law, t, renewal.ZERO_DELAYED, rng)
                      - t / law.mean)
     est = dev.mean() / g
