@@ -197,8 +197,9 @@ class Scenario:
         if self.replicates < 100:
             raise InadmissibleSpec("need at least 100 replicates")
         t = tuple(self.t_ladder)
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise InadmissibleSpec("t-ladder must be strictly increasing")
+        if not t or t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:])):
+            raise InadmissibleSpec("t-ladder must be positive and strictly "
+                                   "increasing")
         u = tuple(self.u_grid)
         if not u or u[0] <= 0 or any(b <= a for a, b in zip(u, u[1:])):
             raise InadmissibleSpec("u-grid must be positive and increasing")

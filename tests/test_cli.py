@@ -137,6 +137,21 @@ def test_inadmissible_plan_exits_3(tmp_path, capsys):
     assert "STATIONARITY_LOGTIME" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("ladder", ["", "0", "-5, 10"],
+                         ids=["empty", "zero", "negative"])
+@pytest.mark.parametrize("config, t_line", [(A1_CONFIG, "t = 60"),
+                                            (EXP_LIMIT_CONFIG, "t = 500")],
+                         ids=["A1", "D4"])
+def test_empty_or_nonpositive_t_ladder_exits_3(tmp_path, capsys, command,
+                                               ladder, config, t_line):
+    p = tmp_path / "ladder.ini"
+    p.write_text(config.replace(t_line, f"t = {ladder}"))
+    assert cli.main([command, "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    assert "t-ladder" in capsys.readouterr().err
+
+
 def test_powerdecay_without_beta_exits_2(tmp_path, capsys):
     p = tmp_path / "nobeta.ini"
     p.write_text(A1_CONFIG.replace("kind = constant\nvalue = 1.0",

@@ -98,6 +98,11 @@ def test_scenario_validation():
         _a1_scenario(replicates=50)
     with pytest.raises(InadmissibleSpec):
         _a1_scenario(t_ladder=(100.0, 100.0))
+    for ladder in ((), (0.0,), (-5.0, 10.0)):
+        with pytest.raises(InadmissibleSpec, match="t-ladder"):
+            _a1_scenario(t_ladder=ladder)
+    with pytest.raises(InadmissibleSpec, match="t-ladder"):
+        _a1_scenario(spec=D4_SPEC, t_ladder=(-5.0, 10.0))
     with pytest.raises(InadmissibleSpec):
         _a1_scenario(u_grid=(2.0, 1.0))
     with pytest.raises(InadmissibleSpec):
