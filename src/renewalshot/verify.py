@@ -441,7 +441,7 @@ def _run_stationarity_logtime(scn, t, samples, arg, records, references):
         for rng in substreams(scn.seed, (DOMAIN_AUX, 400), range(n))])
     col = {u: ys[:, j] for j, u in enumerate(u_pts)}
     for s in lags:
-        ref = limits.stationary_covariance(a, s)
+        ref = float(limits.stationary_covariance(a, s))
         for w in (0, v):                     # pairs (e^w, e^(w+s))
             z = covariance_z(col[math.exp(w)] - 1.0,
                              col[math.exp(w + s)] - 1.0, ref)

@@ -133,13 +133,17 @@ def test_scenario_validation():
 
 
 def test_d4_moments_csv_has_plain_floats():
-    # limits.moments_inverse_case returns numpy.float64, whose repr is
-    # "np.float64(...)"
-    rep = run_scenario(_a1_scenario(spec=D4_SPEC, replicates=100,
-                                    plans=("MOMENTS:2",)))
-    buf = io.StringIO()
-    rep.write_csv(buf)
-    assert len(rep.records) == 2 and "np." not in buf.getvalue()
+    # limits.moments_inverse_case and limits.stationary_covariance return
+    # numpy.float64, whose repr is "np.float64(...)"
+    tail_matched = LimitSpec(D4, 0.5, 0.5, Pareto(0.5, 1.0),
+                             ParetoTailMatch(0.5, 1.0, 1.0))
+    for spec, plan, records in ((D4_SPEC, "MOMENTS:2", 2),
+                                (tail_matched, "STATIONARITY_LOGTIME", 4)):
+        rep = run_scenario(_a1_scenario(spec=spec, replicates=100,
+                                        plans=(plan,)))
+        buf = io.StringIO()
+        rep.write_csv(buf)
+        assert len(rep.records) == records and "np." not in buf.getvalue()
 
 
 def test_ks_references_drawn_once_per_grid_point(monkeypatch):
