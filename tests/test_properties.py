@@ -1,6 +1,6 @@
-"""Property tests: invariants of the laws, the responses and the paths,
-checked on parameters drawn by hypothesis.  Examples are derandomized, so
-every run checks the same ones."""
+"""Property tests: invariants of the laws, the responses, the paths and
+the streams, checked on parameters drawn by hypothesis.  Examples are
+derandomized, so every run checks the same ones."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from scipy import integrate
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
 from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
-from renewalshot.streams import substream
+from renewalshot import streams
+from renewalshot.streams import substream, substreams
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None,
                     database=None)
@@ -90,3 +91,37 @@ def test_stationary_path_is_sorted_inside_the_horizon(law, T, seed):
     arrivals = sample_path(law, T, STATIONARY, substream(seed, 3, 2)).arrivals
     assert np.all(arrivals >= 0.0) and np.all(arrivals <= T)
     assert np.all(np.diff(arrivals) >= 0.0)
+
+
+# key elements of one word (0 included) and of two words
+KEY_ELEMENTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**70), key=st.lists(KEY_ELEMENTS, max_size=3),
+       start=st.integers(1, 2**32 - 1), count=st.integers(1, 5))
+@example(seed=2**70, key=[0, 2**32, 7], start=2**32 - 5, count=5)
+@example(seed=0, key=[], start=1, count=1)
+def test_substreams_draw_what_substream_draws(seed, key, start, count):
+    indices = range(start, min(start + count, 2**32))
+    for i, got in zip(indices, substreams(seed, key, indices), strict=True):
+        want = substream(seed, *key, i)
+        # 64-bit, 32-bit (half a word left over) and derived draws
+        for draw in (lambda g: g.random(3),
+                     lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                     lambda g: g.standard_normal(2)):
+            assert draw(got).tobytes() == draw(want).tobytes()
+
+
+@pytest.mark.parametrize("indices", [[2**32], [0, 2**40], [-1], [3, -2]])
+def test_substreams_reject_indices_outside_32_bits(indices):
+    with pytest.raises(ValueError, match="indices"):
+        substreams(0, (1,), indices)
+
+
+def test_substreams_raise_on_a_key_mismatch(monkeypatch):
+    inner = streams._philox_keys
+    monkeypatch.setattr(streams, "_philox_keys",
+                        lambda *args: inner(*args) ^ np.uint64(1))
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        substreams(5, (1,), range(3))
