@@ -227,6 +227,9 @@ def cmd_formula(args):
 def cmd_path_dump(args):
     spec, kw, extras = load_config(args.config)
     seed = args.seed if args.seed is not None else kw["seed"]
+    if not (extras["horizon"] or kw["t_ladder"]):
+        raise ConfigError("path-dump needs [run] horizon or a nonempty "
+                          "[grid] t")
     horizon = extras["horizon"] or kw["t_ladder"][-1]
     delay = {"zero": renewal.ZERO_DELAYED,
              "stationary": renewal.STATIONARY}.get(extras["delay"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -20,7 +20,7 @@ from scipy import special
 from . import limits
 from .laws import Constant, IncrementLaw, Pareto, ResponseFunction, Window
 from .renewal import RenewalPath
-from .streams import substreams
+from .streams import substream, substreams
 
 NOSCALE_DRI = "NOSCALE_DRI"
 NOSCALE_CENTERED = "NOSCALE_CENTERED"
@@ -215,49 +215,44 @@ def _g_scaled(spec, paths, u, t):
     return _centered(spec, paths, u, t, h) / (scaling_g(spec, t) * ht)
 
 
-class ExactLaw(NamedTuple):
-    cdf: Callable         # q -> P(Y(u) <= q)
-    sample: Callable      # (rng, n) -> n draws of Y(u)
-
-
 def _gaussian_variance(spec, u):
     b = spec.beta
     return u ** (1.0 - 2.0 * b) / (1.0 - 2.0 * b) if b > 0 else u
 
 
-def _gaussian_exact(spec, u):
+def _gaussian_cdf(spec, u):
     sd = math.sqrt(_gaussian_variance(spec, u))
-    return ExactLaw(lambda q: special.ndtr(q / sd),
-                    lambda rng, n: rng.normal(0, sd, n))
+    return lambda q: special.ndtr(q / sd)
 
 
-def _d4_exact(spec, u):
+def _d4_cdf(spec, u):
     if spec.alpha != spec.beta:
         return None
     # beta = alpha: Hurst index 0, every marginal is Exp(1)
-    return ExactLaw(lambda q: -np.expm1(-np.maximum(q, 0.0)),
-                    lambda rng, n: rng.exponential(1.0, n))
+    return lambda q: -np.expm1(-np.maximum(q, 0.0))
 
 
-def _children(rng, n):
-    """The streams rng.spawn(n) would give, one at a time (see substreams)."""
-    ss = rng.bit_generator.seed_seq
-    start = ss.n_children_spawned
-    return substreams(ss.entropy, ss.spawn_key, range(start, start + n))
+def _gaussian_reference(spec, u_grid, n, seed, key, scenario):
+    """Independent normal columns, one block from one stream."""
+    sd = np.sqrt([_gaussian_variance(spec, u) for u in u_grid])
+    return substream(seed, *key).normal(0.0, sd, (n, len(u_grid)))
 
 
-def _x_star_draws(sample, spec, n, rng, scenario):
-    """n draws of X*, draw i from its own child stream rng.spawn(n)[i]."""
+def _x_star_reference(sample, spec, u_grid, n, seed, key, scenario):
+    """Independent X* columns; draw (i, j) from stream (seed, *key, j, i)."""
     trunc = scenario.x_star_truncation or default_x_star_truncation(spec)
-    return np.array([sample(spec.law, spec.h, trunc, child)
-                     for child in _children(rng, n)])
+    return np.column_stack([
+        [sample(spec.law, spec.h, trunc, rng)
+         for rng in substreams(seed, key + (j,), range(n))]
+        for j in range(len(u_grid))])
 
 
-def _inverse_subordinator_draws(spec, u, n, rng, scenario):
-    """n draws of Y(u), draw i from its own child stream rng.spawn(n)[i]."""
+def _inverse_subordinator_reference(spec, u_grid, n, seed, key, scenario):
+    """Row i: one draw of the jump epochs from stream (seed, *key, i),
+    summed at every u of the grid."""
     return np.array([limits.inverse_frac_integral(
-        spec.alpha, spec.beta, (u,), scenario.reference_mesh_d, child)[0]
-        for child in _children(rng, n)])
+        spec.alpha, spec.beta, u_grid, scenario.reference_mesh_d, rng)
+        for rng in substreams(seed, key, range(n))])
 
 
 def _gaussian_moment(spec, u, k):
@@ -287,14 +282,19 @@ def _levy_hurst(spec):
 class Regime:
     """One row of the limit-theorem table; every callable takes the
     LimitSpec first.  Callables reach `limits` through the module, so
-    wrapping a `limits` function (for tracing, say) reaches them too."""
+    wrapping a `limits` function (for tracing, say) reaches them too.
+    A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
+    the sampler makes it one: D4 (one jump-epoch draw per row) and the
+    no-scaling limits (independent at distinct u).  A1-A3 columns have the
+    right marginals but are drawn independently."""
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
     statistic: Callable         # (spec, paths, u, t) -> statistic
                                 # per path (row) and u (column)
-    exact: Callable             # (spec, u) -> ExactLaw of Y(u), or None
-    reference: Callable | None  # (spec, u, n, rng, scenario) -> n draws of Y(u)
+    exact: Callable             # (spec, u) -> CDF of Y(u), or None
+    reference: Callable         # (spec, u_grid, n, seed, key, scenario)
+                                # -> (n, len(u_grid)) draws of Y
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
     hurst: Callable | None      # (spec) -> H; None: stationary limit
 
@@ -306,8 +306,8 @@ REGIMES = {
                 (lambda s: math.isfinite(s.law.mean),
                  "no-scaling limit needs a finite mean")),
         g=None, statistic=_plain, exact=lambda spec, u: None,
-        reference=lambda spec, u, n, rng, scn: _x_star_draws(
-            limits.sample_X_star, spec, n, rng, scn),
+        reference=lambda *args: _x_star_reference(limits.sample_X_star,
+                                                  *args),
         moment=_x_star_mean, hurst=None),
     NOSCALE_CENTERED: Regime(
         admits=((lambda s: math.isfinite(s.law.variance),
@@ -316,8 +316,8 @@ REGIMES = {
                  "centered regime needs a non-integrable, square-integrable "
                  "response")),
         g=None, statistic=_centered, exact=lambda spec, u: None,
-        reference=lambda spec, u, n, rng, scn: _x_star_draws(
-            limits.sample_X_star_centered, spec, n, rng, scn),
+        reference=lambda *args: _x_star_reference(
+            limits.sample_X_star_centered, *args),
         moment=_zero_mean, hurst=None),
     A1: Regime(
         admits=_GAUSSIAN_HYPOTHESES + (
@@ -325,7 +325,7 @@ REGIMES = {
              "A1 requires a finite-variance law"),),
         g=lambda spec, t: math.sqrt(
             spec.law.variance * spec.law.mean ** (-3) * t),
-        statistic=_g_scaled, exact=_gaussian_exact, reference=None,
+        statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A2: Regime(
         admits=_GAUSSIAN_HYPOTHESES + (
@@ -334,7 +334,7 @@ REGIMES = {
             (lambda s: isinstance(s.law, Pareto) and s.law.alpha == 2,
              "A2 normalizer needs the Pareto tail-index-2 law")),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
-        statistic=_g_scaled, exact=_gaussian_exact, reference=None,
+        statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A3: Regime(
         admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
@@ -344,9 +344,10 @@ REGIMES = {
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
-        reference=lambda spec, u, n, rng, scn:
-            limits.marginal_sample_finite_mean(spec.alpha, spec.beta, u,
-                                               rng, n),
+        reference=lambda spec, u, n, seed, key, scn:
+            limits.marginal_sample_finite_mean(
+                spec.alpha, spec.beta, np.asarray(u), substream(seed, *key),
+                (n, len(u))),
         moment=_zero_mean, hurst=_levy_hurst),
     D4: Regime(
         admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),
@@ -354,8 +355,8 @@ REGIMES = {
                  "D4 requires beta in [0, alpha]; got {s.beta}"),
                 (_matching_pareto, "D4 requires an infinite-mean Pareto law")),
         g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
-        statistic=_tail_scaled, exact=_d4_exact,
-        reference=_inverse_subordinator_draws,
+        statistic=_tail_scaled, exact=_d4_cdf,
+        reference=_inverse_subordinator_reference,
         moment=lambda spec, u, k: limits.moments_inverse_case(
             spec.alpha, spec.beta, u, k),
         hurst=lambda spec: spec.alpha - spec.beta),

@@ -11,8 +11,7 @@ is rewritten in the standard one-parametrization as
 
 with skew = -1 (spectrally negative) and
 sigma^alpha = Gamma(1-alpha) cos(pi alpha/2), which is positive for
-1 < alpha < 2 (product of two negatives).  The spectrally positive law is
-the negation (conjugate characteristic function).
+1 < alpha < 2 (product of two negatives).
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
-
-SPECTRALLY_NEGATIVE = "spectrally_negative"
-SPECTRALLY_POSITIVE = "spectrally_positive"
 
 
 def stable_scale(alpha: float) -> float:
@@ -37,15 +33,12 @@ def stable_scale(alpha: float) -> float:
 @dataclass(frozen=True)
 class StableSpec:
     alpha: float
-    skew: str = SPECTRALLY_NEGATIVE
 
     def __post_init__(self):
         if not (0 < self.alpha <= 2):
             raise ValueError("alpha must lie in (0, 2]")
         if self.alpha == 1:
             raise ValueError("alpha = 1 is unsupported")
-        if self.skew not in (SPECTRALLY_NEGATIVE, SPECTRALLY_POSITIVE):
-            raise ValueError(f"unknown skew {self.skew!r}")
 
     @property
     def scale(self) -> float:
@@ -58,33 +51,29 @@ class StableSpec:
         if a == 2:
             return np.exp(-0.5 * z**2) + 0j
         g = _gamma(1.0 - a)
-        s = 1.0 if self.skew == SPECTRALLY_NEGATIVE else -1.0
         expo = -np.abs(z) ** a * g * (math.cos(math.pi * a / 2)
-                                      + 1j * s * math.sin(math.pi * a / 2) * np.sign(z))
+                                      + 1j * math.sin(math.pi * a / 2) * np.sign(z))
         return np.exp(expo)
-
-
-def _cms_skewed_unit(alpha: float, skew: float, rng: np.random.Generator, size):
-    """Chambers-Mallows-Stuck draw of S(alpha, skew, 1, 0), alpha != 1."""
-    u = math.pi * (rng.random(size) - 0.5)
-    w = rng.standard_exponential(size)
-    t = skew * math.tan(math.pi * alpha / 2.0)
-    b = math.atan(t) / alpha
-    s = (1.0 + t * t) ** (1.0 / (2.0 * alpha))
-    num = np.sin(alpha * (u + b)) / np.cos(u) ** (1.0 / alpha)
-    rest = (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha)
-    return s * num * rest
 
 
 def sample_stable(spec: StableSpec, stream: np.random.Generator, size=None):
     """One variate (or an array) of the law given by the paper's
-    characteristic function; alpha = 2 routes to a unit-variance Gaussian."""
-    if spec.alpha == 2:
+    characteristic function; alpha = 2 routes to a unit-variance Gaussian.
+    For 1 < alpha < 2: sigma times the Chambers-Mallows-Stuck draw of
+    S(alpha, -1, 1, 0)."""
+    alpha = spec.alpha
+    if alpha == 2:
         return stream.standard_normal(size)
-    if not 1 < spec.alpha < 2:
+    if not 1 < alpha < 2:
         raise ValueError("Levy-motion laws need alpha in (1, 2]")
-    skew = -1.0 if spec.skew == SPECTRALLY_NEGATIVE else 1.0
-    return spec.scale * _cms_skewed_unit(spec.alpha, skew, stream, size)
+    u = math.pi * (stream.random(size) - 0.5)
+    w = stream.standard_exponential(size)
+    t = -math.tan(math.pi * alpha / 2.0)
+    b = math.atan(t) / alpha
+    s = (1.0 + t * t) ** (1.0 / (2.0 * alpha))
+    num = np.sin(alpha * (u + b)) / np.cos(u) ** (1.0 / alpha)
+    rest = (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha)
+    return spec.scale * (s * num * rest)
 
 
 def sample_positive_stable(alpha: float, stream: np.random.Generator, size=None):

@@ -98,7 +98,7 @@ def substreams(master_seed: int, key, indices):
     The keys of all indices (each in [0, 2**32)) come from one vectorised
     pass, and one Philox is re-keyed for each index.  So a yielded
     generator is valid only until the next one is drawn: no caller keeps
-    it, and none spawns from it (its `seed_seq` is not the index's).
+    it, and none spawns from it (its SeedSequence is not the index's).
     """
     key = tuple(key)
     index = np.asarray(indices, dtype=np.int64).reshape(-1)

@@ -6,7 +6,7 @@ the limit law (exact where a closed form exists, self-simulated where
 not), and report one record per (t, u, test).
 
 Determinism: replicates and reference batches draw from counter-based
-substreams keyed by (seed, domain, index), so reports are byte-identical
+substreams keyed by (seed, domain, key...), so reports are byte-identical
 for a fixed (scenario, seed) regardless of worker count.
 """
 
@@ -190,8 +190,6 @@ class Scenario:
     # knobs for self-simulated references
     x_star_truncation: float | None = None
     reference_mesh_d: float = 1e-3
-    reversal_pairs: tuple = ((3.0, 50.0), (5.0, 50.0), (10.0, 50.0))
-    logtime_lags: tuple = (0.0, math.log(2.0))
 
     def __post_init__(self):
         if self.replicates < 100:
@@ -204,12 +202,13 @@ class Scenario:
         if not u or u[0] <= 0 or any(b <= a for a, b in zip(u, u[1:])):
             raise InadmissibleSpec("u-grid must be positive and increasing")
         for p in self.plans:
-            plan = PLANS.get(p.split(":")[0])
-            if plan is None:
-                raise InadmissibleSpec(f"unknown test plan {p!r}")
+            plan, _ = _parse_plan(p)
             if not plan.admits(self.spec):
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
                                        f"{self.spec.regime} spec")
+            if len(u) < plan.min_points:
+                raise InadmissibleSpec(f"plan {p!r} compares grid points and "
+                                       f"needs at least {plan.min_points}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -326,35 +325,34 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# plan runners: (scenario, t, samples or None, plan argument, records,
-# references: the KS reference draws of this run_scenario call, by u)
+# plan runners: (scenario, t, samples or None, MOMENTS k or None, records,
+# references: the limit-law draws of this run_scenario call, by plan)
 # ---------------------------------------------------------------------------
 
-def _limit_reference_sample(spec: LimitSpec, u: float, n: int, seed: int,
-                            scenario: Scenario):
-    """Draws from the limit law of the scaled statistic at time point u.
-    Returns None when the regime gives the exact law instead."""
-    rng = substream(seed, DOMAIN_REFERENCE, int(u * 2**20) & 0x7FFFFFFF)
-    regime = REGIMES[spec.regime]
-    if regime.exact(spec, u) is not None:
-        return None
-    return regime.reference(spec, u, n, rng, scenario)
+def _limit_reference_sample(scn: Scenario, key: tuple, u_grid):
+    """(replicates, len(u_grid)) draws of the limit law, column j of
+    Y(u_j), from the streams under (seed, DOMAIN_REFERENCE, *key).  The
+    key (plan, batch) names the draw: KS_MARGINAL 1, SELF_SIMILARITY 2,
+    STATIONARITY_LOGTIME 3.  Rows are joint draws only where the regime's
+    sampler makes them so (see `shotnoise.Regime`)."""
+    return REGIMES[scn.spec.regime].reference(
+        scn.spec, tuple(u_grid), scn.replicates, scn.seed,
+        (DOMAIN_REFERENCE,) + key, scn)
 
 
 def _run_ks_marginal(scn, t, samples, arg, records, references):
     spec = scn.spec
-    for j, u in enumerate(scn.u_grid):
+    cdfs = [REGIMES[spec.regime].exact(spec, u) for u in scn.u_grid]
+    if any(cdf is None for cdf in cdfs) and KS_MARGINAL not in references:
+        # one draw of the whole grid serves every rung
+        references[KS_MARGINAL] = _limit_reference_sample(
+            scn, (1, 0), scn.u_grid)
+    for j, (u, cdf) in enumerate(zip(scn.u_grid, cdfs)):
         col = samples[:, j]
-        exact = REGIMES[spec.regime].exact(spec, u)
-        if exact is not None:
-            d, p = ks_one_sample(col, exact.cdf)
+        if cdf is not None:
+            d, p = ks_one_sample(col, cdf)
         else:
-            # the reference stream is keyed by (seed, u) alone, so every
-            # rung would draw the same array
-            if u not in references:
-                references[u] = _limit_reference_sample(spec, u, len(col),
-                                                        scn.seed, scn)
-            d, p = ks_two_sample(col, references[u])
+            d, p = ks_two_sample(col, references[KS_MARGINAL][:, j])
         records.append(TestRecord(t, u, KS_MARGINAL, d, 0.0, p, None,
                                   p > scn.significance))
 
@@ -362,7 +360,7 @@ def _run_ks_marginal(scn, t, samples, arg, records, references):
 def _run_moments(scn, t, samples, arg, records, references):
     moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
-        for k in range(1, int(arg or 2) + 1):
+        for k in range(1, (arg or 2) + 1):
             try:
                 ref = float(moment(scn.spec, u, k))
             except ValueError:
@@ -389,10 +387,14 @@ def _run_pairwise_independence(scn, t, samples, arg, records, references):
                 p, None, p > scn.significance))
 
 
+# (s, horizon): N(horizon) - N(horizon - s) against N(s)
+_REVERSAL_PAIRS = ((3.0, 50.0), (5.0, 50.0), (10.0, 50.0))
+
+
 def _run_time_reversal(scn, t, samples, arg, records, references):
     law = scn.spec.law
     n = scn.replicates
-    for idx, (s, horizon) in enumerate(scn.reversal_pairs):
+    for idx, (s, horizon) in enumerate(_REVERSAL_PAIRS):
         fwd = np.empty(n, dtype=int)
         rev = np.empty(n, dtype=int)
         pairs = zip(substreams(scn.seed, (DOMAIN_AUX, 100 + idx), range(n)),
@@ -410,38 +412,27 @@ def _run_time_reversal(scn, t, samples, arg, records, references):
 def _run_self_similarity(scn, t, samples, arg, records, references):
     """Check the limit law's Hurst scaling between the smallest and largest
     grid points using independent reference batches."""
-    spec = scn.spec
-    if len(scn.u_grid) < 2:
-        return
     u_lo, u_hi = scn.u_grid[0], scn.u_grid[-1]
-    n = scn.replicates
-    regime = REGIMES[spec.regime]
-    hurst = regime.hurst(spec)
-    a = _limit_reference_sample(spec, u_lo, n, scn.seed + 1, scn)
-    b = _limit_reference_sample(spec, u_hi, n, scn.seed + 2, scn)
-    if a is None or b is None:
-        a = regime.exact(spec, u_lo).sample(
-            substream(scn.seed, DOMAIN_AUX, 301), n)
-        b = regime.exact(spec, u_hi).sample(
-            substream(scn.seed, DOMAIN_AUX, 302), n)
+    hurst = REGIMES[scn.spec.regime].hurst(scn.spec)
+    a = _limit_reference_sample(scn, (2, 0), (u_lo,))[:, 0]
+    b = _limit_reference_sample(scn, (2, 1), (u_hi,))[:, 0]
     d, p = ks_two_sample(a * (u_hi / u_lo) ** hurst, b)
     records.append(TestRecord(t, u_hi, SELF_SIMILARITY, d, hurst, p, None,
                               p > scn.significance))
 
 
+# log-time lags s of the covariance pairs (e^w, e^(w+s))
+_LOGTIME_LAGS = (0.0, math.log(2.0))
+
+
 def _run_stationarity_logtime(scn, t, samples, arg, records, references):
-    a = scn.spec.alpha
-    n = scn.replicates
     v = 0.5                                  # log-time shift for the lag pair
-    lags = scn.logtime_lags
-    u_pts = sorted({1.0} | {math.exp(s) for s in lags}
-                   | {math.exp(v)} | {math.exp(v + s) for s in lags})
-    ys = np.array([limits.inverse_frac_integral(
-        a, a, u_pts, scn.reference_mesh_d, rng)
-        for rng in substreams(scn.seed, (DOMAIN_AUX, 400), range(n))])
+    u_pts = sorted({1.0} | {math.exp(s) for s in _LOGTIME_LAGS}
+                   | {math.exp(v)} | {math.exp(v + s) for s in _LOGTIME_LAGS})
+    ys = _limit_reference_sample(scn, (3, 0), u_pts)
     col = {u: ys[:, j] for j, u in enumerate(u_pts)}
-    for s in lags:
-        ref = float(limits.stationary_covariance(a, s))
+    for s in _LOGTIME_LAGS:
+        ref = float(limits.stationary_covariance(scn.spec.alpha, s))
         for w in (0, v):                     # pairs (e^w, e^(w+s))
             z = covariance_z(col[math.exp(w)] - 1.0,
                              col[math.exp(w + s)] - 1.0, ref)
@@ -476,6 +467,7 @@ class Plan(NamedTuple):
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
     admits: Callable        # (spec) -> bool, checked by Scenario
+    min_points: int = 1     # u-grid points the plan needs
 
 
 def _hurst_zero(spec):
@@ -492,13 +484,13 @@ PLANS = {
     # i.i.d. copies: only the no-scaling limits
     JOINT_PAIRWISE_INDEPENDENCE: Plan(
         _run_pairwise_independence, True, True,
-        lambda spec: REGIMES[spec.regime].g is None),
+        lambda spec: REGIMES[spec.regime].g is None, min_points=2),
     # stationary renewal paths need a finite mean
     TIME_REVERSAL: Plan(_run_time_reversal, False, False,
                         lambda spec: math.isfinite(spec.law.mean)),
     SELF_SIMILARITY: Plan(
         _run_self_similarity, False, False,
-        lambda spec: REGIMES[spec.regime].hurst is not None),
+        lambda spec: REGIMES[spec.regime].hurst is not None, min_points=2),
     STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False,
                                _hurst_zero),
     # the stable limit of the counting process: finite-mean scaled regimes
@@ -509,11 +501,23 @@ PLANS = {
 PLAN_NAMES = tuple(PLANS)
 
 
+def _parse_plan(p):
+    """The Plan of a plan string NAME or MOMENTS:k, and k or None."""
+    name, colon, arg = p.partition(":")
+    plan = PLANS.get(name)
+    if plan is None:
+        raise InadmissibleSpec(f"unknown test plan {p!r}")
+    if colon and not (name == MOMENTS and arg.isdecimal()
+                      and int(arg) >= 1):
+        raise InadmissibleSpec(f"plan {p!r}: only {MOMENTS} takes an "
+                               "argument, an integer k >= 1")
+    return plan, int(arg) if colon else None
+
+
 def run_scenario(s: Scenario) -> TestReport:
     """Run every plan of the scenario on each rung of the t-ladder."""
     report = TestReport(scenario=s.echo(), seed=s.seed)
-    plans = [(PLANS[name], arg)
-             for name, _, arg in (p.partition(":") for p in s.plans)]
+    plans = [_parse_plan(p) for p in s.plans]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
     references = {}
     for t in s.t_ladder:

@@ -129,12 +129,17 @@ def test_inadmissible_beta_exits_3(tmp_path, capsys):
 
 
 def test_inadmissible_plan_exits_3(tmp_path, capsys):
-    p = tmp_path / "logtime.ini"
-    p.write_text(A1_CONFIG.replace("plans = KS_MARGINAL",
-                                   "plans = STATIONARITY_LOGTIME"))
-    assert cli.main(["verify", "--config", str(p),
-                     "--out", str(tmp_path / "r")]) == 3
-    assert "STATIONARITY_LOGTIME" in capsys.readouterr().err
+    p = tmp_path / "plan.ini"
+    one_point = A1_CONFIG.replace("u = 0.5, 1.0", "u = 1.0")
+    for config, plan in ((A1_CONFIG, "STATIONARITY_LOGTIME"),
+                         (A1_CONFIG, "MOMENTS:0"), (A1_CONFIG, "MOMENTS:-2"),
+                         (A1_CONFIG, "KS_MARGINAL:zzz"),
+                         (one_point, "SELF_SIMILARITY")):
+        p.write_text(config.replace("plans = KS_MARGINAL",
+                                    f"plans = {plan}"))
+        assert cli.main(["verify", "--config", str(p),
+                         "--out", str(tmp_path / "r")]) == 3, plan
+        assert plan in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -291,6 +296,14 @@ def test_path_dump(a1_config, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,S_k"
     assert lines[1] == "0,0.0"
+
+
+def test_path_dump_without_horizon_or_ladder_exits_2(tmp_path, capsys):
+    p = tmp_path / "noladder.ini"
+    p.write_text(A1_CONFIG.replace("t = 60", "t ="))
+    assert cli.main(["path-dump", "--config", str(p),
+                     "--out", str(tmp_path / "path.csv")]) == 2
+    assert "horizon" in capsys.readouterr().err
 
 
 def test_config_scenario_round_trip(a1_config):

@@ -9,11 +9,14 @@ which report quantiles alone could let a one-ulp change slip past.
 
 Regenerate the fixture (only for an intended output change) with
 `PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json`.
+With `--diff` the script prints only the (case, output) pairs whose hash
+differs from the fixture, with the old and the new hash.
 """
 
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,4 +109,12 @@ if __name__ == "__main__":
     fixture = {name: report_hashes(name) for name in sorted(CASES)}
     fixture["matrices"] = {name: matrix_hash(name)
                            for name in sorted(MATRIX_CASES)}
-    print(json.dumps(fixture, indent=1, sort_keys=True))
+    if "--diff" in sys.argv[1:]:
+        golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        for case, hashes in fixture.items():
+            for output, new in hashes.items():
+                old = golden.get(case, {}).get(output)
+                if old != new:
+                    print(f"{case} {output} {old} -> {new}")
+    else:
+        print(json.dumps(fixture, indent=1, sort_keys=True))

@@ -194,7 +194,7 @@ def test_regime_table_entry_is_complete(spec):
     for f in dataclasses.fields(Regime)[1:]:
         assert getattr(regime, f.name) is None or callable(
             getattr(regime, f.name)), f.name
-    for name in ("statistic", "exact", "moment"):
+    for name in ("statistic", "exact", "reference", "moment"):
         assert getattr(regime, name) is not None, name
     # no normalizer exactly when the limit is stationary (no Hurst index)
     assert (regime.g is None) == (regime.hurst is None)
@@ -205,16 +205,33 @@ def test_regime_table_entry_is_complete(spec):
                             100.0)
     assert stat.shape == (2,) and np.all(np.isfinite(stat))
     assert math.isfinite(regime.moment(spec, 1.0, 1))
-    scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
-                   replicates=100, seed=0, x_star_truncation=50.0,
-                   reference_mesh_d=1e-2)
-    refs = _limit_reference_sample(spec, 1.0, 5, 0, scn)
-    exact = regime.exact(spec, 1.0)
-    if exact is None:
-        assert regime.reference is not None
-        assert refs.shape == (5,) and np.all(np.isfinite(refs))
-    else:
-        assert refs is None
-        draws = exact.sample(substream(0, 3, 9), 5)
-        cdf = np.asarray(exact.cdf(draws))
-        assert np.all((cdf > 0) & (cdf < 1))
+    refs = regime.reference(spec, (1.0, 2.0), 5, 0, (9,), _scenario(spec))
+    assert refs.shape == (5, 2) and np.all(np.isfinite(refs))
+    cdf = regime.exact(spec, 1.0)
+    if cdf is not None:
+        q = np.asarray(cdf(np.sort(refs[:, 0])))
+        assert np.all((q > 0) & (q < 1)) and np.all(np.diff(q) >= 0)
+
+
+def _scenario(spec, u_grid=(1.0,)):
+    return Scenario(spec=spec, u_grid=u_grid, t_ladder=(100.0,),
+                    replicates=100, seed=0, x_star_truncation=50.0,
+                    reference_mesh_d=1e-2)
+
+
+def test_d4_reference_column_does_not_depend_on_the_rest_of_the_grid():
+    # one jump-epoch draw per row serves every u, and the epochs up to u do
+    # not depend on the largest u of the grid
+    spec = TABLE_SPECS[-2]
+    one = _limit_reference_sample(_scenario(spec, (1.0,)), (1, 0), (1.0,))
+    two = _limit_reference_sample(_scenario(spec, (1.0, 2.0)), (1, 0),
+                                  (1.0, 2.0))
+    assert one[:, 0].tobytes() == two[:, 0].tobytes()
+
+
+def test_noscale_reference_columns_have_their_own_streams():
+    # far-apart grid points once shared one stream key
+    spec = TABLE_SPECS[0]
+    scn = _scenario(spec, (2048.0, 4096.0))
+    refs = _limit_reference_sample(scn, (1, 0), scn.u_grid)
+    assert not np.array_equal(refs[:, 0], refs[:, 1])

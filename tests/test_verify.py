@@ -128,7 +128,19 @@ def test_scenario_validation():
     with pytest.raises(InadmissibleSpec):
         # no stationary renewal process for an infinite-mean law
         _a1_scenario(spec=D4_SPEC, plans=("TIME_REVERSAL",))
-    _a1_scenario(spec=D4_SPEC, plans=("SELF_SIMILARITY",))
+    # plans that would test nothing: no moment order >= 1, an argument the
+    # plan ignores, a comparison of grid points on a one-point grid
+    for plan in ("MOMENTS:0", "MOMENTS:-2", "MOMENTS:1.5", "MOMENTS:",
+                 "KS_MARGINAL:zzz", "TIME_REVERSAL:3"):
+        with pytest.raises(InadmissibleSpec, match="argument|k >= 1"):
+            _a1_scenario(plans=(plan,))
+    for spec, plan in ((D4_SPEC, "SELF_SIMILARITY"),
+                       (DRI_SPEC, "JOINT_PAIRWISE_INDEPENDENCE")):
+        with pytest.raises(InadmissibleSpec, match="at least 2"):
+            _a1_scenario(spec=spec, u_grid=(1.0,), plans=(plan,))
+    _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0), plans=("SELF_SIMILARITY",))
+    _a1_scenario(spec=DRI_SPEC, u_grid=(1.0, 2.0),
+                 plans=("JOINT_PAIRWISE_INDEPENDENCE", "MOMENTS:1"))
     _a1_scenario(spec=DRI_SPEC, plans=("TIME_REVERSAL",))
 
 
@@ -146,38 +158,41 @@ def test_d4_moments_csv_has_plain_floats():
         assert len(rep.records) == records and "np." not in buf.getvalue()
 
 
-def test_ks_references_drawn_once_per_grid_point(monkeypatch):
+def test_ks_references_drawn_once_per_run(monkeypatch):
     drawn = []
     inner = verify._limit_reference_sample
 
-    def counted(spec, u, n, seed, scenario):
-        drawn.append(u)
-        return inner(spec, u, n, seed, scenario)
+    def counted(scn, key, u_grid):
+        drawn.append(tuple(u_grid))
+        return inner(scn, key, u_grid)
 
     monkeypatch.setattr(verify, "_limit_reference_sample", counted)
     scn = _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0),
                        t_ladder=(50.0, 100.0, 200.0), replicates=100,
                        reference_mesh_d=1e-2)
     rep = run_scenario(scn)
-    assert drawn == [1.0, 2.0] and len(rep.records) == 6
+    assert drawn == [(1.0, 2.0)] and len(rep.records) == 6
 
 
 @pytest.mark.parametrize("spec, draw", [
-    (DRI_SPEC, lambda s, scn, u, rng: limits.sample_X_star(
+    (DRI_SPEC, lambda s, scn, j, rng: limits.sample_X_star(
         s.law, s.h, scn.x_star_truncation, rng)),
-    (D4_SPEC, lambda s, scn, u, rng: limits.inverse_frac_integral(
-        s.alpha, s.beta, (u,), scn.reference_mesh_d, rng)[0]),
+    (D4_SPEC, lambda s, scn, j, rng: limits.inverse_frac_integral(
+        s.alpha, s.beta, scn.u_grid, scn.reference_mesh_d, rng)[j]),
 ], ids=["NOSCALE_DRI", "D4"])
 def test_x_star_draws_use_one_stream_per_draw(spec, draw):
-    # a stream serves one path, so reference draw i has its own child stream
-    u, n = 2.0, 100
-    scn = _a1_scenario(spec=spec, replicates=n, x_star_truncation=30.0,
-                       reference_mesh_d=1e-2)
-    got = verify._limit_reference_sample(spec, u, n, scn.seed, scn)
-    key = int(u * 2**20) & 0x7FFFFFFF
-    want = np.array([draw(spec, scn, u, substream(scn.seed, DOMAIN_REFERENCE,
-                                                  key, i)) for i in range(n)])
-    assert got.tobytes() == want.tobytes()
+    # a stream serves one path: X* draw (i, j) has stream (..., j, i), D4
+    # row i has stream (..., i) for the whole grid
+    n = 100
+    scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0), replicates=n,
+                       x_star_truncation=30.0, reference_mesh_d=1e-2)
+    key = (DOMAIN_REFERENCE, 4, 1)
+    got = verify._limit_reference_sample(scn, key[1:], scn.u_grid)
+    for j in range(2):
+        column = key + (j,) if spec is DRI_SPEC else key
+        want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
+                         for i in range(n)])
+        assert got[:, j].tobytes() == want.tobytes()
 
 
 def test_run_scenario_deterministic_reports():
