@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from renewalshot import renewal
 from renewalshot.laws import Gamma
-from renewalshot.streams import substream
+from renewalshot.streams import substreams
 
 law = Gamma(2.0, 1.0)          # mu = 2, sigma^2 = 2
 mu, var = 2.0, 2.0
@@ -22,11 +22,9 @@ print("gamma(2,1) gaps, zero-delayed, n = %d replicates per horizon" % n)
 print("horizon   " + "".join("   q%02d" % int(100 * p) for p in probes)
       + "   max err")
 for t in (10.0, 100.0, 1000.0):
-    z = np.empty(n)
-    for r in range(n):
-        count = renewal.count_at(law, t, renewal.ZERO_DELAYED,
-                                 substream(2024, 3, 1, r))
-        z[r] = (count - t / mu) / np.sqrt(var * t / mu**3)
+    count = renewal.counts_at(law, t, renewal.ZERO_DELAYED,
+                              substreams(2024, (3, 1), range(n)), n)
+    z = (count - t / mu) / np.sqrt(var * t / mu**3)
     q = np.quantile(z, probes)
     err = np.max(np.abs(q - norm.ppf(probes)))
     print("t=%6.0f " % t + "".join(" %6.3f" % v for v in q)

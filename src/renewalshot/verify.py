@@ -202,8 +202,8 @@ class Scenario:
         if not u or u[0] <= 0 or any(b <= a for a, b in zip(u, u[1:])):
             raise InadmissibleSpec("u-grid must be positive and increasing")
         for p in self.plans:
-            plan, _ = _parse_plan(p)
-            if not plan.admits(self.spec):
+            plan, arg = _parse_plan(p)
+            if not plan.admits(self.spec, arg):
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
                                        f"{self.spec.regime} spec")
             if len(u) < plan.min_points:
@@ -278,28 +278,16 @@ class TestReport:
 # simulation of the scaled statistic
 # ---------------------------------------------------------------------------
 
-# epochs per sub-batch of replicates: the statistic's vector passes over
-# one sub-batch then stay cache-sized whatever the replicate count
-_SUB_BATCH_EPOCHS = 2**13
-
-
 def _simulate_chunk(args):
     """Rows lo..hi-1: each replicate's path from its own substream, the
-    statistic for a sub-batch of paths at a time."""
+    statistic for a buffer of paths at a time."""
     spec, u_grid, t, seed, lo, hi = args
     out = np.empty((hi - lo, len(u_grid)))
-    horizon = max(u_grid) * t
-    rows, epochs, done = [], 0, 0
-    for rng in substreams(seed, (DOMAIN_REPLICATE,), range(lo, hi)):
-        path = renewal.sample_path(spec.law, horizon, renewal.ZERO_DELAYED,
-                                   rng)
-        rows.append(path.arrivals)
-        epochs += len(path)
-        if epochs >= _SUB_BATCH_EPOCHS or done + len(rows) == hi - lo:
-            out[done:done + len(rows)] = shotnoise.batch_statistic(
-                spec, rows, u_grid, t)
-            done += len(rows)
-            rows, epochs = [], 0
+    for at, rows in renewal.epoch_batches(
+            spec.law, max(u_grid) * t, renewal.ZERO_DELAYED,
+            substreams(seed, (DOMAIN_REPLICATE,), range(lo, hi)), hi - lo):
+        out[at:at + len(rows)] = shotnoise.batch_statistic(spec, rows,
+                                                           u_grid, t)
     return lo, out
 
 
@@ -360,11 +348,8 @@ def _run_ks_marginal(scn, t, samples, arg, records, references):
 def _run_moments(scn, t, samples, arg, records, references):
     moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
-        for k in range(1, (arg or 2) + 1):
-            try:
-                ref = float(moment(scn.spec, u, k))
-            except ValueError:
-                continue
+        for k in range(1, arg + 1):
+            ref = float(moment(scn.spec, u, k))
             z = moment_test(samples[:, j], k, ref)
             est = float(np.mean(samples[:, j] ** k))
             records.append(TestRecord(t, u, f"{MOMENTS}:k={k}", est, ref,
@@ -395,15 +380,15 @@ def _run_time_reversal(scn, t, samples, arg, records, references):
     law = scn.spec.law
     n = scn.replicates
     for idx, (s, horizon) in enumerate(_REVERSAL_PAIRS):
-        fwd = np.empty(n, dtype=int)
-        rev = np.empty(n, dtype=int)
-        pairs = zip(substreams(scn.seed, (DOMAIN_AUX, 100 + idx), range(n)),
-                    substreams(scn.seed, (DOMAIN_AUX, 200 + idx), range(n)))
-        for r, (rng, rng2) in enumerate(pairs):
-            path = renewal.sample_path(law, horizon, renewal.STATIONARY, rng)
-            rev[r] = renewal.count_increment(path, horizon - s, horizon)
-            path2 = renewal.sample_path(law, s, renewal.STATIONARY, rng2)
-            fwd[r] = renewal.count(path2, s)
+        rev = np.empty(n, dtype=np.intp)
+        for at, rows in renewal.epoch_batches(
+                law, horizon, renewal.STATIONARY,
+                substreams(scn.seed, (DOMAIN_AUX, 100 + idx), range(n)), n):
+            rev[at:at + len(rows)] = (
+                np.count_nonzero(rows <= horizon, axis=1)
+                - np.count_nonzero(rows < horizon - s, axis=1))
+        fwd = renewal.counts_at(law, s, renewal.STATIONARY, substreams(
+            scn.seed, (DOMAIN_AUX, 200 + idx), range(n)), n)
         d, p = ks_two_sample(rev, fwd)
         records.append(TestRecord(horizon, s, TIME_REVERSAL, d, 0.0, p, None,
                                   p > scn.significance))
@@ -445,10 +430,8 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references):
     law = spec.law
     n = scn.replicates
     g = shotnoise.scaling_g(spec, t)
-    dev = np.empty(n)
-    for r, rng in enumerate(substreams(scn.seed, (DOMAIN_AUX, 500), range(n))):
-        dev[r] = abs(renewal.count_at(law, t, renewal.ZERO_DELAYED, rng)
-                     - t / law.mean)
+    dev = np.abs(renewal.counts_at(law, t, renewal.ZERO_DELAYED, substreams(
+        scn.seed, (DOMAIN_AUX, 500), range(n)), n) - t / law.mean)
     est = dev.mean() / g
     ref = abs_moment(spec.alpha, 1.0)
     rel = est / ref - 1.0
@@ -466,11 +449,23 @@ class Plan(NamedTuple):
                             #  references)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
-    admits: Callable        # (spec) -> bool, checked by Scenario
+    admits: Callable        # (spec, MOMENTS k or None) -> bool, checked
+                            # by Scenario
     min_points: int = 1     # u-grid points the plan needs
 
 
-def _hurst_zero(spec):
+def _closed_form_moments(spec, k):
+    # every order the runner tests must have a reference (a ValueError of
+    # Regime.moment says it has none)
+    try:
+        for order in range(1, k + 1):
+            REGIMES[spec.regime].moment(spec, 1.0, order)
+    except ValueError:
+        return False
+    return True
+
+
+def _hurst_zero(spec, _):
     # a self-similar limit with H = 0 is stationary in log time (Lamperti);
     # in the table only D4 with beta = alpha, the inverse-subordinator
     # functional the runner simulates, has H = 0
@@ -479,30 +474,32 @@ def _hurst_zero(spec):
 
 
 PLANS = {
-    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda spec: True),
-    MOMENTS: Plan(_run_moments, True, True, lambda spec: True),
+    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda spec, _: True),
+    MOMENTS: Plan(_run_moments, True, True, _closed_form_moments),
     # i.i.d. copies: only the no-scaling limits
     JOINT_PAIRWISE_INDEPENDENCE: Plan(
         _run_pairwise_independence, True, True,
-        lambda spec: REGIMES[spec.regime].g is None, min_points=2),
+        lambda spec, _: REGIMES[spec.regime].g is None, min_points=2),
     # stationary renewal paths need a finite mean
     TIME_REVERSAL: Plan(_run_time_reversal, False, False,
-                        lambda spec: math.isfinite(spec.law.mean)),
+                        lambda spec, _: math.isfinite(spec.law.mean)),
     SELF_SIMILARITY: Plan(
         _run_self_similarity, False, False,
-        lambda spec: REGIMES[spec.regime].hurst is not None, min_points=2),
+        lambda spec, _: REGIMES[spec.regime].hurst is not None,
+        min_points=2),
     STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False,
                                _hurst_zero),
     # the stable limit of the counting process: finite-mean scaled regimes
     MEAN_ABS_N: Plan(_run_mean_abs_n, True, False,
-                     lambda spec: (REGIMES[spec.regime].g is not None
-                                   and math.isfinite(spec.law.mean))),
+                     lambda spec, _: (REGIMES[spec.regime].g is not None
+                                      and math.isfinite(spec.law.mean))),
 }
 PLAN_NAMES = tuple(PLANS)
 
 
 def _parse_plan(p):
-    """The Plan of a plan string NAME or MOMENTS:k, and k or None."""
+    """The Plan of a plan string NAME or MOMENTS:k, and k (2 for a plain
+    MOMENTS) or None."""
     name, colon, arg = p.partition(":")
     plan = PLANS.get(name)
     if plan is None:
@@ -511,7 +508,9 @@ def _parse_plan(p):
                       and int(arg) >= 1):
         raise InadmissibleSpec(f"plan {p!r}: only {MOMENTS} takes an "
                                "argument, an integer k >= 1")
-    return plan, int(arg) if colon else None
+    if name == MOMENTS:
+        return plan, int(arg) if colon else 2
+    return plan, None
 
 
 def run_scenario(s: Scenario) -> TestReport:

@@ -142,6 +142,25 @@ def test_inadmissible_plan_exits_3(tmp_path, capsys):
         assert plan in capsys.readouterr().err
 
 
+def test_moments_without_closed_form_exit_3(tmp_path, capsys):
+    # the A3 limit has a closed-form first moment only, so MOMENTS:2 would
+    # test order 1 and silently skip order 2
+    a3 = A1_CONFIG.replace("name = A1", "name = A3").replace(
+        "family = exponential\nrate = 1.0",
+        "family = pareto\nalpha = 1.5\nxm = 1.0").replace(
+        "alpha = 2\nbeta = 0", "alpha = 1.5\nbeta = 0")
+    p = tmp_path / "a3.ini"
+    for plan, rc in (("MOMENTS:2", 3), ("MOMENTS", 3), ("MOMENTS:1", None)):
+        p.write_text(a3.replace("plans = KS_MARGINAL", f"plans = {plan}"))
+        got = cli.main(["verify", "--config", str(p),
+                        "--out", str(tmp_path / "r")])
+        if rc is None:
+            assert got in (cli.EXIT_OK, cli.EXIT_FAILED), plan
+        else:
+            assert got == rc, plan
+            assert plan in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("ladder", ["", "0", "-5, 10"],
                          ids=["empty", "zero", "negative"])

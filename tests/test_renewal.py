@@ -13,7 +13,7 @@ from renewalshot import renewal
 from renewalshot.renewal import (STATIONARY, ZERO_DELAYED, count, count_at,
                                  count_increment, dump_csv, sample_path,
                                  undershoot)
-from renewalshot.streams import substream
+from renewalshot.streams import substream, substreams
 from renewalshot.verify import ks_one_sample, ks_two_sample
 
 
@@ -135,9 +135,9 @@ def _whole_block_epochs(law, T, delay, rng):
                          ids=repr)
 @pytest.mark.parametrize("delay", [ZERO_DELAYED, STATIONARY])
 def test_epochs_do_not_depend_on_piece_sizes(law, delay):
-    # sample_path draws about as many gaps as the path uses, in pieces
-    # inside each 4096-gap block; the epochs equal whole-block running sums
-    # on a twin stream, for a short path and one of three blocks
+    # sample_path draws ceil(expected_count) gaps at once, not 4096 at a
+    # time; the epochs equal whole-block running sums on a twin stream,
+    # for a short path and one of three blocks
     for T in (5.0 * law.mean, 9000.0 * law.mean):
         got = sample_path(law, T, delay, substream(10, 3, 0)).arrivals
         want = _whole_block_epochs(law, T, delay, substream(10, 3, 0))
@@ -145,17 +145,70 @@ def test_epochs_do_not_depend_on_piece_sizes(law, delay):
     assert len(got) > 2 * 4096
 
 
+def _rows_match_twins(rows, law, T, delay, seed):
+    """Each row: its epochs <= T equal _whole_block_epochs on the twin
+    stream substream(seed, 3, i), and the row stays sorted past T (drawn
+    epochs, then +inf).  Returns N(T) per row."""
+    n = np.count_nonzero(rows <= T, axis=1)
+    for i, row in enumerate(rows):
+        want = _whole_block_epochs(law, T, delay, substream(seed, 3, i))
+        assert row[:n[i]].tobytes() == want.tobytes()
+        assert np.all(row[n[i]:] > T) and np.all(row[:-1] <= row[1:])
+    return n
+
+
 def test_paths_that_outgrow_the_first_piece_keep_their_epochs():
     # Pareto(1/2) counts are heavy-tailed, so some paths outgrow the first
-    # piece sized by expected_count and draw further pieces in the block
-    law, T = Pareto(0.5, 1.0), 2e4
-    lengths = []
-    for k in range(200):
-        got = sample_path(law, T, ZERO_DELAYED, substream(11, 3, k)).arrivals
-        want = _whole_block_epochs(law, T, ZERO_DELAYED, substream(11, 3, k))
-        assert got.tobytes() == want.tobytes()
-        lengths.append(len(got))
-    assert max(lengths) > math.ceil(renewal.expected_count(law, T))
+    # draw sized by expected_count and draw more from their own stream
+    # before the next row's stream is keyed; one buffer of 200 rows
+    law, T, rows = Pareto(0.5, 1.0), 2e4, 200
+    got = renewal.epoch_rows(law, T, ZERO_DELAYED,
+                             substreams(11, (3,), range(rows)), rows)
+    n = _rows_match_twins(got, law, T, ZERO_DELAYED, 11)
+    first = math.ceil(renewal.expected_count(law, T))
+    assert got.shape[0] == rows and max(n) - 1 > first
+
+
+def test_one_buffer_mixes_every_kind_of_row():
+    # stationary Pareto(1.3) gaps to T = 1e4 mu: a heavy stationary delay
+    # and counts that spread past expected_count give, in one buffer, rows
+    # whose delay exceeds T (empty), rows that end inside the first draw,
+    # rows that outgrow it, and rows of three blocks or more
+    law, rows = Pareto(1.3, 1.0), 24
+    T = 1e4 * law.mean
+    got = renewal.epoch_rows(law, T, STATIONARY,
+                             substreams(12, (3,), range(rows)), rows)
+    n = _rows_match_twins(got, law, T, STATIONARY, 12)
+    first = math.ceil(renewal.expected_count(law, T))
+    gaps_used = n - 1                   # epochs <= T after the delay
+    kinds = {"empty": n == 0,
+             "inside the first draw": (n > 0) & (gaps_used < first),
+             "outgrew it": gaps_used >= first,
+             "three blocks": gaps_used > 2 * 4096}
+    assert all(k.any() for k in kinds.values()), {
+        name: int(k.sum()) for name, k in kinds.items()}
+    assert np.all(np.isinf(got[n == 0]))
+
+
+def test_builder_refuses_rows_without_streams():
+    with pytest.raises(ValueError, match="3 rows"):
+        renewal.epoch_rows(Exponential(1.0), 10.0, ZERO_DELAYED,
+                           substreams(1, (3,), range(2)), 3)
+
+
+@pytest.mark.parametrize("law, T, delay", [
+    (Pareto(0.5, 1.0), 2e4, ZERO_DELAYED),
+    (Gamma(2.0, 2.0), 40.0, STATIONARY),
+    (Exponential(1.0), 9000.0, ZERO_DELAYED),
+], ids=["pareto", "gamma-stationary", "exponential-3-blocks"])
+def test_counts_at_equals_path_lengths(law, T, delay):
+    # more paths than one buffer holds, counted in buffers of
+    # epoch_batches
+    n = 300
+    got = renewal.counts_at(law, T, delay, substreams(13, (3,), range(n)), n)
+    want = [len(sample_path(law, T, delay, substream(13, 3, i)))
+            for i in range(n)]
+    assert got.tolist() == want
 
 
 def test_count_at_agrees_with_path():

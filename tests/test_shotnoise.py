@@ -9,13 +9,14 @@ import pytest
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
 from renewalshot.limits import x_star_tail_bound
+from renewalshot import renewal, shotnoise
 from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, REGIMES, InadmissibleSpec,
                                    LimitSpec, Regime,
                                    default_x_star_truncation, evaluate,
                                    scaled_statistic, scaling_g, solve_c)
-from renewalshot.streams import substream
+from renewalshot.streams import substream, substreams
 from renewalshot.verify import (Scenario, _limit_reference_sample,
                                 ks_one_sample, moment_test,
                                 simulate_scaled_matrix)
@@ -40,6 +41,22 @@ def test_evaluate_window_counts_recent_shots():
     t = 30.0
     expected = np.sum((p.arrivals > t - 2.0) & (p.arrivals <= t))
     assert evaluate(p, h, t) == pytest.approx(float(expected))
+
+
+@pytest.mark.parametrize("T", [50.0, 5000.0], ids=["gathered", "sliced"])
+def test_shot_noise_on_a_buffer_equals_evaluate(T):
+    # a buffer of renewal.epoch_rows: rows narrower than _GATHER_WIDTH go
+    # through one masked gather, wider ones through a slice per row; both
+    # equal evaluate on each path bit for bit
+    law, h, n = Exponential(1.0), PowerDecay(0.25), 20
+    rows = renewal.epoch_rows(law, T, ZERO_DELAYED,
+                              substreams(21, (3,), range(n)), n)
+    assert (rows.shape[1] < shotnoise._GATHER_WIDTH) == (T == 50.0)
+    times = (0.3 * T, T)
+    got = shotnoise.shot_noise(rows, h, times)
+    for i in range(n):
+        p = _path(law, T, key=i)
+        assert got[i].tolist() == [evaluate(p, h, tau) for tau in times]
 
 
 def test_centered_statistic_centering():

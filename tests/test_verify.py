@@ -134,6 +134,11 @@ def test_scenario_validation():
                  "KS_MARGINAL:zzz", "TIME_REVERSAL:3"):
         with pytest.raises(InadmissibleSpec, match="argument|k >= 1"):
             _a1_scenario(plans=(plan,))
+    # a moment order with no closed-form reference (X* has order 1 only;
+    # a plain MOMENTS asks for orders 1 and 2)
+    for plan in ("MOMENTS", "MOMENTS:2"):
+        with pytest.raises(InadmissibleSpec, match="does not apply"):
+            _a1_scenario(spec=DRI_SPEC, plans=(plan,))
     for spec, plan in ((D4_SPEC, "SELF_SIMILARITY"),
                        (DRI_SPEC, "JOINT_PAIRWISE_INDEPENDENCE")):
         with pytest.raises(InadmissibleSpec, match="at least 2"):
