@@ -4,8 +4,8 @@ Simulates stable Levy motion and the inverse stable subordinator, builds
 the fractionally integrated functionals (for Levy motion by summation by
 parts, weights (u-y_k)^{-beta} against increments, never the raw
 singular kernel; for the inverse subordinator as a sum over the jump
-epochs of the subordinator), and evaluates every closed-form moment and
-covariance the limit theorems provide.
+epochs of the subordinator), and evaluates every moment and covariance of
+the limits in closed form, with no quadrature and no cutoff.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.special import gamma as _gamma
 
 from .laws import IncrementLaw, ResponseFunction
@@ -162,72 +162,36 @@ def covariance_inverse_case(alpha: float, beta: float,
                             t1: float, t2: float) -> float:
     """E[Y(t1) Y(t2)] for the inverse-subordinator functional, t1 <= t2.
 
-    Adaptive quadrature of the closed-form kernel; the endpoint
-    singularities y^{alpha-1} and (t1-y)^{-beta} are removed by the
-    substitutions y = s^{1/alpha} and t1 - y = w^{1/(1-beta)}.
+    The kernel integral over y in (0, t1) of y^{alpha-1} (t1-y)^{-beta}
+    (t2-y)^{-beta} ((t1-y)^alpha + (t2-y)^alpha) is, term by term, Euler's
+    integral int_0^{t1} y^{alpha-1} (t1-y)^p (t2-y)^q dy
+    = t1^{alpha+p} t2^q B(alpha, p+1) 2F1(-q, alpha; alpha+p+1; t1/t2).
     """
     if not 0 < t1 <= t2:
         raise ValueError("need 0 < t1 <= t2")
-    if not 0 < alpha < 1 or beta >= 1:
-        raise ValueError("need alpha in (0,1) and beta < 1")
-    front = _gamma_checked(1.0 - beta) / (
-        _gamma_checked(alpha) * _gamma_checked(1.0 - alpha) ** 2
-        * _gamma_checked(1.0 + alpha - beta))
-
-    def kernel(y):
-        return ((t1 - y) ** (-beta) * (t2 - y) ** (-beta) * y ** (alpha - 1)
-                * ((t1 - y) ** alpha + (t2 - y) ** alpha))
-
-    mid = 0.5 * t1
-
-    # left half: y = s^{1/alpha} tames y^{alpha-1}
-    def left(s):
-        y = s ** (1.0 / alpha)
-        return kernel(y) * y ** (1.0 - alpha) / alpha
-
-    il, el = integrate.quad(left, 0.0, mid**alpha, epsabs=1e-11, limit=200)
-
-    # right half: t1 - y = w^{1/(1-beta)} tames (t1-y)^{-beta}
-    q = 1.0 - beta
-
-    def right(w):
-        y = t1 - w ** (1.0 / q)
-        return kernel(y) * w ** (beta / q) / q
-
-    ir, er = integrate.quad(right, 0.0, (t1 - mid) ** q, epsabs=1e-11, limit=200)
-    if el + er > 1e-7 * max(1.0, abs(il + ir)):
-        raise RuntimeError(f"covariance quadrature did not converge "
-                           f"(error estimate {el + er:.2e})")
-    return front * (il + ir)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0 <= beta <= alpha:
+        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    front = _gamma(1.0 - beta) / (_gamma(alpha) * _gamma(1.0 - alpha) ** 2
+                                  * _gamma(1.0 + alpha - beta))
+    z = t1 / t2
+    own = (t1 ** (2.0 * alpha - beta) * t2 ** -beta
+           * special.beta(alpha, alpha - beta + 1.0)
+           * special.hyp2f1(beta, alpha, 2.0 * alpha - beta + 1.0, z))
+    cross = ((t1 * t2) ** (alpha - beta) * special.beta(alpha, 1.0 - beta)
+             * special.hyp2f1(beta - alpha, alpha, alpha - beta + 1.0, z))
+    return front * (own + cross)
 
 
 def stationary_covariance(alpha: float, s: float) -> float:
     """R(s) = 1/(Gamma(alpha)Gamma(1-alpha)) * int_{|s|}^inf
     (1-e^{-y})^{-alpha} e^{-alpha y} dy, the log-time covariance of the
-    exponential-marginal process."""
+    exponential-marginal process.  With x = e^{-y} this is the regularized
+    incomplete beta function I_{e^{-|s|}}(alpha, 1 - alpha)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    top = math.exp(-abs(s))
-    # substitute x = e^{-y}: integral over (0, e^{-|s|}] of x^{a-1}(1-x)^{-a}
-    mid = 0.5 * min(top, 1.0)
-
-    def left(v):                         # x = v^{1/alpha}
-        x = v ** (1.0 / alpha)
-        return (1.0 - x) ** (-alpha) / alpha
-
-    val, err = integrate.quad(left, 0.0, mid**alpha, epsabs=1e-13, limit=200)
-    if top > mid:
-        q = 1.0 - alpha
-
-        def right(w):                    # 1 - x = w^{1/(1-alpha)}
-            x = 1.0 - w ** (1.0 / q)
-            return x ** (alpha - 1.0) / q
-
-        v2, e2 = integrate.quad(right, (1.0 - top) ** q, (1.0 - mid) ** q,
-                                epsabs=1e-13, limit=200)
-        val += v2
-        err += e2
-    return val / (_gamma(alpha) * _gamma(1.0 - alpha))
+    return special.betainc(alpha, 1.0 - alpha, math.exp(-abs(s)))
 
 
 def increment_dependence_gap(alpha: float, beta: float,
@@ -249,9 +213,9 @@ def increment_dependence_gap(alpha: float, beta: float,
 
 def x_star_tail_bound(law: IncrementLaw, h: ResponseFunction, T: float) -> float:
     """Deterministic bound on the mean truncation error of X* at level T:
-    int_T^inf h / mu (stationary intensity is Lebesgue/mu)."""
-    big = max(64.0 * T, 1e9)
-    return (h.integral(big) - h.integral(T)) / law.mean
+    int_T^inf h / mu (stationary intensity is Lebesgue/mu), inf for a
+    non-integrable h."""
+    return (h.integral(math.inf) - h.integral(T)) / law.mean
 
 
 def sample_X_star(law: IncrementLaw, h: ResponseFunction, T: float,

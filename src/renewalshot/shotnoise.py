@@ -290,8 +290,7 @@ def _zero_mean(spec, u, k):
 def _x_star_mean(spec, u, k):
     if k != 1:
         raise ValueError("no closed-form higher moments for X*")
-    big = max(1e9, 1e4 * spec.law.mean)
-    return spec.h.integral(big) / spec.law.mean
+    return spec.h.integral(math.inf) / spec.law.mean
 
 
 def _levy_hurst(spec):

@@ -289,6 +289,17 @@ def test_formula_values(capsys):
     assert payload["value"] == pytest.approx(0.9711758940233491, rel=1e-6)
 
 
+def test_formula_covariance_at_alpha_equals_beta(capsys):
+    # beta = alpha: Y(1) ~ Exp(1), whose second moment is 2
+    assert cli.main(["formula", "covariance", "--alpha", "0.9", "--beta",
+                     "0.9", "--t1", "1", "--t2", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2.00000000000"
+    # beta > alpha is no limit of the theorem
+    assert cli.main(["formula", "covariance", "--alpha", "0.5", "--beta",
+                     "0.6", "--t1", "1", "--t2", "2"]) == 2
+    assert "0 <= beta <= alpha" in capsys.readouterr().err
+
+
 def test_formula_unknown_name_exits_2():
     assert cli.main(["formula", "frobnicate"]) == 2
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from renewalshot import limits
 from renewalshot.laws import Exponential, ExpDecay, Pareto, PowerDecay, Uniform
@@ -84,13 +84,48 @@ def test_moments_inverse_case_values():
 
 def test_covariance_inverse_equals_second_moment_on_diagonal():
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        a = rng.uniform(0.1, 0.9)
+    for _ in range(300):
+        a = rng.uniform(0.02, 0.98)
         b = rng.uniform(0.0, a)
         t = rng.uniform(0.5, 3.0)
         cov = covariance_inverse_case(a, b, t, t)
         mom = moments_inverse_case(a, b, t, 2)
-        assert cov == pytest.approx(mom, rel=1e-6), (a, b, t)
+        assert cov == pytest.approx(mom, rel=1e-12), (a, b, t)
+
+
+def test_covariance_inverse_matches_the_defining_integral():
+    # independent oracle off the diagonal: the kernel integral with its
+    # endpoint singularities y^{alpha-1} (t1-y)^{-beta} as quad's
+    # algebraic weight
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        a = rng.uniform(0.02, 0.98)
+        b = rng.uniform(0.0, a)
+        t1 = rng.uniform(0.2, 3.0)
+        t2 = t1 * rng.uniform(1.01, 20.0)
+        front = special.gamma(1 - b) / (special.gamma(a)
+                                         * special.gamma(1 - a) ** 2
+                                         * special.gamma(1 + a - b))
+        body, _ = integrate.quad(
+            lambda y: (t2 - y) ** -b * (abs(t1 - y) ** a + (t2 - y) ** a),
+            0.0, t1, weight="alg", wvar=(a - 1, -b), epsabs=0, epsrel=1e-10)
+        assert covariance_inverse_case(a, b, t1, t2) == pytest.approx(
+            front * body, rel=1e-9), (a, b, t1, t2)
+
+
+def test_covariance_at_alpha_equals_beta_is_exponential():
+    # beta = alpha: Y(t) ~ Exp(1), so E Y(t)^2 = 2, and off the diagonal
+    # E[Y(t1) Y(t2)] - 1 is the log-time covariance R(log(t2/t1))
+    assert covariance_inverse_case(0.9, 0.9, 1.0, 1.0) == pytest.approx(
+        2.0, abs=1e-12)
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        a = rng.uniform(0.02, 0.98)
+        t1 = rng.uniform(0.1, 3.0)
+        t2 = t1 * rng.uniform(1.0, 50.0)
+        cov = covariance_inverse_case(a, a, t1, t2)
+        assert cov - 1.0 == pytest.approx(
+            stationary_covariance(a, math.log(t2 / t1)), abs=1e-12), (a, t1, t2)
 
 
 def test_covariance_inverse_ordering_precondition():
@@ -98,17 +133,25 @@ def test_covariance_inverse_ordering_precondition():
         covariance_inverse_case(0.5, 0.25, 2.0, 1.0)
     with pytest.raises(ValueError):
         covariance_inverse_case(0.5, 0.25, 0.0, 1.0)
+    with pytest.raises(ValueError, match="0 <= beta <= alpha"):
+        covariance_inverse_case(0.5, 0.6, 1.0, 2.0)
+    with pytest.raises(ValueError, match="0 <= beta <= alpha"):
+        covariance_inverse_case(0.5, -0.1, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        covariance_inverse_case(1.0, 0.5, 1.0, 2.0)
 
 
 def test_stationary_covariance_closed_form():
-    for a in (0.3, 0.5, 0.7):
-        assert stationary_covariance(a, 0.0) == pytest.approx(1.0, abs=1e-10)
+    for a in (0.02, 0.3, 0.5, 0.7, 0.98):
+        assert stationary_covariance(a, 0.0) == 1.0
     assert stationary_covariance(0.5, math.log(2.0)) == pytest.approx(0.5,
-                                                                      abs=1e-10)
-    # independent oracle: R(s) = I_{e^{-|s|}}(alpha, 1 - alpha)
-    for a, s in ((0.3, 0.4), (0.5, 1.2), (0.7, 2.5)):
-        oracle = special.betainc(a, 1 - a, math.exp(-abs(s)))
-        assert stationary_covariance(a, s) == pytest.approx(oracle, abs=1e-10)
+                                                                      abs=1e-15)
+    # independent oracle at alpha = 1/2, the arcsine law:
+    # R(s) = (2/pi) arcsin(e^{-|s|/2})
+    for s in (0.05, 0.4, 1.2, 2.5, 10.0):
+        oracle = 2 / math.pi * math.asin(math.exp(-s / 2))
+        assert stationary_covariance(0.5, s) == pytest.approx(oracle,
+                                                              rel=1e-14)
     assert stationary_covariance(0.5, -1.0) == stationary_covariance(0.5, 1.0)
 
 
@@ -206,6 +249,11 @@ def test_x_star_sampling():
     h = ExpDecay(1.0)
     assert x_star_tail_bound(law, h, 30.0) == pytest.approx(math.exp(-30.0),
                                                             rel=1e-6)
+    # the exact tail int_T^inf h / mu, not one cut off at a finite level
+    assert x_star_tail_bound(Exponential(2.0), PowerDecay(1.5),
+                             1e8) == pytest.approx(4 * (1e8 + 1) ** -0.5,
+                                                   rel=1e-9)
+    assert x_star_tail_bound(law, PowerDecay(0.75), 1e3) == math.inf
     n = 20000
     x = np.array([sample_X_star(law, h, 40.0, substream(31, 6, r))
                   for r in range(n)])

@@ -167,6 +167,16 @@ def test_default_x_star_truncation_needs_an_integrable_response():
         default_x_star_truncation(centered)
 
 
+@pytest.mark.parametrize("h, integral", [(PowerDecay(1.2), 5.0),
+                                         (ParetoTailMatch(1.1), 11.0),
+                                         (ExpDecay(0.5), 2.0)], ids=repr)
+def test_x_star_mean_is_the_whole_integral_over_mu(h, integral):
+    # E X* = mu^{-1} int_0^inf h, with no cutoff of the slowly decaying h
+    spec = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(2.0), h)
+    assert REGIMES[NOSCALE_DRI].moment(spec, 1.0, 1) == pytest.approx(
+        2.0 * integral, rel=1e-12)
+
+
 def test_tail_matched_d4_floor_and_renewal_identity():
     # h = P(xi > .) with c = 1, so the D4 statistic is X(t) itself.  The
     # shot at S_0 = 0 adds h(t) to every path: X(t) >= h(t), and the ECDF
