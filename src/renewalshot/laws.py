@@ -163,11 +163,13 @@ class Gamma(IncrementLaw):
 
     def stationary_cdf(self, t):
         # integral of the survival function in closed form:
-        #   int_0^t Q(k, r x) dx = t Q(k, r t) + (k/r) P(k+1, r t)
+        #   int_0^t Q(k, r x) dx = t Q(k, r t) + (k/r) P(k+1, r t),
+        # so 1 - F = Q(k+1, r t) - (r t/k) Q(k, r t); computing 1 - F and
+        # clipping it at 0 keeps F monotone where the tail rounds away
         k, r = self.shape, self.rate
-        t = np.asarray(t, dtype=float)
-        x = r * t
-        return (r * t / k) * special.gammaincc(k, x) + special.gammainc(k + 1, x)
+        x = r * np.asarray(t, dtype=float)
+        tail = special.gammaincc(k + 1, x) - (x / k) * special.gammaincc(k, x)
+        return 1.0 - np.maximum(tail, 0.0)
 
     def stationary_delay(self, rng, size=None):
         # U times the size-biased law Gamma(k+1, r)

@@ -166,15 +166,18 @@ def scaled_statistic(spec: LimitSpec, path: RenewalPath,
 
 
 def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
-    """Level T where the X* truncation bound is at most tol (T < 1e6 allowing).
-    The bound needs an integrable response; for any other the level must
-    be given as x_star_truncation."""
+    """Level T where the X* truncation bound is at most tol: 10 mu doubled
+    until it is.  A ValueError once T passes 1e6 with the bound still
+    above tol (always for a non-integrable response, whose bound is inf):
+    the level must then be given as x_star_truncation."""
     law, h = spec.law, spec.h
-    if not h.integrable:
-        raise ValueError(f"response {h!r} is not integrable, so there is no "
-                         "default X* truncation level; set x_star_truncation")
     T = 10.0 * law.mean
-    while limits.x_star_tail_bound(law, h, T) > tol and T < 1e6:
+    while (bound := limits.x_star_tail_bound(law, h, T)) > tol:
+        if T >= 1e6:
+            raise ValueError(
+                f"the X* truncation bound of {h!r} is {bound:.3g} at "
+                f"T = {T:g}, above {tol:g}, so there is no default X* "
+                "truncation level; set x_star_truncation")
         T *= 2.0
     return T
 

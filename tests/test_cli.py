@@ -195,6 +195,19 @@ def test_centered_references_without_truncation_exit_2(tmp_path, capsys):
     assert "x_star_truncation" in capsys.readouterr().err
 
 
+def test_slowly_decaying_response_without_truncation_exits_2(tmp_path,
+                                                             capsys):
+    # PowerDecay(1.5) is integrable, but its X* tail bound is still 1.7e-3
+    # at the 1e6 cap of the default truncation level
+    p = tmp_path / "dri.ini"
+    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI")
+                 .replace("kind = constant\nvalue = 1.0",
+                          "kind = powerdecay\nbeta = 1.5"))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "x_star_truncation" in capsys.readouterr().err
+
+
 def test_readme_config_block_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -72,6 +72,17 @@ def test_stationary_cdf_is_integrated_tail(law):
         assert abs(deriv - float(law.tail_prob(t)) / law.mean) < 1e-5
 
 
+def test_gamma_stationary_cdf_is_monotone():
+    # 40 sorted t in [0, 100 mu] for each of 2000 random Gamma laws; the
+    # CDF must not step down in the last bit where its tail rounds to 0
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        law = Gamma(rng.uniform(0.1, 20.0), rng.uniform(0.05, 5.0))
+        t = np.sort(rng.uniform(0.0, 100.0 * law.mean, 40))
+        f = law.stationary_cdf(t)
+        assert np.all(np.diff(f) >= 0) and f[0] >= 0 and f[-1] <= 1, law
+
+
 def test_pareto_metadata():
     law = Pareto(1.5, 2.0)
     assert law.tail_index == 1.5
