@@ -96,7 +96,7 @@ def test_covariance_inverse_equals_second_moment_on_diagonal():
 def test_covariance_inverse_matches_the_defining_integral():
     # independent oracle off the diagonal: the kernel integral with its
     # endpoint singularities y^{alpha-1} (t1-y)^{-beta} as quad's
-    # algebraic weight
+    # algebraic weight (abs, because quad may step an ulp past t1)
     rng = np.random.default_rng(8)
     for _ in range(40):
         a = rng.uniform(0.02, 0.98)
@@ -249,7 +249,7 @@ def test_x_star_sampling():
     h = ExpDecay(1.0)
     assert x_star_tail_bound(law, h, 30.0) == pytest.approx(math.exp(-30.0),
                                                             rel=1e-6)
-    # the exact tail int_T^inf h / mu, not one cut off at a finite level
+    # int_T^inf h / mu exactly: 2 (T+1)^{-1/2} / mu for PowerDecay(1.5)
     assert x_star_tail_bound(Exponential(2.0), PowerDecay(1.5),
                              1e8) == pytest.approx(4 * (1e8 + 1) ** -0.5,
                                                    rel=1e-9)
