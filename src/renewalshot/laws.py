@@ -1,8 +1,8 @@
 """Parametric increment laws and response functions.
 
 The family set is closed on purpose: every analytic quantity the limit
-theorems need (mean, variance, tail index, slowly varying part, integrals
-of the response) is carried as exact metadata, so no asymptotic side
+theorems need (mean, variance, tail index and scale, integrals of the
+response) is carried as exact metadata, so no asymptotic side
 condition is ever "checked" numerically at runtime.
 
 All supported increment laws are strictly positive and non-lattice.
@@ -28,8 +28,9 @@ class IncrementLaw(ABC):
     #: (0, inf] tail index of P(xi > t); inf for light tails
     tail_index: float
 
-    #: "constant" | "logarithmic" | "not applicable"
-    slow_varying: str
+    #: x_m in P(xi > t) ~ (x_m/t)^tail_index; defined only where the tail
+    #: index is finite
+    tail_scale: float
 
     @property
     @abstractmethod
@@ -51,10 +52,6 @@ class IncrementLaw(ABC):
     @abstractmethod
     def stationary_delay(self, rng: np.random.Generator, size=None): ...
 
-    def ell(self, t):
-        """Slowly varying part relevant for the normalizer c(t)."""
-        raise ValueError(f"{type(self).__name__} has no slowly varying part")
-
     def _require_finite_mean(self):
         if not math.isfinite(self.mean):
             raise ValueError("law has infinite mean; no stationary version exists")
@@ -69,7 +66,6 @@ class Exponential(IncrementLaw):
             raise ValueError("rate must be positive")
 
     tail_index = math.inf
-    slow_varying = "not applicable"
 
     @property
     def mean(self):
@@ -104,7 +100,6 @@ class Uniform(IncrementLaw):
             raise ValueError("need 0 <= a < b")
 
     tail_index = math.inf
-    slow_varying = "not applicable"
 
     @property
     def mean(self):
@@ -145,7 +140,6 @@ class Gamma(IncrementLaw):
             raise ValueError("shape and rate must be positive")
 
     tail_index = math.inf
-    slow_varying = "not applicable"
 
     @property
     def mean(self):
@@ -193,10 +187,8 @@ class Pareto(IncrementLaw):
         return self.alpha
 
     @property
-    def slow_varying(self):
-        # alpha = 2 sits in the (A2)/(D2) regime where the relevant ell comes
-        # from the truncated second moment and is logarithmic.
-        return "logarithmic" if self.alpha == 2 else "constant"
+    def tail_scale(self):
+        return self.xm
 
     @property
     def mean(self):
@@ -209,12 +201,6 @@ class Pareto(IncrementLaw):
         if a <= 2:
             return math.inf
         return self.xm**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
-
-    def ell(self, t):
-        if self.alpha == 2:
-            # E[xi^2 1{xi <= t}] = 2 x_m^2 ln(t/x_m)
-            return 2.0 * self.xm**2 * np.log(np.asarray(t, dtype=float) / self.xm)
-        return np.full_like(np.asarray(t, dtype=float), self.xm**self.alpha)
 
     def tail_prob(self, t):
         t = np.asarray(t, dtype=float)

@@ -148,8 +148,10 @@ def moments_inverse_case(alpha: float, beta: float, u: float, k: int) -> float:
         raise ValueError("k must be a positive integer")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if beta >= 1:
-        raise ValueError("beta must be < 1")
+    if not 0 <= beta <= alpha:
+        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    if not u > 0:
+        raise ValueError("u must be positive")
     prod = 1.0
     for j in range(1, k + 1):
         prod *= (_gamma_checked(1.0 - beta + (j - 1) * (alpha - beta))
@@ -225,22 +227,3 @@ def sample_X_star(law: IncrementLaw, h: ResponseFunction, T: float,
         raise ValueError("X* requires an integrable (d.R.i.) response")
     path = sample_path(law, T, STATIONARY, stream)
     return float(np.sum(h.eval(path.arrivals)))
-
-
-def sample_X_star_centered(law: IncrementLaw, h: ResponseFunction, T: float,
-                           stream: np.random.Generator) -> float:
-    """One draw of the centered no-scaling limit at truncation level T:
-    sum_{S_k* <= T} h(S_k*) - mu^{-1} int_0^T h.
-
-    Only the finite-variance / square-integrable regime is supported; the
-    heavier-tail regimes require smoothness hypotheses that cannot be
-    checked here.
-    """
-    if h.integrable:
-        raise ValueError("response is integrable; use sample_X_star")
-    if not math.isfinite(law.variance):
-        raise ValueError("finite variance required")
-    if not h.square_integrable:
-        raise ValueError("square-integrable response required")
-    path = sample_path(law, T, STATIONARY, stream)
-    return float(np.sum(h.eval(path.arrivals))) - h.integral(T) / law.mean

@@ -40,20 +40,21 @@ class RenewalPath:
 def expected_count(law: IncrementLaw, T: float) -> float:
     """The up-front draw size of a path to T and the resource-cap
     estimate of N(T): T/mu plus ten times the spread of N(T) for a finite
-    mean, sqrt(T/mu + 1) or, for a Pareto law with 1 < a <= 2 if larger,
-    the scale (mu/x_m)^(-1-1/a) (T/x_m)^(1/a) of its stable limit; for an
-    infinite-mean Pareto law the Mittag-Leffler mean
-    (T/x_m)^a / (Gamma(1+a) Gamma(1-a)) plus 100.  It is not a bound:
-    N(T)/T^a has a spread-out Mittag-Leffler limit, and 169 of the 2000
-    Pareto(1/2) replicate paths to T = 2e4 at seed 1 exceed it."""
-    a = law.tail_index
-    if math.isfinite(law.mean):
-        spread = math.sqrt(T / law.mean + 1)
-        if not math.isfinite(law.variance):
-            spread = max(spread, (law.mean / law.xm) ** (-1.0 - 1.0 / a)
-                         * (T / law.xm) ** (1.0 / a))
-        return T / law.mean + 10.0 * spread
-    return (T / law.xm) ** a / (math.gamma(1 + a) * math.gamma(1 - a)) + 100.0
+    mean, sqrt(T/mu + 1) or, for an infinite variance (tail index
+    1 < a <= 2, tail scale x_m) if larger, the scale
+    (mu/x_m)^(-1-1/a) (T/x_m)^(1/a) of its stable limit; for an infinite
+    mean the Mittag-Leffler mean (T/x_m)^a / (Gamma(1+a) Gamma(1-a)) plus
+    100.  It is not a bound: N(T)/T^a has a spread-out Mittag-Leffler
+    limit, and 169 of the 2000 Pareto(1/2) replicate paths to T = 2e4 at
+    seed 1 exceed it."""
+    if math.isfinite(law.variance):
+        return T / law.mean + 10.0 * math.sqrt(T / law.mean + 1)
+    a, xm = law.tail_index, law.tail_scale
+    if not math.isfinite(law.mean):
+        return (T / xm) ** a / (math.gamma(1 + a) * math.gamma(1 - a)) + 100.0
+    spread = max(math.sqrt(T / law.mean + 1),
+                 (law.mean / xm) ** (-1.0 - 1.0 / a) * (T / xm) ** (1.0 / a))
+    return T / law.mean + 10.0 * spread
 
 
 def _fill_epochs(row: np.ndarray, start: float, gaps: np.ndarray) -> None:

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from . import limits
-from .laws import Constant, IncrementLaw, Pareto, ResponseFunction, Window
+from . import limits, renewal
+from .laws import Constant, IncrementLaw, ResponseFunction
 from .renewal import RenewalPath
 from .streams import substream, substreams
 
@@ -48,7 +48,7 @@ class LimitSpec:
         regime = REGIMES[self.regime]
         hypotheses = regime.admits
         if regime.g is not None:
-            hypotheses = (_H_VISIBLE,) + hypotheses + (_H_DECLARED_BETA,)
+            hypotheses += (_H_DECLARED_BETA,)
         for holds, why in hypotheses:
             if not holds(self):
                 raise InadmissibleSpec(why.format(s=self))
@@ -69,24 +69,26 @@ def evaluate(path: RenewalPath, h: ResponseFunction, t: float) -> float:
 
 
 def solve_c(law: IncrementLaw, t: float) -> float:
-    """Normalizer c(t) with t * ell(c) / c^alpha -> 1.
+    """Normalizer c(t) of a law with tail index a and tail scale x_m,
+    P(xi > t) ~ (x_m/t)^a.
 
-    Constant ell: closed form (ell0 * t)^{1/alpha}.  Logarithmic ell
-    (Pareto, alpha = 2): the upper root of c^2 = t * ell(c), by bisection
-    to relative tolerance 1e-10.
+    a != 2: t P(xi > c) = 1, the closed form c = (x_m^a t)^{1/a}.  a = 2:
+    c^2 = t E[xi^2 1{xi <= c}] with the truncated second moment
+    2 x_m^2 ln(c/x_m) (exact for Pareto), its upper root by bisection to
+    relative tolerance 1e-10.
     """
-    if not isinstance(law, Pareto):
-        raise ValueError("normalizer defined for Pareto laws only")
+    if not math.isfinite(law.tail_index):
+        raise ValueError("normalizer needs a finite tail index")
     if t <= 0:
         raise ValueError("t must be positive")
-    a, xm = law.alpha, law.xm
-    if law.slow_varying == "constant":
+    a, xm = law.tail_index, law.tail_scale
+    if a != 2:
         return (xm**a * t) ** (1.0 / a)
     # c^2 = 2 t xm^2 ln(c/xm); roots exist only for t >= e
     phi = lambda c: c * c - t * 2.0 * xm * xm * math.log(c / xm)
     c_min = xm * math.sqrt(t)          # minimizer of phi
     if phi(c_min) > 0:
-        raise ValueError(f"t={t} too small: c^2 = t*ell(c) has no root")
+        raise ValueError(f"t={t} too small: phi(c) = 0 has no root")
     hi = c_min
     while phi(hi) <= 0:
         hi *= 2.0
@@ -139,10 +141,15 @@ def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
             used = [a[:a.searchsorted(tau, side="right")][::-1] for a in paths]
             ages = tau - np.concatenate(used)
             lengths = [len(a) for a in used]
-        vals = h.eval(ages)
-        cut = np.cumsum([0] + lengths).tolist()
-        out[:, j] = [np.add.reduce(vals[a:b]) for a, b in zip(cut, cut[1:])]
+        out[:, j] = _row_sums(h.eval(ages), lengths)
     return out
+
+
+def _row_sums(vals: np.ndarray, lengths: list) -> list:
+    """np.add.reduce (np.sum, pairwise, without its Python wrapper) over
+    consecutive slices of vals of the given lengths."""
+    cut = np.cumsum([0] + lengths).tolist()
+    return [np.add.reduce(vals[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
@@ -187,22 +194,18 @@ def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 # hypotheses: (condition on the spec, message formatted with s=spec); every
-# scaled regime (g is not None) also needs the first and the last of these
-_H_VISIBLE = (lambda s: not isinstance(s.h, Window),
-              "Window response vanishes at large t; scaled regimes need "
-              "h > 0 eventually")
-_H_DECLARED_BETA = (lambda s: s.h.rv_index is None or s.h.rv_index == s.beta,
-                    "response decays with index {s.h.rv_index}, spec declares "
-                    "beta = {s.beta}")
+# scaled regime (g is not None) also needs _H_DECLARED_BETA
+_H_DECLARED_BETA = (lambda s: s.h.rv_index == s.beta,
+                    "scaled regimes need h regularly varying with index "
+                    "-beta = -{s.beta}; {s.h!r} has index {s.h.rv_index}")
+_H_TAIL_ALPHA = (lambda s: s.law.tail_index == s.alpha,
+                 "{s.regime} requires a gap law with tail index alpha = "
+                 "{s.alpha}; {s.law!r} has {s.law.tail_index}")
 _GAUSSIAN_HYPOTHESES = (
     (lambda s: s.alpha == 2, "{s.regime} requires alpha = 2"),
     (lambda s: 0 <= s.beta < 0.5,
      "{s.regime} requires beta in [0, 1/2), got {s.beta}"),
 )
-
-
-def _matching_pareto(spec):
-    return isinstance(spec.law, Pareto) and spec.law.alpha == spec.alpha
 
 
 def _plain(spec, paths, u, t):
@@ -261,13 +264,25 @@ def _gaussian_reference(spec, u_grid, n, seed, key, scenario):
     return substream(seed, *key).normal(0.0, sd, (n, len(u_grid)))
 
 
-def _x_star_reference(sample, spec, u_grid, n, seed, key, scenario):
-    """Independent X* columns; draw (i, j) from stream (seed, *key, j, i)."""
-    trunc = scenario.x_star_truncation or default_x_star_truncation(spec)
-    return np.column_stack([
-        [sample(spec.law, spec.h, trunc, rng)
-         for rng in substreams(seed, key + (j,), range(n))]
-        for j in range(len(u_grid))])
+def _x_star_reference(spec, u_grid, n, seed, key, scenario):
+    """Independent X* columns truncated at T: draw (i, j) is the sum of h
+    over the epochs <= T, in order, of the stationary path of stream
+    (seed, *key, j, i), so it equals limits.sample_X_star on that stream
+    bit for bit; for a non-integrable h (the centered regime) minus
+    mu^{-1} int_0^T h."""
+    law, h = spec.law, spec.h
+    T = scenario.x_star_truncation or default_x_star_truncation(spec)
+    out = np.empty((n, len(u_grid)))
+    for j in range(len(u_grid)):
+        for lo, rows in renewal.epoch_batches(
+                law, T, renewal.STATIONARY,
+                substreams(seed, key + (j,), range(n)), n):
+            used = rows <= T
+            out[lo:lo + len(rows), j] = _row_sums(
+                h.eval(rows[used]), np.count_nonzero(used, axis=1).tolist())
+    if not h.integrable:
+        out -= h.integral(T) / law.mean
+    return out
 
 
 def _inverse_subordinator_reference(spec, u_grid, n, seed, key, scenario):
@@ -328,8 +343,7 @@ REGIMES = {
                 (lambda s: math.isfinite(s.law.mean),
                  "no-scaling limit needs a finite mean")),
         g=None, statistic=_plain, exact=lambda spec, u: None,
-        reference=lambda *args: _x_star_reference(limits.sample_X_star,
-                                                  *args),
+        reference=_x_star_reference,
         moment=_x_star_mean, hurst=None),
     NOSCALE_CENTERED: Regime(
         admits=((lambda s: math.isfinite(s.law.variance),
@@ -338,8 +352,7 @@ REGIMES = {
                  "centered regime needs a non-integrable, square-integrable "
                  "response")),
         g=None, statistic=_centered, exact=lambda spec, u: None,
-        reference=lambda *args: _x_star_reference(
-            limits.sample_X_star_centered, *args),
+        reference=_x_star_reference,
         moment=_zero_mean, hurst=None),
     A1: Regime(
         admits=_GAUSSIAN_HYPOTHESES + (
@@ -353,8 +366,7 @@ REGIMES = {
         admits=_GAUSSIAN_HYPOTHESES + (
             (lambda s: not math.isfinite(s.law.variance),
              "A2 requires infinite variance"),
-            (lambda s: isinstance(s.law, Pareto) and s.law.alpha == 2,
-             "A2 normalizer needs the Pareto tail-index-2 law")),
+            _H_TAIL_ALPHA),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
@@ -362,7 +374,7 @@ REGIMES = {
         admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
                 (lambda s: 0 <= s.beta < 1.0 / s.alpha,
                  "A3 requires beta in the interval (0,1/alpha); got {s.beta}"),
-                (_matching_pareto, "A3 requires the matching Pareto law")),
+                _H_TAIL_ALPHA),
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
@@ -375,7 +387,7 @@ REGIMES = {
         admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),
                 (lambda s: 0 <= s.beta <= s.alpha,
                  "D4 requires beta in [0, alpha]; got {s.beta}"),
-                (_matching_pareto, "D4 requires an infinite-mean Pareto law")),
+                _H_TAIL_ALPHA),
         g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
         statistic=_tail_scaled, exact=_d4_cdf,
         reference=_inverse_subordinator_reference,

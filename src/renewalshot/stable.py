@@ -104,10 +104,9 @@ def abs_moment(alpha: float, r: float) -> float:
     """
     if r <= 0:
         raise ValueError("r must be positive")
+    StableSpec(alpha)               # alpha in (0, 2], alpha != 1
     if alpha == 2:
         return 2.0 ** (r / 2.0) * _gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
-    if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2]")
     if r >= alpha:
         raise ValueError("moment of order r >= alpha is infinite")
     return (2.0 * _gamma(r + 1.0) / (math.pi * r) * math.sin(r * math.pi / 2.0)

@@ -128,6 +128,21 @@ def test_inadmissible_beta_exits_3(tmp_path, capsys):
     assert "(0,1/alpha)" in capsys.readouterr().err
 
 
+def test_response_without_power_decay_exits_3(tmp_path, capsys):
+    # D4 scales by P(xi > t)/h(t); ExpDecay is not regularly varying, and
+    # its h(1000) underflows to 0, so the spec must stop at admission
+    bad = EXP_LIMIT_CONFIG.replace(
+        "kind = paretotailmatch\nalpha = 0.5\nxm = 1.0\nc = 1.0",
+        "kind = expdecay\nlam = 1.0").replace(
+        "beta = 0.5", "beta = 0.25").replace("t = 500", "t = 1000")
+    assert "expdecay" in bad and "t = 1000" in bad
+    p = tmp_path / "d4exp.ini"
+    p.write_text(bad)
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    assert "regularly varying" in capsys.readouterr().err
+
+
 def test_inadmissible_plan_exits_3(tmp_path, capsys):
     p = tmp_path / "plan.ini"
     one_point = A1_CONFIG.replace("u = 0.5, 1.0", "u = 1.0")
@@ -311,6 +326,20 @@ def test_formula_covariance_at_alpha_equals_beta(capsys):
     assert cli.main(["formula", "covariance", "--alpha", "0.5", "--beta",
                      "0.6", "--t1", "1", "--t2", "2"]) == 2
     assert "0 <= beta <= alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["moments", "--alpha", "0.5", "--beta", "0.9", "--u", "1", "--k", "4"],
+     "0 <= beta <= alpha"),
+    (["moments", "--alpha", "0.5", "--beta", "-0.5", "--u", "1", "--k", "2"],
+     "0 <= beta <= alpha"),
+    (["moments", "--alpha", "0.5", "--beta", "0.25", "--u", "-1", "--k", "2"],
+     "u must be positive"),
+    (["absmoment", "--alpha", "1", "--r", "0.5"], "alpha = 1"),
+], ids=["beta-above-alpha", "negative-beta", "negative-u", "absmoment-alpha-1"])
+def test_formula_outside_the_limit_exits_2(argv, why, capsys):
+    assert cli.main(["formula", *argv]) == 2
+    assert why in capsys.readouterr().err
 
 
 def test_formula_unknown_name_exits_2():

@@ -88,19 +88,11 @@ def test_pareto_metadata():
     assert law.tail_index == 1.5
     assert law.mean == pytest.approx(1.5 * 2.0 / 0.5)
     assert law.variance == math.inf
-    assert law.slow_varying == "constant"
-    assert float(law.ell(10.0)) == pytest.approx(2.0**1.5)
+    assert law.tail_scale == 2.0
     heavy = Pareto(0.5, 1.0)
     assert heavy.mean == math.inf
     with pytest.raises(ValueError):
         heavy.stationary_delay(substream(0, 3, 0))
-
-
-def test_pareto_logarithmic_ell_at_tail_index_two():
-    law = Pareto(2.0, 1.5)
-    assert law.slow_varying == "logarithmic"
-    # truncated second moment E[xi^2 1{xi <= t}] = 2 x_m^2 ln(t/x_m)
-    assert float(law.ell(15.0)) == pytest.approx(2 * 1.5**2 * math.log(10.0))
 
 
 def test_law_parameter_validation():

@@ -13,12 +13,14 @@ from renewalshot.limits import (ProcessPath, covariance_inverse_case,
                                 inverse_frac_integral,
                                 marginal_sample_finite_mean,
                                 moments_inverse_case, sample_X_star,
-                                sample_X_star_centered,
                                 simulate_inverse_subordinator_path,
                                 simulate_levy_path, stationary_covariance,
                                 x_star_tail_bound)
+from renewalshot.shotnoise import (NOSCALE_CENTERED, REGIMES,
+                                   InadmissibleSpec, LimitSpec)
 from renewalshot.streams import substream
-from renewalshot.verify import ks_one_sample_normal, ks_two_sample, moment_test
+from renewalshot.verify import (Scenario, ks_one_sample_normal, ks_two_sample,
+                                moment_test)
 
 
 def _identity_path(cells=4096, alpha=0.9):
@@ -80,6 +82,11 @@ def test_moments_inverse_case_values():
         2 ** 0.5 * moments_inverse_case(0.5, 0.25, 1.0, 2), rel=1e-10)
     with pytest.raises(ValueError):
         moments_inverse_case(0.5, 0.25, 1.0, 0)
+    # the limit needs 0 <= beta <= alpha and u > 0
+    for alpha, beta, u in ((0.5, 0.9, 1.0), (0.5, -0.5, 1.0),
+                           (0.5, 0.25, -1.0), (0.5, 0.25, 0.0)):
+        with pytest.raises(ValueError):
+            moments_inverse_case(alpha, beta, u, 2)
 
 
 def test_covariance_inverse_equals_second_moment_on_diagonal():
@@ -265,14 +272,19 @@ def test_x_star_sampling():
 
 
 def test_x_star_centered_sampling():
+    # the centered no-scaling reference: X* truncated at T minus
+    # mu^{-1} int_0^T h, which has mean 0
     law = Uniform(0.5, 1.5)
     h = PowerDecay(0.75)
     n = 5000
-    x = np.array([sample_X_star_centered(law, h, 300.0, substream(31, 7, r))
-                  for r in range(n)])
+    spec = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, h)
+    scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
+                   replicates=n, seed=31, x_star_truncation=300.0)
+    x = REGIMES[NOSCALE_CENTERED].reference(spec, (1.0,), n, 31, (7,),
+                                            scn)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se
-    with pytest.raises(ValueError):
-        sample_X_star_centered(law, ExpDecay(1.0), 10.0, substream(0, 3, 0))
-    with pytest.raises(ValueError):   # infinite variance needs the override
-        sample_X_star_centered(Pareto(1.5, 1.0), h, 10.0, substream(0, 3, 0))
+    with pytest.raises(InadmissibleSpec):   # integrable h: NOSCALE_DRI
+        LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, ExpDecay(1.0))
+    with pytest.raises(InadmissibleSpec):   # infinite variance
+        LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Pareto(1.5, 1.0), h)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
@@ -75,6 +76,8 @@ def test_solve_c_constant_ell_closed_form():
     assert solve_c(Pareto(1.5, 1.0), 1000.0) == pytest.approx(100.0, rel=1e-12)
     # c = x_m t^{1/alpha}: Pareto(1/2, 2) at t = 16 gives 2 * 16^2 = 512
     assert solve_c(Pareto(0.5, 2.0), 16.0) == pytest.approx(512.0, rel=1e-12)
+    with pytest.raises(ValueError):     # no finite tail index, no tail scale
+        solve_c(Exponential(1.0), 1000.0)
 
 
 def test_solve_c_logarithmic_ell():
@@ -85,7 +88,11 @@ def test_solve_c_logarithmic_ell():
     t = 500.0
     c = solve_c(law, t)
     assert c > math.sqrt(t)          # upper root lies above the minimizer
-    assert abs(c * c - t * float(law.ell(c))) < 1e-9 * c * c
+    # c^2 = t E[xi^2 1{xi <= c}], the truncated second moment by quadrature
+    # of the Pareto(2, 1) density 2 x^{-3} on [1, c]
+    second, _ = integrate.quad(lambda x: x * x * 2.0 * x ** -3, 1.0, c,
+                               epsabs=0.0, epsrel=1e-13)
+    assert abs(c * c - t * second) < 1e-9 * c * c
     # no solution below t = e (minimum of c^2/ln c is 2e at c = sqrt(e))
     with pytest.raises(ValueError):
         solve_c(law, 2.0)
@@ -140,6 +147,21 @@ def test_admissibility_rejections():
         LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
     with pytest.raises(InadmissibleSpec):
         LimitSpec("bogus", 2.0, 0.0, Exponential(1.0), Constant(1.0))
+
+
+@pytest.mark.parametrize("regime, alpha, beta, law", [
+    (A1, 2.0, 0.25, Exponential(1.0)),
+    (A2, 2.0, 0.0, Pareto(2.0, 1.0)),
+    (A3, 1.5, 0.25, Pareto(1.5, 1.0)),
+    (D4, 0.5, 0.25, Pareto(0.5, 1.0)),
+])
+def test_scaled_regimes_reject_a_response_without_power_decay(regime, alpha,
+                                                              beta, law):
+    # ExpDecay is not regularly varying (rv_index None): h(t) is no
+    # t^{-beta} for any beta, whatever the regime's other hypotheses
+    with pytest.raises(InadmissibleSpec, match="regularly varying"):
+        LimitSpec(regime, alpha, beta, law, ExpDecay(1.0))
+    LimitSpec(regime, alpha, beta, law, PowerDecay(beta))
 
 
 def test_scaled_statistic_validates_grid():

@@ -93,6 +93,8 @@ def test_abs_moment_rejects_order_at_tail_index():
         abs_moment(1.5, 1.5)
     with pytest.raises(ValueError):
         abs_moment(0.8, 1.0)
+    with pytest.raises(ValueError):         # alpha = 1, as StableSpec
+        abs_moment(1.0, 0.5)
 
 
 def test_alpha_validation():

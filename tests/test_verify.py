@@ -10,8 +10,9 @@ import pytest
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.renewal import ZERO_DELAYED, sample_path
-from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_DRI, InadmissibleSpec,
-                                   LimitSpec, scaled_statistic)
+from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_CENTERED, NOSCALE_DRI,
+                                   InadmissibleSpec, LimitSpec,
+                                   scaled_statistic)
 from renewalshot import limits, renewal, verify
 from renewalshot.streams import DOMAIN_REFERENCE, DOMAIN_REPLICATE, substream
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
@@ -83,6 +84,8 @@ def test_copula_independence():
 
 D4_SPEC = LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0), PowerDecay(0.25))
 DRI_SPEC = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
+CENTERED_SPEC = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Exponential(1.0),
+                          PowerDecay(0.75))
 
 
 def _a1_scenario(**kw):
@@ -179,12 +182,21 @@ def test_ks_references_drawn_once_per_run(monkeypatch):
     assert drawn == [(1.0, 2.0)] and len(rep.records) == 6
 
 
+def _centered_x_star(s, scn, j, rng):
+    # one stationary path on [0, T], its shots summed in epoch order, minus
+    # the compensator mu^{-1} int_0^T h
+    T = scn.x_star_truncation
+    path = sample_path(s.law, T, renewal.STATIONARY, rng)
+    return float(np.sum(s.h.eval(path.arrivals))) - s.h.integral(T) / s.law.mean
+
+
 @pytest.mark.parametrize("spec, draw", [
     (DRI_SPEC, lambda s, scn, j, rng: limits.sample_X_star(
         s.law, s.h, scn.x_star_truncation, rng)),
+    (CENTERED_SPEC, _centered_x_star),
     (D4_SPEC, lambda s, scn, j, rng: limits.inverse_frac_integral(
         s.alpha, s.beta, scn.u_grid, scn.reference_mesh_d, rng)[j]),
-], ids=["NOSCALE_DRI", "D4"])
+], ids=["NOSCALE_DRI", "NOSCALE_CENTERED", "D4"])
 def test_x_star_draws_use_one_stream_per_draw(spec, draw):
     # a stream serves one path: X* draw (i, j) has stream (..., j, i), D4
     # row i has stream (..., i) for the whole grid
@@ -194,7 +206,7 @@ def test_x_star_draws_use_one_stream_per_draw(spec, draw):
     key = (DOMAIN_REFERENCE, 4, 1)
     got = verify._limit_reference_sample(scn, key[1:], scn.u_grid)
     for j in range(2):
-        column = key + (j,) if spec is DRI_SPEC else key
+        column = key if spec is D4_SPEC else key + (j,)
         want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
                          for i in range(n)])
         assert got[:, j].tobytes() == want.tobytes()
