@@ -45,11 +45,7 @@ class LimitSpec:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise InadmissibleSpec(f"unknown regime {self.regime!r}")
-        regime = REGIMES[self.regime]
-        hypotheses = regime.admits
-        if regime.g is not None:
-            hypotheses += (_H_DECLARED_BETA,)
-        for holds, why in hypotheses:
+        for holds, why in REGIMES[self.regime].admits:
             if not holds(self):
                 raise InadmissibleSpec(why.format(s=self))
 
@@ -194,7 +190,7 @@ def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 # hypotheses: (condition on the spec, message formatted with s=spec); every
-# scaled regime (g is not None) also needs _H_DECLARED_BETA
+# scaled regime (g is not None) lists _H_DECLARED_BETA last
 _H_DECLARED_BETA = (lambda s: s.h.rv_index == s.beta,
                     "scaled regimes need h regularly varying with index "
                     "-beta = -{s.beta}; {s.h!r} has index {s.h.rv_index}")
@@ -357,7 +353,8 @@ REGIMES = {
     A1: Regime(
         admits=_GAUSSIAN_HYPOTHESES + (
             (lambda s: math.isfinite(s.law.variance),
-             "A1 requires a finite-variance law"),),
+             "A1 requires a finite-variance law"),
+            _H_DECLARED_BETA),
         g=lambda spec, t: math.sqrt(
             spec.law.variance * spec.law.mean ** (-3) * t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
@@ -366,7 +363,7 @@ REGIMES = {
         admits=_GAUSSIAN_HYPOTHESES + (
             (lambda s: not math.isfinite(s.law.variance),
              "A2 requires infinite variance"),
-            _H_TAIL_ALPHA),
+            _H_TAIL_ALPHA, _H_DECLARED_BETA),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
@@ -374,7 +371,7 @@ REGIMES = {
         admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
                 (lambda s: 0 <= s.beta < 1.0 / s.alpha,
                  "A3 requires beta in the interval (0,1/alpha); got {s.beta}"),
-                _H_TAIL_ALPHA),
+                _H_TAIL_ALPHA, _H_DECLARED_BETA),
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
@@ -387,7 +384,7 @@ REGIMES = {
         admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),
                 (lambda s: 0 <= s.beta <= s.alpha,
                  "D4 requires beta in [0, alpha]; got {s.beta}"),
-                _H_TAIL_ALPHA),
+                _H_TAIL_ALPHA, _H_DECLARED_BETA),
         g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
         statistic=_tail_scaled, exact=_d4_cdf,
         reference=_inverse_subordinator_reference,

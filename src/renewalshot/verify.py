@@ -108,6 +108,14 @@ def covariance_z(a, b, reference):
     return _sectioned_z(prod, reference)
 
 
+def _permutation_test(stat, observed, permuted, n_perm):
+    """stat(observed) and its permutation p-value (1 + hits)/(n_perm + 1),
+    hits counting the n_perm draws permuted() whose stat is >= it."""
+    obs = stat(observed)
+    hits = sum(stat(permuted()) >= obs for _ in range(n_perm))
+    return float(obs), float((1.0 + hits) / (n_perm + 1.0))
+
+
 def energy_distance_test(x, y, n_perm=199, seed=0, max_n=2000):
     """Two-sample energy-distance test for multivariate samples with a
     permutation p-value.  Samples larger than max_n per group are
@@ -134,13 +142,8 @@ def energy_distance_test(x, y, n_perm=199, seed=0, max_n=2000):
         s_yy = total - 2.0 * s_xy - s_xx
         return 2.0 * s_xy / (n * m) - s_xx / (n * n) - s_yy / (m * m)
 
-    obs = estat(np.arange(n))
-    hits = 0
-    for _ in range(n_perm):
-        if estat(rng.permutation(n + m)[:n]) >= obs:
-            hits += 1
-    p = (1.0 + hits) / (n_perm + 1.0)
-    return float(obs), float(p)
+    return _permutation_test(estat, np.arange(n),
+                             lambda: rng.permutation(n + m)[:n], n_perm)
 
 
 def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
@@ -163,13 +166,8 @@ def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
 
     u = stats.rankdata(x) / (n + 1.0)
     v = stats.rankdata(y) / (n + 1.0)
-    obs = cop_dist(u, v)
-    hits = 0
-    for _ in range(n_perm):
-        if cop_dist(u, rng.permutation(v)) >= obs:
-            hits += 1
-    p = (1.0 + hits) / (n_perm + 1.0)
-    return float(obs), float(p)
+    return _permutation_test(lambda w: cop_dist(u, w), v,
+                             lambda: rng.permutation(v), n_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +311,16 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# plan runners: (scenario, t, samples or None, MOMENTS k or None, records,
+# plan runners: (scenario, t, samples or None, k or None, records,
 # references: the limit-law draws of this run_scenario call, by plan)
 # ---------------------------------------------------------------------------
+
+def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
+    """The record of one test, passed when p > the scenario's significance
+    level for a test with a p-value and when |z| < 3 for one without."""
+    passed = p > scn.significance if p is not None else abs(z) < 3.0
+    return TestRecord(t, u, test, statistic, reference, p, z, bool(passed))
+
 
 def _limit_reference_sample(scn: Scenario, key: tuple, u_grid):
     """(replicates, len(u_grid)) draws of the limit law, column j of
@@ -341,8 +346,7 @@ def _run_ks_marginal(scn, t, samples, arg, records, references):
             d, p = ks_one_sample(col, cdf)
         else:
             d, p = ks_two_sample(col, references[KS_MARGINAL][:, j])
-        records.append(TestRecord(t, u, KS_MARGINAL, d, 0.0, p, None,
-                                  p > scn.significance))
+        records.append(_record(scn, t, u, KS_MARGINAL, d, 0.0, p=p))
 
 
 def _run_moments(scn, t, samples, arg, records, references):
@@ -352,8 +356,8 @@ def _run_moments(scn, t, samples, arg, records, references):
             ref = float(moment(scn.spec, u, k))
             z = moment_test(samples[:, j], k, ref)
             est = float(np.mean(samples[:, j] ** k))
-            records.append(TestRecord(t, u, f"{MOMENTS}:k={k}", est, ref,
-                                      None, z, abs(z) < 3.0))
+            records.append(_record(scn, t, u, f"{MOMENTS}:k={k}", est, ref,
+                                   z=z))
 
 
 def _run_pairwise_independence(scn, t, samples, arg, records, references):
@@ -362,14 +366,13 @@ def _run_pairwise_independence(scn, t, samples, arg, records, references):
         for j in range(i + 1, len(scn.u_grid)):
             a, b = samples[:, i], samples[:, j]
             rho = float(np.corrcoef(a, b)[0, 1])
-            ok_rho = abs(rho) < 3.0 / math.sqrt(n)
-            records.append(TestRecord(
-                t, scn.u_grid[j], f"CORRELATION:u={scn.u_grid[i]}", rho, 0.0,
-                None, rho * math.sqrt(n), ok_rho))
+            records.append(_record(
+                scn, t, scn.u_grid[j], f"CORRELATION:u={scn.u_grid[i]}", rho,
+                0.0, z=rho * math.sqrt(n)))
             d, p = copula_independence_test(a, b, seed=scn.seed)
-            records.append(TestRecord(
-                t, scn.u_grid[j], f"COPULA_PRODUCT:u={scn.u_grid[i]}", d, 0.0,
-                p, None, p > scn.significance))
+            records.append(_record(
+                scn, t, scn.u_grid[j], f"COPULA_PRODUCT:u={scn.u_grid[i]}", d,
+                0.0, p=p))
 
 
 # (s, horizon): N(horizon) - N(horizon - s) against N(s)
@@ -390,8 +393,7 @@ def _run_time_reversal(scn, t, samples, arg, records, references):
         fwd = renewal.counts_at(law, s, renewal.STATIONARY, substreams(
             scn.seed, (DOMAIN_AUX, 200 + idx), range(n)), n)
         d, p = ks_two_sample(rev, fwd)
-        records.append(TestRecord(horizon, s, TIME_REVERSAL, d, 0.0, p, None,
-                                  p > scn.significance))
+        records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
 
 def _run_self_similarity(scn, t, samples, arg, records, references):
@@ -402,8 +404,7 @@ def _run_self_similarity(scn, t, samples, arg, records, references):
     a = _limit_reference_sample(scn, (2, 0), (u_lo,))[:, 0]
     b = _limit_reference_sample(scn, (2, 1), (u_hi,))[:, 0]
     d, p = ks_two_sample(a * (u_hi / u_lo) ** hurst, b)
-    records.append(TestRecord(t, u_hi, SELF_SIMILARITY, d, hurst, p, None,
-                              p > scn.significance))
+    records.append(_record(scn, t, u_hi, SELF_SIMILARITY, d, hurst, p=p))
 
 
 # log-time lags s of the covariance pairs (e^w, e^(w+s))
@@ -421,8 +422,8 @@ def _run_stationarity_logtime(scn, t, samples, arg, records, references):
         for w in (0, v):                     # pairs (e^w, e^(w+s))
             z = covariance_z(col[math.exp(w)] - 1.0,
                              col[math.exp(w + s)] - 1.0, ref)
-            records.append(TestRecord(t, s, f"{STATIONARITY_LOGTIME}:lag{w}",
-                                      ref, ref, None, z, abs(z) < 3.0))
+            records.append(_record(scn, t, s, f"{STATIONARITY_LOGTIME}:lag{w}",
+                                   ref, ref, z=z))
 
 
 def _run_mean_abs_n(scn, t, samples, arg, records, references):
@@ -434,10 +435,10 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references):
         scn.seed, (DOMAIN_AUX, 500), range(n)), n) - t / law.mean)
     est = dev.mean() / g
     ref = abs_moment(spec.alpha, 1.0)
-    rel = est / ref - 1.0
     z = moment_test(dev / g, 1, ref)
+    # passed on a 5% relative error, not by _record: there is no p-value
     records.append(TestRecord(t, 1.0, MEAN_ABS_N, float(est), float(ref),
-                              None, z, bool(abs(rel) < 0.05)))
+                              None, z, bool(abs(est / ref - 1.0) < 0.05)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +450,9 @@ class Plan(NamedTuple):
                             #  references)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
-    admits: Callable        # (spec, MOMENTS k or None) -> bool, checked
-                            # by Scenario
+    admits: Callable        # (spec, k or None) -> bool, checked by Scenario
     min_points: int = 1     # u-grid points the plan needs
+    default_k: int | None = None  # k of a plain NAME; None: NAME:k refused
 
 
 def _closed_form_moments(spec, k):
@@ -475,7 +476,8 @@ def _hurst_zero(spec, _):
 
 PLANS = {
     KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda spec, _: True),
-    MOMENTS: Plan(_run_moments, True, True, _closed_form_moments),
+    MOMENTS: Plan(_run_moments, True, True, _closed_form_moments,
+                  default_k=2),
     # i.i.d. copies: only the no-scaling limits
     JOINT_PAIRWISE_INDEPENDENCE: Plan(
         _run_pairwise_independence, True, True,
@@ -494,23 +496,22 @@ PLANS = {
                      lambda spec, _: (REGIMES[spec.regime].g is not None
                                       and math.isfinite(spec.law.mean))),
 }
-PLAN_NAMES = tuple(PLANS)
 
 
 def _parse_plan(p):
-    """The Plan of a plan string NAME or MOMENTS:k, and k (2 for a plain
-    MOMENTS) or None."""
+    """The Plan of a plan string NAME or NAME:k, and k (the plan's
+    default_k for a plain NAME)."""
     name, colon, arg = p.partition(":")
     plan = PLANS.get(name)
     if plan is None:
         raise InadmissibleSpec(f"unknown test plan {p!r}")
-    if colon and not (name == MOMENTS and arg.isdecimal()
-                      and int(arg) >= 1):
-        raise InadmissibleSpec(f"plan {p!r}: only {MOMENTS} takes an "
-                               "argument, an integer k >= 1")
-    if name == MOMENTS:
-        return plan, int(arg) if colon else 2
-    return plan, None
+    if not colon:
+        return plan, plan.default_k
+    if plan.default_k is None:
+        raise InadmissibleSpec(f"plan {p!r}: {name} takes no argument")
+    if not (arg.isdecimal() and int(arg) >= 1):
+        raise InadmissibleSpec(f"plan {p!r}: need an integer k >= 1")
+    return plan, int(arg)
 
 
 def run_scenario(s: Scenario) -> TestReport:
