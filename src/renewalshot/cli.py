@@ -250,17 +250,18 @@ def build_parser():
                                 description="renewal shot noise laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True)
-            sp.add_argument("--out", required=True)
+    def common(sp, threads=True):
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out", required=True)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        if threads:
+            sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--json", action="store_true")
 
     common(sub.add_parser("simulate", help="write scaled-statistic samples"))
     common(sub.add_parser("verify", help="run a verification scenario"))
-    common(sub.add_parser("path-dump", help="write one renewal path as CSV"))
+    common(sub.add_parser("path-dump", help="write one renewal path as CSV"),
+           threads=False)
 
     f = sub.add_parser("formula", help="evaluate a closed-form quantity")
     f.add_argument("name")

@@ -85,8 +85,7 @@ def inverse_frac_integral(alpha: float, beta: float, u_points, mesh_d: float,
     (no D_j equals u almost surely), the upper O(mesh_d) approximation of
     the first-passage time of D over u.
     """
-    if not 0 <= beta <= alpha:
-        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    _check_inverse_case(alpha, beta)
     u = np.asarray(u_points, dtype=float)
     if np.any(u <= 0):
         raise ValueError("u must be positive")
@@ -134,10 +133,12 @@ def marginal_sample_finite_mean(alpha: float, beta: float, u: float,
     return factor * sample_stable(StableSpec(alpha), stream, size)
 
 
-def _gamma_checked(x: float) -> float:
-    if x <= 0 and x == round(x):
-        raise ValueError(f"gamma pole at {x}")
-    return _gamma(x)
+def _check_inverse_case(alpha: float, beta: float) -> None:
+    """The range of the inverse-subordinator limit."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0 <= beta <= alpha:
+        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
 
 
 def moments_inverse_case(alpha: float, beta: float, u: float, k: int) -> float:
@@ -146,18 +147,15 @@ def moments_inverse_case(alpha: float, beta: float, u: float, k: int) -> float:
     / Gamma(j(alpha-beta)+1)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0 <= beta <= alpha:
-        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    _check_inverse_case(alpha, beta)
     if not u > 0:
         raise ValueError("u must be positive")
     prod = 1.0
     for j in range(1, k + 1):
-        prod *= (_gamma_checked(1.0 - beta + (j - 1) * (alpha - beta))
-                 / _gamma_checked(j * (alpha - beta) + 1.0))
+        prod *= (_gamma(1.0 - beta + (j - 1) * (alpha - beta))
+                 / _gamma(j * (alpha - beta) + 1.0))
     return u ** (k * (alpha - beta)) * math.factorial(k) \
-        / _gamma_checked(1.0 - alpha) ** k * prod
+        / _gamma(1.0 - alpha) ** k * prod
 
 
 def covariance_inverse_case(alpha: float, beta: float,
@@ -171,10 +169,7 @@ def covariance_inverse_case(alpha: float, beta: float,
     """
     if not 0 < t1 <= t2:
         raise ValueError("need 0 < t1 <= t2")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0 <= beta <= alpha:
-        raise ValueError("need 0 <= beta <= alpha for the inverse subordinator")
+    _check_inverse_case(alpha, beta)
     front = _gamma(1.0 - beta) / (_gamma(alpha) * _gamma(1.0 - alpha) ** 2
                                   * _gamma(1.0 + alpha - beta))
     z = t1 / t2
@@ -200,10 +195,10 @@ def increment_dependence_gap(alpha: float, beta: float,
                              t1: float, t2: float, t3: float) -> float:
     """B - A: cross moment of consecutive increments minus the product of
     their means.  Nonzero gap certifies dependent increments."""
+    _check_inverse_case(alpha, beta)
     if not 0 < t1 < t2 < t3:
         raise ValueError("need 0 < t1 < t2 < t3")
-    m1 = _gamma_checked(1.0 - beta) / (
-        _gamma_checked(1.0 - alpha) * _gamma_checked(1.0 + alpha - beta))
+    m1 = _gamma(1.0 - beta) / (_gamma(1.0 - alpha) * _gamma(1.0 + alpha - beta))
     ab = alpha - beta
     a_term = m1 * m1 * (t2**ab - t1**ab) * (t3**ab - t2**ab)
     b_term = (covariance_inverse_case(alpha, beta, t2, t3)

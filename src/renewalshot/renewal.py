@@ -31,7 +31,6 @@ _SUB_BATCH_EPOCHS = 2**13
 class RenewalPath:
     arrivals: np.ndarray          # sorted epochs S_k <= horizon
     horizon: float
-    delay_kind: str
 
     def __len__(self):
         return len(self.arrivals)
@@ -140,7 +139,7 @@ def sample_path(law: IncrementLaw, T: float, delay_kind: str,
     stationary_delay raises otherwise.  Give every path its own stream."""
     row = epoch_rows(law, T, delay_kind, (stream,), 1)[0]
     return RenewalPath(arrivals=row[:row.searchsorted(T, side="right")],
-                       horizon=float(T), delay_kind=delay_kind)
+                       horizon=float(T))
 
 
 def _check_t(path: RenewalPath, t: float):

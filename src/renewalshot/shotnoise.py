@@ -267,7 +267,8 @@ def _x_star_reference(spec, u_grid, n, seed, key, scenario):
     bit for bit; for a non-integrable h (the centered regime) minus
     mu^{-1} int_0^T h."""
     law, h = spec.law, spec.h
-    T = scenario.x_star_truncation or default_x_star_truncation(spec)
+    T = (default_x_star_truncation(spec) if scenario.x_star_truncation is None
+         else scenario.x_star_truncation)
     out = np.empty((n, len(u_grid)))
     for j in range(len(u_grid)):
         for lo, rows in renewal.epoch_batches(

@@ -190,21 +190,26 @@ class Scenario:
     reference_mesh_d: float = 1e-3
 
     def __post_init__(self):
+        if not 0 < self.significance < 1:
+            raise ValueError("significance must lie in (0, 1)")
+        if not self.max_shots > 0:
+            raise ValueError("max_shots must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        if not (self.x_star_truncation is None or self.x_star_truncation > 0):
+            raise ValueError("x_star_truncation must be positive")
         if self.replicates < 100:
             raise InadmissibleSpec("need at least 100 replicates")
-        t = tuple(self.t_ladder)
-        if not t or t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:])):
-            raise InadmissibleSpec("t-ladder must be positive and strictly "
-                                   "increasing")
-        u = tuple(self.u_grid)
-        if not u or u[0] <= 0 or any(b <= a for a, b in zip(u, u[1:])):
-            raise InadmissibleSpec("u-grid must be positive and increasing")
+        for name, g in (("t-ladder", self.t_ladder), ("u-grid", self.u_grid)):
+            if not g or g[0] <= 0 or any(b <= a for a, b in zip(g, g[1:])):
+                raise InadmissibleSpec(f"{name} must be positive and strictly "
+                                       "increasing")
         for p in self.plans:
             plan, arg = _parse_plan(p)
             if not plan.admits(self.spec, arg):
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
                                        f"{self.spec.regime} spec")
-            if len(u) < plan.min_points:
+            if len(self.u_grid) < plan.min_points:
                 raise InadmissibleSpec(f"plan {p!r} compares grid points and "
                                        f"needs at least {plan.min_points}")
 

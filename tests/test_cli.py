@@ -223,6 +223,36 @@ def test_slowly_decaying_response_without_truncation_exits_2(tmp_path,
     assert "x_star_truncation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, argv, why", [
+    ("significance = 1.5", [], "significance"),
+    ("significance = -0.1", [], "significance"),
+    ("max_shots = -1", [], "max_shots"),
+    ("", ["--threads", "-2"], "threads"),
+], ids=["significance-above-1", "negative-significance", "negative-max-shots",
+        "negative-threads"])
+def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
+    # before the range checks these exited 1, 0, 4 and 0: every record
+    # failing, every p-value record passing, a cap of -1, a serial run
+    p = tmp_path / "range.ini"
+    p.write_text(A1_CONFIG + f"\n{line}\n")
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r"), *argv]) == 2
+    assert why in capsys.readouterr().err
+
+
+def test_zero_x_star_truncation_exits_2(tmp_path, capsys):
+    # 0 used to stand for the default truncation level, with the report
+    # echoing x_star_truncation 0.0
+    p = tmp_path / "zero_trunc.ini"
+    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI")
+                 .replace("kind = constant\nvalue = 1.0",
+                          "kind = expdecay\nlam = 1.0")
+                 + "\nx_star_truncation = 0\n")
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "x_star_truncation" in capsys.readouterr().err
+
+
 def test_readme_config_block_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -368,6 +398,14 @@ def test_path_dump(a1_config, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,S_k"
     assert lines[1] == "0,0.0"
+
+
+def test_path_dump_has_no_threads_flag(a1_config, tmp_path):
+    # one path from one stream: the flag would be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["path-dump", "--config", a1_config,
+                  "--out", str(tmp_path / "path.csv"), "--threads", "7"])
+    assert exc.value.code == 2
 
 
 def test_path_dump_without_horizon_or_ladder_exits_2(tmp_path, capsys):

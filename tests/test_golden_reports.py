@@ -77,11 +77,15 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def report_hashes(name):
+def report(name):
     spec, plans, knobs = CASES[name]
-    rep = run_scenario(Scenario(spec=spec, u_grid=(1.0, 2.0),
-                                t_ladder=(100.0, 400.0), replicates=100,
-                                seed=5, plans=plans, **knobs))
+    return run_scenario(Scenario(spec=spec, u_grid=(1.0, 2.0),
+                                 t_ladder=(100.0, 400.0), replicates=100,
+                                 seed=5, plans=plans, **knobs))
+
+
+def report_hashes(name):
+    rep = report(name)
     csv_buf, plot_buf = io.StringIO(), io.StringIO()
     rep.write_csv(csv_buf)
     rep.write_plot_data(plot_buf)
@@ -99,6 +103,25 @@ def matrix_hash(name):
 def test_report_bytes_match_golden(name):
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert report_hashes(name) == golden[name]
+
+
+def test_one_pass_rule_for_every_record():
+    # a record passes on its p-value when it has one and on |z| < 3 when
+    # not; MEAN_ABS_N alone keeps a 5% relative-error rule
+    seen = set()
+    for name in sorted(CASES):
+        rep = report(name)
+        significance = rep.scenario["significance"]
+        for r in rep.records:
+            seen.add(r.test.split(":")[0])
+            if r.test == "MEAN_ABS_N":
+                continue
+            want = (r.p_value > significance if r.p_value is not None
+                    else abs(r.z_score) < 3)
+            assert r.passed == want, (name, r)
+    assert {"KS_MARGINAL", "MOMENTS", "CORRELATION", "COPULA_PRODUCT",
+            "TIME_REVERSAL", "SELF_SIMILARITY", "STATIONARITY_LOGTIME",
+            "MEAN_ABS_N"} == seen
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_CASES))

@@ -166,6 +166,12 @@ def test_increment_dependence_gap():
     gap = increment_dependence_gap(0.5, 0.25, 1.0, 2.0, 3.0)
     assert abs(gap) > 1e-3
     assert gap == pytest.approx(-0.020006, abs=1e-4)
+    # outside the inverse-subordinator range the check names the range,
+    # not a pole that Gamma meets there
+    with pytest.raises(ValueError, match="alpha must lie"):
+        increment_dependence_gap(1.0, 0.25, 1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="0 <= beta <= alpha"):
+        increment_dependence_gap(0.5, 1.0, 1.0, 2.0, 3.0)
 
 
 def test_inverse_subordinator_mean():
@@ -232,6 +238,8 @@ def test_frac_integral_admissibility():
         inverse_frac_integral(0.5, 0.6, (1.0,), 1e-2, q)   # beta > alpha
     with pytest.raises(ValueError):
         inverse_frac_integral(0.5, -0.1, (0.5,), 1e-2, q)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        inverse_frac_integral(1.0, 0.25, (1.0,), 1e-2, q)
     with pytest.raises(ValueError):
         inverse_frac_integral(0.5, 0.25, (0.0, 1.0), 1e-2, q)
     with pytest.raises(ValueError):

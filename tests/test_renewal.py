@@ -95,8 +95,7 @@ def test_undershoot_requires_an_arrival():
     p = sample_path(Pareto(0.5, 1.0), 10.0, ZERO_DELAYED, substream(5, 3, 0))
     assert undershoot(p, 10.0) >= 0.0
     # a stationary path whose first arrival exceeds t has no shot to age
-    q = renewal.RenewalPath(arrivals=np.array([7.0]), horizon=10.0,
-                            delay_kind=STATIONARY)
+    q = renewal.RenewalPath(arrivals=np.array([7.0]), horizon=10.0)
     with pytest.raises(ValueError):
         undershoot(q, 5.0)
 

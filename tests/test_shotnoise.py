@@ -14,7 +14,7 @@ from renewalshot import renewal, shotnoise
 from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, REGIMES, InadmissibleSpec,
-                                   LimitSpec, Regime,
+                                   LimitSpec, Regime, _H_DECLARED_BETA,
                                    default_x_star_truncation, evaluate,
                                    scaled_statistic, scaling_g, solve_c)
 from renewalshot.streams import substream, substreams
@@ -251,6 +251,8 @@ def test_regime_table_entry_is_complete(spec):
         assert getattr(regime, name) is not None, name
     # no normalizer exactly when the limit is stationary (no Hurst index)
     assert (regime.g is None) == (regime.hurst is None)
+    # every scaled regime lists the -beta hypothesis in its own row
+    assert (regime.g is not None) == (_H_DECLARED_BETA in regime.admits)
     if regime.g is not None:
         assert scaling_g(spec, 100.0) > 0
         assert math.isfinite(regime.hurst(spec))
