@@ -56,6 +56,19 @@ def expected_count(law: IncrementLaw, T: float) -> float:
     return T / law.mean + 10.0 * spread
 
 
+class ResourceCapExceeded(RuntimeError):
+    pass
+
+
+def check_shot_cap(law: IncrementLaw, T: float, paths: int,
+                   max_shots: float) -> None:
+    """Raise ResourceCapExceeded, before anything is drawn, when `paths`
+    paths to T hold more than max_shots shots by expected_count."""
+    if paths * expected_count(law, T) > max_shots:
+        raise ResourceCapExceeded(
+            f"estimated shot count exceeds cap {max_shots:g}")
+
+
 def _fill_epochs(row: np.ndarray, start: float, gaps: np.ndarray) -> None:
     """row[0] = start and row[1 + j] the epoch after gap j: a sequential
     running sum inside each _BLOCK-gap block, plus the last epoch before

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -254,40 +255,53 @@ def _d4_cdf(spec, u):
     return lambda q: -np.expm1(-np.maximum(q, 0.0))
 
 
-def _gaussian_reference(spec, u_grid, n, seed, key, scenario):
+def _gaussian_reference(spec, u_grid, n, seed, key, scenario, map_rows):
     """Independent normal columns, one block from one stream."""
     sd = np.sqrt([_gaussian_variance(spec, u) for u in u_grid])
     return substream(seed, *key).normal(0.0, sd, (n, len(u_grid)))
 
 
-def _x_star_reference(spec, u_grid, n, seed, key, scenario):
-    """Independent X* columns truncated at T: draw (i, j) is the sum of h
-    over the epochs <= T, in order, of the stationary path of stream
-    (seed, *key, j, i), so it equals limits.sample_X_star on that stream
-    bit for bit; for a non-integrable h (the centered regime) minus
-    mu^{-1} int_0^T h."""
+def _x_star_rows(spec, T, columns, seed, key, rows):
+    """Rows `rows` of the X* columns truncated at T: draw (i, j) is the
+    sum of h over the epochs <= T, in order, of the stationary path of
+    stream (seed, *key, j, i), so it equals limits.sample_X_star on that
+    stream bit for bit; for a non-integrable h (the centered regime)
+    minus mu^{-1} int_0^T h."""
     law, h = spec.law, spec.h
-    T = (default_x_star_truncation(spec) if scenario.x_star_truncation is None
-         else scenario.x_star_truncation)
-    out = np.empty((n, len(u_grid)))
-    for j in range(len(u_grid)):
-        for lo, rows in renewal.epoch_batches(
+    out = np.empty((len(rows), columns))
+    for j in range(columns):
+        for at, paths in renewal.epoch_batches(
                 law, T, renewal.STATIONARY,
-                substreams(seed, key + (j,), range(n)), n):
-            used = rows <= T
-            out[lo:lo + len(rows), j] = _row_sums(
-                h.eval(rows[used]), np.count_nonzero(used, axis=1).tolist())
+                substreams(seed, key + (j,), rows), len(rows)):
+            used = paths <= T
+            out[at:at + len(paths), j] = _row_sums(
+                h.eval(paths[used]), np.count_nonzero(used, axis=1).tolist())
     if not h.integrable:
         out -= h.integral(T) / law.mean
     return out
 
 
-def _inverse_subordinator_reference(spec, u_grid, n, seed, key, scenario):
-    """Row i: one draw of the jump epochs from stream (seed, *key, i),
-    summed at every u of the grid."""
+def _x_star_reference(spec, u_grid, n, seed, key, scenario, map_rows):
+    """Independent X* columns (see _x_star_rows), T the scenario's
+    x_star_truncation or its default, under the scenario's shot cap."""
+    T = (default_x_star_truncation(spec) if scenario.x_star_truncation is None
+         else scenario.x_star_truncation)
+    renewal.check_shot_cap(spec.law, T, n * len(u_grid), scenario.max_shots)
+    return map_rows(partial(_x_star_rows, spec, T, len(u_grid), seed, key), n)
+
+
+def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
+    """Row i of rows: one draw of the jump epochs from stream
+    (seed, *key, i), summed at every u of the grid."""
     return np.array([limits.inverse_frac_integral(
-        spec.alpha, spec.beta, u_grid, scenario.reference_mesh_d, rng)
-        for rng in substreams(seed, key, range(n))])
+        spec.alpha, spec.beta, u_grid, mesh_d, rng)
+        for rng in substreams(seed, key, rows)])
+
+
+def _inverse_subordinator_reference(spec, u_grid, n, seed, key, scenario,
+                                    map_rows):
+    return map_rows(partial(_inverse_subordinator_rows, spec, u_grid,
+                            scenario.reference_mesh_d, seed, key), n)
 
 
 def _gaussian_moment(spec, u, k):
@@ -320,15 +334,19 @@ class Regime:
     A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
     the sampler makes it one: D4 (one jump-epoch draw per row) and the
     no-scaling limits (independent at distinct u).  A1-A3 columns have the
-    right marginals but are drawn independently."""
+    right marginals but are drawn independently.  The D4 and no-scaling
+    samplers draw each row from its own streams and hand their rows to
+    map_rows(fn, n), which returns fn's rows for [0, n) from calls of fn
+    on ranges of rows (verify's run pool); the A1-A3 blocks come from one
+    stream each, cannot be split, and ignore it."""
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
     statistic: Callable         # (spec, paths, u, t) -> statistic
                                 # per path (row) and u (column)
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
-    reference: Callable         # (spec, u_grid, n, seed, key, scenario)
-                                # -> (n, len(u_grid)) draws of Y
+    reference: Callable         # (spec, u_grid, n, seed, key, scenario,
+                                # map_rows) -> (n, len(u_grid)) draws of Y
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
     hurst: Callable | None      # (spec) -> H; None: stationary limit
 
@@ -376,7 +394,7 @@ REGIMES = {
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
-        reference=lambda spec, u, n, seed, key, scn:
+        reference=lambda spec, u, n, seed, key, scn, map_rows:
             limits.marginal_sample_finite_mean(
                 spec.alpha, spec.beta, np.asarray(u), substream(seed, *key),
                 (n, len(u))),

@@ -17,12 +17,14 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special, stats
 
 from . import limits, renewal, shotnoise
+from .renewal import ResourceCapExceeded
 from .shotnoise import REGIMES, LimitSpec, InadmissibleSpec
 from .stable import abs_moment
 from .streams import (DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE,
@@ -35,10 +37,6 @@ TIME_REVERSAL = "TIME_REVERSAL"
 SELF_SIMILARITY = "SELF_SIMILARITY"
 STATIONARITY_LOGTIME = "STATIONARITY_LOGTIME"
 MEAN_ABS_N = "MEAN_ABS_N"
-
-
-class ResourceCapExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ class Scenario:
         if not (self.x_star_truncation is None or self.x_star_truncation > 0):
             raise ValueError("x_star_truncation must be positive")
         if self.replicates < 100:
-            raise InadmissibleSpec("need at least 100 replicates")
+            raise ValueError("need at least 100 replicates")
         for name, g in (("t-ladder", self.t_ladder), ("u-grid", self.u_grid)):
             if not g or g[0] <= 0 or any(b <= a for a, b in zip(g, g[1:])):
                 raise InadmissibleSpec(f"{name} must be positive and strictly "
@@ -281,43 +279,76 @@ class TestReport:
 # simulation of the scaled statistic
 # ---------------------------------------------------------------------------
 
-def _simulate_chunk(args):
-    """Rows lo..hi-1: each replicate's path from its own substream, the
-    statistic for a buffer of paths at a time."""
-    spec, u_grid, t, seed, lo, hi = args
-    out = np.empty((hi - lo, len(u_grid)))
-    for at, rows in renewal.epoch_batches(
+class _Pool:
+    """The worker processes of one run.  Every loop of the run whose rows
+    each draw from their own streams (so any split of the rows gives the
+    same bits) maps its rows over them.  There are none at threads = 1;
+    otherwise the first such loop starts them, and leaving the `with`
+    block shuts them down, on return or on error."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def rows(self, fn, n):
+        """fn's rows for [0, n), in order, fn taking a range of rows: one
+        in-process call fn(range(n)) at threads = 1, else fn on 4 * threads
+        consecutive ranges in the workers, concatenated."""
+        if self.threads <= 1:
+            return fn(range(n))
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.threads)
+        cut = np.linspace(0, n, 4 * self.threads + 1).astype(int).tolist()
+        return np.concatenate(list(self._executor.map(
+            fn, [range(a, b) for a, b in zip(cut, cut[1:]) if b > a])))
+
+
+def _simulate_chunk(spec, u_grid, t, seed, rows):
+    """The matrix rows `rows`: each replicate's path from its own
+    substream, the statistic for a buffer of paths at a time."""
+    out = np.empty((len(rows), len(u_grid)))
+    for at, paths in renewal.epoch_batches(
             spec.law, max(u_grid) * t, renewal.ZERO_DELAYED,
-            substreams(seed, (DOMAIN_REPLICATE,), range(lo, hi)), hi - lo):
-        out[at:at + len(rows)] = shotnoise.batch_statistic(spec, rows,
-                                                           u_grid, t)
-    return lo, out
+            substreams(seed, (DOMAIN_REPLICATE,), rows), len(rows)):
+        out[at:at + len(paths)] = shotnoise.batch_statistic(spec, paths,
+                                                            u_grid, t)
+    return out
 
 
 def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
                            seed: int, threads: int = 1,
-                           max_shots: float = 1e8) -> np.ndarray:
+                           max_shots: float = 1e8, *,
+                           pool: _Pool | None = None) -> np.ndarray:
     """(n, len(u_grid)) matrix of the scaled statistic, one zero-delayed
-    path per replicate shared across the u-grid."""
+    path per replicate shared across the u-grid.  The rows run in `pool`,
+    the pool of a run (run_scenario passes its own), else in one of
+    `threads` workers opened for this call."""
     u_grid = tuple(float(u) for u in u_grid)
-    if n * renewal.expected_count(spec.law, max(u_grid) * t) > max_shots:
-        raise ResourceCapExceeded(
-            f"estimated shot count exceeds cap {max_shots:g}")
-    if threads <= 1:
-        return _simulate_chunk((spec, u_grid, t, seed, 0, n))[1]
-    bounds = np.linspace(0, n, threads * 4 + 1).astype(int)
-    jobs = [(spec, u_grid, t, seed, int(a), int(b))
-            for a, b in zip(bounds, bounds[1:]) if b > a]
-    out = np.empty((n, len(u_grid)))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        for lo, chunk in ex.map(_simulate_chunk, jobs):
-            out[lo:lo + len(chunk)] = chunk
-    return out
+    renewal.check_shot_cap(spec.law, max(u_grid) * t, n, max_shots)
+    draw = partial(_simulate_chunk, spec, u_grid, t, seed)
+    if pool is None:
+        with _Pool(threads) as own:
+            return own.rows(draw, n)
+    return pool.rows(draw, n)
+
+
+def _counts(law, t, delay_kind, seed, key, rows):
+    """N(t) on the path of stream (seed, *key, i) for each i of rows."""
+    return renewal.counts_at(law, t, delay_kind,
+                             substreams(seed, key, rows), len(rows))
 
 
 # ---------------------------------------------------------------------------
 # plan runners: (scenario, t, samples or None, k or None, records,
-# references: the limit-law draws of this run_scenario call, by plan)
+# references: the limit-law draws of this run_scenario call, by plan,
+# pool: the _Pool of this run)
 # ---------------------------------------------------------------------------
 
 def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
@@ -327,24 +358,25 @@ def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
     return TestRecord(t, u, test, statistic, reference, p, z, bool(passed))
 
 
-def _limit_reference_sample(scn: Scenario, key: tuple, u_grid):
+def _limit_reference_sample(scn: Scenario, key: tuple, u_grid, pool):
     """(replicates, len(u_grid)) draws of the limit law, column j of
     Y(u_j), from the streams under (seed, DOMAIN_REFERENCE, *key).  The
     key (plan, batch) names the draw: KS_MARGINAL 1, SELF_SIMILARITY 2,
     STATIONARITY_LOGTIME 3.  Rows are joint draws only where the regime's
-    sampler makes them so (see `shotnoise.Regime`)."""
+    sampler makes them so (see `shotnoise.Regime`); a sampler that draws
+    each row from its own streams maps them over the pool."""
     return REGIMES[scn.spec.regime].reference(
         scn.spec, tuple(u_grid), scn.replicates, scn.seed,
-        (DOMAIN_REFERENCE,) + key, scn)
+        (DOMAIN_REFERENCE,) + key, scn, pool.rows)
 
 
-def _run_ks_marginal(scn, t, samples, arg, records, references):
+def _run_ks_marginal(scn, t, samples, arg, records, references, pool):
     spec = scn.spec
     cdfs = [REGIMES[spec.regime].exact(spec, u) for u in scn.u_grid]
     if any(cdf is None for cdf in cdfs) and KS_MARGINAL not in references:
         # one draw of the whole grid serves every rung
         references[KS_MARGINAL] = _limit_reference_sample(
-            scn, (1, 0), scn.u_grid)
+            scn, (1, 0), scn.u_grid, pool)
     for j, (u, cdf) in enumerate(zip(scn.u_grid, cdfs)):
         col = samples[:, j]
         if cdf is not None:
@@ -354,7 +386,7 @@ def _run_ks_marginal(scn, t, samples, arg, records, references):
         records.append(_record(scn, t, u, KS_MARGINAL, d, 0.0, p=p))
 
 
-def _run_moments(scn, t, samples, arg, records, references):
+def _run_moments(scn, t, samples, arg, records, references, pool):
     moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
         for k in range(1, arg + 1):
@@ -365,7 +397,8 @@ def _run_moments(scn, t, samples, arg, records, references):
                                    z=z))
 
 
-def _run_pairwise_independence(scn, t, samples, arg, records, references):
+def _run_pairwise_independence(scn, t, samples, arg, records, references,
+                               pool):
     n = len(samples)
     for i in range(len(scn.u_grid)):
         for j in range(i + 1, len(scn.u_grid)):
@@ -384,9 +417,12 @@ def _run_pairwise_independence(scn, t, samples, arg, records, references):
 _REVERSAL_PAIRS = ((3.0, 50.0), (5.0, 50.0), (10.0, 50.0))
 
 
-def _run_time_reversal(scn, t, samples, arg, records, references):
+def _run_time_reversal(scn, t, samples, arg, records, references, pool):
     law = scn.spec.law
     n = scn.replicates
+    # every loop of the plan draws n paths to at most this horizon
+    renewal.check_shot_cap(law, max(h for _, h in _REVERSAL_PAIRS), n,
+                           scn.max_shots)
     for idx, (s, horizon) in enumerate(_REVERSAL_PAIRS):
         rev = np.empty(n, dtype=np.intp)
         for at, rows in renewal.epoch_batches(
@@ -401,13 +437,13 @@ def _run_time_reversal(scn, t, samples, arg, records, references):
         records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
 
-def _run_self_similarity(scn, t, samples, arg, records, references):
+def _run_self_similarity(scn, t, samples, arg, records, references, pool):
     """Check the limit law's Hurst scaling between the smallest and largest
     grid points using independent reference batches."""
     u_lo, u_hi = scn.u_grid[0], scn.u_grid[-1]
     hurst = REGIMES[scn.spec.regime].hurst(scn.spec)
-    a = _limit_reference_sample(scn, (2, 0), (u_lo,))[:, 0]
-    b = _limit_reference_sample(scn, (2, 1), (u_hi,))[:, 0]
+    a = _limit_reference_sample(scn, (2, 0), (u_lo,), pool)[:, 0]
+    b = _limit_reference_sample(scn, (2, 1), (u_hi,), pool)[:, 0]
     d, p = ks_two_sample(a * (u_hi / u_lo) ** hurst, b)
     records.append(_record(scn, t, u_hi, SELF_SIMILARITY, d, hurst, p=p))
 
@@ -416,11 +452,12 @@ def _run_self_similarity(scn, t, samples, arg, records, references):
 _LOGTIME_LAGS = (0.0, math.log(2.0))
 
 
-def _run_stationarity_logtime(scn, t, samples, arg, records, references):
+def _run_stationarity_logtime(scn, t, samples, arg, records, references,
+                              pool):
     v = 0.5                                  # log-time shift for the lag pair
     u_pts = sorted({1.0} | {math.exp(s) for s in _LOGTIME_LAGS}
                    | {math.exp(v)} | {math.exp(v + s) for s in _LOGTIME_LAGS})
-    ys = _limit_reference_sample(scn, (3, 0), u_pts)
+    ys = _limit_reference_sample(scn, (3, 0), u_pts, pool)
     col = {u: ys[:, j] for j, u in enumerate(u_pts)}
     for s in _LOGTIME_LAGS:
         ref = float(limits.stationary_covariance(scn.spec.alpha, s))
@@ -431,13 +468,15 @@ def _run_stationarity_logtime(scn, t, samples, arg, records, references):
                                    ref, ref, z=z))
 
 
-def _run_mean_abs_n(scn, t, samples, arg, records, references):
+def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
     spec = scn.spec
     law = spec.law
     n = scn.replicates
     g = shotnoise.scaling_g(spec, t)
-    dev = np.abs(renewal.counts_at(law, t, renewal.ZERO_DELAYED, substreams(
-        scn.seed, (DOMAIN_AUX, 500), range(n)), n) - t / law.mean)
+    renewal.check_shot_cap(law, t, n, scn.max_shots)
+    dev = np.abs(pool.rows(partial(_counts, law, t, renewal.ZERO_DELAYED,
+                                   scn.seed, (DOMAIN_AUX, 500)), n)
+                 - t / law.mean)
     est = dev.mean() / g
     ref = abs_moment(spec.alpha, 1.0)
     z = moment_test(dev / g, 1, ref)
@@ -452,7 +491,7 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references):
 
 class Plan(NamedTuple):
     runner: Callable        # (scenario, t, samples, arg, records,
-                            #  references)
+                            #  references, pool)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
     admits: Callable        # (spec, k or None) -> bool, checked by Scenario
@@ -520,21 +559,25 @@ def _parse_plan(p):
 
 
 def run_scenario(s: Scenario) -> TestReport:
-    """Run every plan of the scenario on each rung of the t-ladder."""
+    """Run every plan of the scenario on each rung of the t-ladder, with
+    one pool of s.threads workers for the whole run."""
     report = TestReport(scenario=s.echo(), seed=s.seed)
     plans = [_parse_plan(p) for p in s.plans]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
     references = {}
-    for t in s.t_ladder:
-        samples = None
-        if needs_samples:
-            samples = simulate_scaled_matrix(s.spec, s.u_grid, t,
-                                             s.replicates, s.seed,
-                                             s.threads, s.max_shots)
-            for j, u in enumerate(s.u_grid):
-                report.plot_data[(t, u)] = np.quantile(
-                    samples[:, j], np.linspace(0.0, 1.0, 101))
-        for plan, arg in plans:
-            if plan.every_rung or t == s.t_ladder[0]:
-                plan.runner(s, t, samples, arg, report.records, references)
+    with _Pool(s.threads) as pool:
+        for t in s.t_ladder:
+            samples = None
+            if needs_samples:
+                samples = simulate_scaled_matrix(s.spec, s.u_grid, t,
+                                                 s.replicates, s.seed,
+                                                 s.threads, s.max_shots,
+                                                 pool=pool)
+                for j, u in enumerate(s.u_grid):
+                    report.plot_data[(t, u)] = np.quantile(
+                        samples[:, j], np.linspace(0.0, 1.0, 101))
+            for plan, arg in plans:
+                if plan.every_rung or t == s.t_ladder[0]:
+                    plan.runner(s, t, samples, arg, report.records,
+                                references, pool)
     return report

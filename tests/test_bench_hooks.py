@@ -1,16 +1,21 @@
-"""The benchmark's trace hooks still find every name they wrap.
+"""The benchmark's hooks still find every name they wrap.
 
 `bench/run.py --trace 1` wraps public entry points of each renewalshot
-layer by name (`run.instrument`).  A change that removes or renames one of
-them breaks the traced benchmark; this test makes it fail here too,
-without running a workload.
+layer by name (`run.instrument`), and every benchmark run times the
+engine through `workloads.MatrixProbe`, which replaces
+`verify.simulate_scaled_matrix`.  A change that removes or renames one of
+them, or that simulates a rung around the probe, breaks the benchmark;
+these tests make it fail here too, without running a workload.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
-from renewalshot import limits, renewal
+from renewalshot import limits, renewal, verify
+from renewalshot.laws import Constant, Exponential
+from renewalshot.shotnoise import A1, LimitSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,3 +40,24 @@ def test_instrument_wraps_every_hooked_name(monkeypatch):
     finally:
         spans.unwrap_all()
     assert limits.sample_path is renewal.sample_path
+
+
+def test_every_rung_passes_the_matrix_probe(monkeypatch):
+    workloads = _load(monkeypatch, "workloads")
+    # restored after the test: install() rebinds the module attribute
+    monkeypatch.setattr(verify, "simulate_scaled_matrix",
+                        verify.simulate_scaled_matrix)
+    probe = workloads.MatrixProbe()
+    probe.install()
+    scn = verify.Scenario(
+        spec=LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0)),
+        u_grid=(0.5, 1.0, 2.0), t_ladder=(50.0, 100.0), replicates=100,
+        seed=5)
+    digests = {}
+    for threads in (1, 2):
+        probe.calls.clear()
+        verify.run_scenario(dataclasses.replace(scn, threads=threads))
+        # the probe raises OutputError unless a call returns (n, len(u_grid))
+        assert [n for n, _, _ in probe.calls] == [100, 100]
+        digests[threads] = [d for _, _, d in probe.calls]
+    assert digests[1] == digests[2]

@@ -240,6 +240,38 @@ def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
     assert why in capsys.readouterr().err
 
 
+def test_too_few_replicates_exits_2(tmp_path, capsys):
+    # exit 3 is for a violated hypothesis or a plan that does not apply
+    p = tmp_path / "few.ini"
+    p.write_text(A1_CONFIG.replace("replicates = 120", "replicates = 50"))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("swaps, lines", [
+    # 2.06e7 expected shots in the X* references, 3.4e4 in the matrices
+    ({"name = A1": "name = NOSCALE_DRI",
+      "kind = constant\nvalue = 1.0": "kind = expdecay\nlam = 1.0",
+      "u = 0.5, 1.0": "u = 1, 2", "t = 60": "t = 100"},
+     "max_shots = 1e6\nx_star_truncation = 1e5"),
+    # 1.1e6 expected shots in the MEAN_ABS_N counts, no matrix
+    ({"u = 0.5, 1.0": "u = 1", "t = 60": "t = 10000",
+      "plans = KS_MARGINAL": "plans = MEAN_ABS_N"}, "max_shots = 1e5"),
+    # 1.2e4 expected shots in each stationary time-reversal loop
+    ({"plans = KS_MARGINAL": "plans = TIME_REVERSAL"}, "max_shots = 1e4"),
+], ids=["x-star-references", "mean-abs-n", "time-reversal"])
+def test_shot_cap_covers_every_path_loop(tmp_path, capsys, swaps, lines):
+    text = A1_CONFIG.replace("replicates = 120", "replicates = 100")
+    for old, new in swaps.items():
+        text = text.replace(old, new)
+    p = tmp_path / "cap.ini"
+    p.write_text(text + lines + "\n")
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 4
+    assert "cap" in capsys.readouterr().err
+
+
 def test_zero_x_star_truncation_exits_2(tmp_path, capsys):
     # 0 used to stand for the default truncation level, with the report
     # echoing x_star_truncation 0.0

@@ -19,8 +19,8 @@ from renewalshot.limits import (ProcessPath, covariance_inverse_case,
 from renewalshot.shotnoise import (NOSCALE_CENTERED, REGIMES,
                                    InadmissibleSpec, LimitSpec)
 from renewalshot.streams import substream
-from renewalshot.verify import (Scenario, ks_one_sample_normal, ks_two_sample,
-                                moment_test)
+from renewalshot.verify import (Scenario, _Pool, ks_one_sample_normal,
+                                ks_two_sample, moment_test)
 
 
 def _identity_path(cells=4096, alpha=0.9):
@@ -288,8 +288,8 @@ def test_x_star_centered_sampling():
     spec = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, h)
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
-    x = REGIMES[NOSCALE_CENTERED].reference(spec, (1.0,), n, 31, (7,),
-                                            scn)[:, 0]
+    x = REGIMES[NOSCALE_CENTERED].reference(spec, (1.0,), n, 31, (7,), scn,
+                                            _Pool(1).rows)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se
     with pytest.raises(InadmissibleSpec):   # integrable h: NOSCALE_DRI

@@ -18,7 +18,7 @@ from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    default_x_star_truncation, evaluate,
                                    scaled_statistic, scaling_g, solve_c)
 from renewalshot.streams import substream, substreams
-from renewalshot.verify import (Scenario, _limit_reference_sample,
+from renewalshot.verify import (Scenario, _Pool, _limit_reference_sample,
                                 ks_one_sample, moment_test,
                                 simulate_scaled_matrix)
 
@@ -260,7 +260,8 @@ def test_regime_table_entry_is_complete(spec):
                             100.0)
     assert stat.shape == (2,) and np.all(np.isfinite(stat))
     assert math.isfinite(regime.moment(spec, 1.0, 1))
-    refs = regime.reference(spec, (1.0, 2.0), 5, 0, (9,), _scenario(spec))
+    refs = regime.reference(spec, (1.0, 2.0), 5, 0, (9,), _scenario(spec),
+                            _Pool(1).rows)
     assert refs.shape == (5, 2) and np.all(np.isfinite(refs))
     cdf = regime.exact(spec, 1.0)
     if cdf is not None:
@@ -278,9 +279,10 @@ def test_d4_reference_column_does_not_depend_on_the_rest_of_the_grid():
     # one jump-epoch draw per row serves every u, and the epochs up to u do
     # not depend on the largest u of the grid
     spec = TABLE_SPECS[-2]
-    one = _limit_reference_sample(_scenario(spec, (1.0,)), (1, 0), (1.0,))
+    one = _limit_reference_sample(_scenario(spec, (1.0,)), (1, 0), (1.0,),
+                                  _Pool(1))
     two = _limit_reference_sample(_scenario(spec, (1.0, 2.0)), (1, 0),
-                                  (1.0, 2.0))
+                                  (1.0, 2.0), _Pool(1))
     assert one[:, 0].tobytes() == two[:, 0].tobytes()
 
 
@@ -288,5 +290,5 @@ def test_noscale_reference_columns_have_their_own_streams():
     # far-apart grid points once shared one stream key
     spec = TABLE_SPECS[0]
     scn = _scenario(spec, (2048.0, 4096.0))
-    refs = _limit_reference_sample(scn, (1, 0), scn.u_grid)
+    refs = _limit_reference_sample(scn, (1, 0), scn.u_grid, _Pool(1))
     assert not np.array_equal(refs[:, 0], refs[:, 1])

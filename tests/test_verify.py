@@ -1,8 +1,10 @@
 """Statistical machinery and the scenario runner."""
 
+import dataclasses
 import io
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -97,8 +99,11 @@ def _a1_scenario(**kw):
 
 
 def test_scenario_validation():
-    with pytest.raises(InadmissibleSpec):
+    # too few replicates is a run setting out of range, not a violated
+    # hypothesis
+    with pytest.raises(ValueError, match="replicates") as err:
         _a1_scenario(replicates=50)
+    assert not isinstance(err.value, InadmissibleSpec)
     with pytest.raises(InadmissibleSpec):
         _a1_scenario(t_ladder=(100.0, 100.0))
     for ladder in ((), (0.0,), (-5.0, 10.0)):
@@ -170,9 +175,9 @@ def test_ks_references_drawn_once_per_run(monkeypatch):
     drawn = []
     inner = verify._limit_reference_sample
 
-    def counted(scn, key, u_grid):
+    def counted(scn, key, u_grid, pool):
         drawn.append(tuple(u_grid))
-        return inner(scn, key, u_grid)
+        return inner(scn, key, u_grid, pool)
 
     monkeypatch.setattr(verify, "_limit_reference_sample", counted)
     scn = _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0),
@@ -199,17 +204,21 @@ def _centered_x_star(s, scn, j, rng):
 ], ids=["NOSCALE_DRI", "NOSCALE_CENTERED", "D4"])
 def test_x_star_draws_use_one_stream_per_draw(spec, draw):
     # a stream serves one path: X* draw (i, j) has stream (..., j, i), D4
-    # row i has stream (..., i) for the whole grid
+    # row i has stream (..., i) for the whole grid, in process and when
+    # the rows are split over two workers
     n = 100
     scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0), replicates=n,
                        x_star_truncation=30.0, reference_mesh_d=1e-2)
     key = (DOMAIN_REFERENCE, 4, 1)
-    got = verify._limit_reference_sample(scn, key[1:], scn.u_grid)
     for j in range(2):
         column = key if spec is D4_SPEC else key + (j,)
         want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
                          for i in range(n)])
-        assert got[:, j].tobytes() == want.tobytes()
+        for threads in (1, 2):
+            with verify._Pool(threads) as pool:
+                got = verify._limit_reference_sample(scn, key[1:],
+                                                     scn.u_grid, pool)
+            assert got[:, j].tobytes() == want.tobytes()
 
 
 def test_run_scenario_deterministic_reports():
@@ -274,6 +283,57 @@ def test_resource_cap():
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ResourceCapExceeded):
         simulate_scaled_matrix(spec, (1.0,), 1e6, 10000, 0, max_shots=1e6)
+
+
+# the per-row-stream loops of a run: the engine's rungs with D4 jump-epoch
+# references, with X* references and stationary time-reversal paths, and
+# the MEAN_ABS_N counts
+THREADED_RUNS = {
+    "D4-inverse-subordinator": dict(
+        spec=D4_SPEC, u_grid=(0.5, 1.0, 2.0), t_ladder=(50.0, 100.0),
+        plans=("KS_MARGINAL", "SELF_SIMILARITY"), reference_mesh_d=1e-2),
+    "NOSCALE_DRI-x-star": dict(
+        spec=LimitSpec(NOSCALE_DRI, 2.0, 0.0, Gamma(2.0, 2.0), ExpDecay(1.0)),
+        u_grid=(1.0, 2.0), t_ladder=(20.0, 40.0),
+        plans=("KS_MARGINAL", "TIME_REVERSAL")),
+    "A1-mean-abs-n": dict(t_ladder=(100.0, 400.0), plans=("MEAN_ABS_N",)),
+}
+
+
+@pytest.mark.parametrize("kw", THREADED_RUNS.values(), ids=THREADED_RUNS)
+def test_whole_report_does_not_depend_on_threads(kw):
+    # the scenario echo holds the thread count, so compare what the run
+    # computed: the records and the plot quantiles
+    runs = {}
+    for threads in (1, 2, 3):
+        rep = run_scenario(_a1_scenario(replicates=100, threads=threads, **kw))
+        runs[threads] = ([dataclasses.asdict(r) for r in rep.records],
+                         {k: v.tobytes() for k, v in rep.plot_data.items()})
+    assert runs[1][0] and runs[1] == runs[2] == runs[3]
+
+
+def test_no_worker_outlives_its_run(monkeypatch):
+    alive = []
+    inner = verify.simulate_scaled_matrix
+
+    def watched(*args, **kwargs):
+        m = inner(*args, **kwargs)
+        alive.append(len(multiprocessing.active_children()))
+        return m
+
+    monkeypatch.setattr(verify, "simulate_scaled_matrix", watched)
+    scn = _a1_scenario(replicates=100, threads=2, t_ladder=(50.0, 100.0),
+                       max_shots=1e5)
+    run_scenario(scn)
+    # one pool serves both rungs and is gone once the run returns
+    assert len(alive) == 2 and alive[1] > 0
+    assert multiprocessing.active_children() == []
+    # the first rung starts the pool, the second is over the shot cap
+    alive.clear()
+    with pytest.raises(ResourceCapExceeded):
+        run_scenario(dataclasses.replace(scn, t_ladder=(50.0, 1e4)))
+    assert alive and alive[0] > 0
+    assert multiprocessing.active_children() == []
 
 
 def test_report_serialization_shapes():
