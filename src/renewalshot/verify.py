@@ -431,8 +431,8 @@ def _run_time_reversal(scn, t, samples, arg, records, references, pool):
             rev[at:at + len(rows)] = (
                 np.count_nonzero(rows <= horizon, axis=1)
                 - np.count_nonzero(rows < horizon - s, axis=1))
-        fwd = renewal.counts_at(law, s, renewal.STATIONARY, substreams(
-            scn.seed, (DOMAIN_AUX, 200 + idx), range(n)), n)
+        fwd = _counts(law, s, renewal.STATIONARY, scn.seed,
+                      (DOMAIN_AUX, 200 + idx), range(n))
         d, p = ks_two_sample(rev, fwd)
         records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
