@@ -127,15 +127,28 @@ def test_window_half_open():
     assert h.integral(0.5) == 0.0
 
 
+# response -> (rv_index, integrable, dri, square_integrable), with the
+# boundaries beta = 1/2 and beta = 1 of both regularly varying families
+RESPONSE_FLAGS = [
+    (PowerDecay(0.25), 0.25, False, False, False),
+    (PowerDecay(0.5), 0.5, False, False, False),
+    (PowerDecay(0.75), 0.75, False, False, True),
+    (PowerDecay(1.0), 1.0, False, False, True),
+    (PowerDecay(1.5, 0.7), 1.5, True, True, True),
+    (ParetoTailMatch(0.5), 0.5, False, False, False),
+    (ParetoTailMatch(0.75, 2.0, 3.0), 0.75, False, False, True),
+    (ParetoTailMatch(1.0), 1.0, False, False, True),
+    (ParetoTailMatch(1.5, 1.0, 2.0), 1.5, True, True, True),
+    (ExpDecay(1.0), None, True, True, True),
+    (Window(0.0, 1.0), None, True, True, True),
+    (Constant(1.0), 0.0, False, False, False),
+]
+
+
 def test_response_flags():
-    assert PowerDecay(0.25).rv_index == 0.25
-    assert not PowerDecay(0.25).integrable
-    assert not PowerDecay(0.25).square_integrable
-    assert PowerDecay(0.75).square_integrable and not PowerDecay(0.75).integrable
-    assert PowerDecay(1.5).dri and PowerDecay(1.5).integrable
-    assert Constant(1.0).rv_index == 0.0 and not Constant(1.0).integrable
-    assert ExpDecay(1.0).dri and ExpDecay(1.0).rv_index is None
-    assert Window(0.0, 1.0).dri
+    for h, rv, integrable, dri, square in RESPONSE_FLAGS:
+        assert (h.rv_index, h.integrable, h.dri, h.square_integrable) == (
+            rv, integrable, dri, square), h
 
 
 def test_pareto_tail_match_is_scaled_tail():
