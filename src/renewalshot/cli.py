@@ -53,8 +53,7 @@ _RESPONSES = {
     "paretotailmatch": (ParetoTailMatch, ("alpha", "xm", "c"), ()),
 }
 _RUN_KEYS = {"replicates", "seed", "plans", "significance", "max_shots",
-             "threads", "horizon", "delay", "x_star_truncation",
-             "reference_mesh_d"}
+             "horizon", "delay", "x_star_truncation", "reference_mesh_d"}
 
 
 def _check_keys(section, allowed, name):
@@ -82,7 +81,8 @@ def _float_list(text):
 
 
 def load_config(path):
-    """Parse an INI config into (LimitSpec, scenario keyword arguments)."""
+    """Parse an INI config into (LimitSpec, scenario keyword arguments,
+    path-dump settings: horizon, None when unset, and delay)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cp.read(path):
         raise ConfigError(f"cannot read config {path!r}")
@@ -121,32 +121,17 @@ def load_config(path):
     for key in ("x_star_truncation", "reference_mesh_d"):
         if key in run:
             kw[key] = run.getfloat(key)
-    extras = {
-        "threads": run.getint("threads", 0) or None,
-        "horizon": run.getfloat("horizon", 0.0),
-        "delay": run.get("delay", "zero"),
-    }
-    return spec, kw, extras
-
-
-def _resolve_threads(args, extras):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RENEWALSHOT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("RENEWALSHOT_THREADS must be an integer")
-    return extras.get("threads") or 1
+    horizon = run.getfloat("horizon")
+    if not (horizon is None or horizon > 0):
+        raise ConfigError(f"[run] horizon must be positive, got {horizon}")
+    return spec, kw, {"horizon": horizon, "delay": run.get("delay", "zero")}
 
 
 def _scenario(args):
-    spec, kw, extras = load_config(args.config)
+    spec, kw, _ = load_config(args.config)
     if args.seed is not None:
         kw["seed"] = args.seed
-    return verify.Scenario(spec=spec, threads=_resolve_threads(args, extras),
-                           **kw)
+    return verify.Scenario(spec=spec, threads=args.threads, **kw)
 
 
 def cmd_simulate(args):
@@ -227,10 +212,12 @@ def cmd_formula(args):
 def cmd_path_dump(args):
     spec, kw, extras = load_config(args.config)
     seed = args.seed if args.seed is not None else kw["seed"]
-    if not (extras["horizon"] or kw["t_ladder"]):
-        raise ConfigError("path-dump needs [run] horizon or a nonempty "
-                          "[grid] t")
-    horizon = extras["horizon"] or kw["t_ladder"][-1]
+    horizon = extras["horizon"]
+    if horizon is None:
+        if not kw["t_ladder"]:
+            raise ConfigError("path-dump needs [run] horizon or a nonempty "
+                              "[grid] t")
+        horizon = kw["t_ladder"][-1]
     delay = {"zero": renewal.ZERO_DELAYED,
              "stationary": renewal.STATIONARY}.get(extras["delay"])
     if delay is None:
@@ -255,7 +242,7 @@ def build_parser():
         sp.add_argument("--out", required=True)
         sp.add_argument("--seed", type=int, default=None)
         if threads:
-            sp.add_argument("--threads", type=int, default=None)
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--json", action="store_true")
 
     common(sub.add_parser("simulate", help="write scaled-statistic samples"))

@@ -236,12 +236,23 @@ class ResponseFunction(ABC):
     """Deterministic shot response h, nonnegative and locally bounded."""
 
     #: regular-variation index beta with h(t) ~ t^{-beta} ell_h(t), or None
-    #: for responses that decay faster than any power (carry the dri flag).
+    #: for responses that decay faster than any power
     rv_index: float | None
 
-    dri: bool
-    integrable: bool
-    square_integrable: bool
+    # The flags follow from rv_index, exactly for this closed family: every
+    # regularly varying member is eventually monotone and its slowly
+    # varying part is a constant, so h is integrable (and, being monotone,
+    # d.R.i.) iff beta > 1 and h^2 iff beta > 1/2; every other member is
+    # bounded, piecewise continuous and has a light tail.
+    @property
+    def integrable(self) -> bool:
+        return self.rv_index is None or self.rv_index > 1
+
+    dri = integrable
+
+    @property
+    def square_integrable(self) -> bool:
+        return self.rv_index is None or self.rv_index > 0.5
 
     @abstractmethod
     def eval(self, t): ...
@@ -266,16 +277,6 @@ class PowerDecay(ResponseFunction):
     def rv_index(self):
         return self.beta
 
-    @property
-    def integrable(self):
-        return self.beta > 1
-
-    dri = integrable            # monotone: d.R.i. exactly when integrable
-
-    @property
-    def square_integrable(self):
-        return self.beta > 0.5
-
     def eval(self, t):
         return (np.asarray(t, dtype=float) + self.c0) ** (-self.beta)
 
@@ -295,9 +296,6 @@ class ExpDecay(ResponseFunction):
             raise ValueError("decay rate must be positive")
 
     rv_index = None
-    dri = True
-    integrable = True
-    square_integrable = True
 
     def eval(self, t):
         return np.exp(-self.lam * np.asarray(t, dtype=float))
@@ -318,9 +316,6 @@ class Window(ResponseFunction):
             raise ValueError("need 0 <= a < b")
 
     rv_index = None
-    dri = True
-    integrable = True
-    square_integrable = True
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -339,9 +334,6 @@ class Constant(ResponseFunction):
             raise ValueError("constant must be positive")
 
     rv_index = 0.0
-    dri = False
-    integrable = False
-    square_integrable = False
 
     def eval(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.v)
@@ -366,16 +358,6 @@ class ParetoTailMatch(ResponseFunction):
     @property
     def rv_index(self):
         return self.alpha
-
-    @property
-    def integrable(self):
-        return self.alpha > 1
-
-    dri = integrable            # monotone: d.R.i. exactly when integrable
-
-    @property
-    def square_integrable(self):
-        return self.alpha > 0.5
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

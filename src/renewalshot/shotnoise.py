@@ -255,10 +255,11 @@ def _d4_cdf(spec, u):
     return lambda q: -np.expm1(-np.maximum(q, 0.0))
 
 
-def _gaussian_reference(spec, u_grid, n, seed, key, scenario, map_rows):
+def _gaussian_reference(scn, u_grid, key, map_rows):
     """Independent normal columns, one block from one stream."""
-    sd = np.sqrt([_gaussian_variance(spec, u) for u in u_grid])
-    return substream(seed, *key).normal(0.0, sd, (n, len(u_grid)))
+    sd = np.sqrt([_gaussian_variance(scn.spec, u) for u in u_grid])
+    return substream(scn.seed, *key).normal(0.0, sd,
+                                            (scn.replicates, len(u_grid)))
 
 
 def _x_star_rows(spec, T, columns, seed, key, rows):
@@ -281,13 +282,15 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
     return out
 
 
-def _x_star_reference(spec, u_grid, n, seed, key, scenario, map_rows):
+def _x_star_reference(scn, u_grid, key, map_rows):
     """Independent X* columns (see _x_star_rows), T the scenario's
     x_star_truncation or its default, under the scenario's shot cap."""
-    T = (default_x_star_truncation(spec) if scenario.x_star_truncation is None
-         else scenario.x_star_truncation)
-    renewal.check_shot_cap(spec.law, T, n * len(u_grid), scenario.max_shots)
-    return map_rows(partial(_x_star_rows, spec, T, len(u_grid), seed, key), n)
+    spec, n = scn.spec, scn.replicates
+    T = (default_x_star_truncation(spec) if scn.x_star_truncation is None
+         else scn.x_star_truncation)
+    renewal.check_shot_cap(spec.law, T, n * len(u_grid), scn.max_shots)
+    return map_rows(partial(_x_star_rows, spec, T, len(u_grid), scn.seed,
+                            key), n)
 
 
 def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
@@ -298,10 +301,10 @@ def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
         for rng in substreams(seed, key, rows)])
 
 
-def _inverse_subordinator_reference(spec, u_grid, n, seed, key, scenario,
-                                    map_rows):
-    return map_rows(partial(_inverse_subordinator_rows, spec, u_grid,
-                            scenario.reference_mesh_d, seed, key), n)
+def _inverse_subordinator_reference(scn, u_grid, key, map_rows):
+    return map_rows(partial(_inverse_subordinator_rows, scn.spec, u_grid,
+                            scn.reference_mesh_d, scn.seed, key),
+                    scn.replicates)
 
 
 def _gaussian_moment(spec, u, k):
@@ -329,8 +332,10 @@ def _levy_hurst(spec):
 @dataclass(frozen=True)
 class Regime:
     """One row of the limit-theorem table; every callable takes the
-    LimitSpec first.  Callables reach `limits` through the module, so
-    wrapping a `limits` function (for tracing, say) reaches them too.
+    LimitSpec first, but `reference`, which takes the verify.Scenario that
+    holds it and the size, seed and knobs of the draw.  Callables reach
+    `limits` through the module, so wrapping a `limits` function (for
+    tracing, say) reaches them too.
     A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
     the sampler makes it one: D4 (one jump-epoch draw per row) and the
     no-scaling limits (independent at distinct u).  A1-A3 columns have the
@@ -345,8 +350,9 @@ class Regime:
     statistic: Callable         # (spec, paths, u, t) -> statistic
                                 # per path (row) and u (column)
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
-    reference: Callable         # (spec, u_grid, n, seed, key, scenario,
-                                # map_rows) -> (n, len(u_grid)) draws of Y
+    reference: Callable         # (scenario, u_grid, key, map_rows) ->
+                                # (replicates, len(u_grid)) draws of Y on
+                                # the streams (seed, *key, ...)
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
     hurst: Callable | None      # (spec) -> H; None: stationary limit
 
@@ -394,10 +400,10 @@ REGIMES = {
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
-        reference=lambda spec, u, n, seed, key, scn, map_rows:
+        reference=lambda scn, u, key, map_rows:
             limits.marginal_sample_finite_mean(
-                spec.alpha, spec.beta, np.asarray(u), substream(seed, *key),
-                (n, len(u))),
+                scn.spec.alpha, scn.spec.beta, np.asarray(u),
+                substream(scn.seed, *key), (scn.replicates, len(u))),
         moment=_zero_mean, hurst=_levy_hurst),
     D4: Regime(
         admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),

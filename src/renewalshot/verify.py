@@ -283,7 +283,8 @@ class _Pool:
     """The worker processes of one run.  Every loop of the run whose rows
     each draw from their own streams (so any split of the rows gives the
     same bits) maps its rows over them.  There are none at threads = 1;
-    otherwise the first such loop starts them, and leaving the `with`
+    otherwise the first such loop starts min(threads, CPU count) of them
+    (a fork pool starts all its workers at once), and leaving the `with`
     block shuts them down, on return or on error."""
 
     def __init__(self, threads: int):
@@ -304,7 +305,9 @@ class _Pool:
         if self.threads <= 1:
             return fn(range(n))
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.threads)
+            import os
+            self._executor = ProcessPoolExecutor(
+                max_workers=min(self.threads, os.cpu_count() or 1))
         cut = np.linspace(0, n, 4 * self.threads + 1).astype(int).tolist()
         return np.concatenate(list(self._executor.map(
             fn, [range(a, b) for a, b in zip(cut, cut[1:]) if b > a])))
@@ -366,8 +369,7 @@ def _limit_reference_sample(scn: Scenario, key: tuple, u_grid, pool):
     sampler makes them so (see `shotnoise.Regime`); a sampler that draws
     each row from its own streams maps them over the pool."""
     return REGIMES[scn.spec.regime].reference(
-        scn.spec, tuple(u_grid), scn.replicates, scn.seed,
-        (DOMAIN_REFERENCE,) + key, scn, pool.rows)
+        scn, tuple(u_grid), (DOMAIN_REFERENCE,) + key, pool.rows)
 
 
 def _run_ks_marginal(scn, t, samples, arg, records, references, pool):

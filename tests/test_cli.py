@@ -95,15 +95,17 @@ def test_simulate_thread_invariance(a1_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_env_fallback(a1_config, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    cli.main(["simulate", "--config", a1_config, "--out", str(out1)])
-    monkeypatch.setenv("RENEWALSHOT_THREADS", "2")
-    cli.main(["simulate", "--config", a1_config, "--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+def test_threads_come_from_the_flag_only(tmp_path, capsys, monkeypatch):
+    # neither a config key nor an environment variable sets the count
+    p = tmp_path / "threads.ini"
+    p.write_text(A1_CONFIG + "threads = 2\n")
+    assert cli.main(["simulate", "--config", str(p),
+                     "--out", str(tmp_path / "k.csv")]) == 2
+    assert "threads" in capsys.readouterr().err
     monkeypatch.setenv("RENEWALSHOT_THREADS", "zebra")
-    assert cli.main(["simulate", "--config", a1_config,
-                     "--out", str(tmp_path / "e3.csv")]) == 2
+    p.write_text(A1_CONFIG)
+    assert cli.main(["simulate", "--config", str(p),
+                     "--out", str(tmp_path / "e.csv")]) == 0
 
 
 def test_seed_flag_overrides_config(a1_config, tmp_path):
@@ -446,6 +448,21 @@ def test_path_dump_without_horizon_or_ladder_exits_2(tmp_path, capsys):
     assert cli.main(["path-dump", "--config", str(p),
                      "--out", str(tmp_path / "path.csv")]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+def test_path_dump_horizon_is_positive_or_the_last_t(tmp_path, capsys):
+    # a horizon that is set must be positive (0 is not "unset"); an unset
+    # one is the last t of the ladder
+    p = tmp_path / "horizon.ini"
+    out = str(tmp_path / "path.csv")
+    for horizon in ("0", "-1"):
+        p.write_text(A1_CONFIG + f"horizon = {horizon}\n")
+        assert cli.main(["path-dump", "--config", str(p), "--out", out]) == 2
+        assert "horizon" in capsys.readouterr().err
+    p.write_text(A1_CONFIG)
+    assert cli.main(["path-dump", "--config", str(p), "--out", out,
+                     "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 60.0
 
 
 def test_config_scenario_round_trip(a1_config):

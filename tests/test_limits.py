@@ -288,7 +288,7 @@ def test_x_star_centered_sampling():
     spec = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, h)
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
-    x = REGIMES[NOSCALE_CENTERED].reference(spec, (1.0,), n, 31, (7,), scn,
+    x = REGIMES[NOSCALE_CENTERED].reference(scn, (1.0,), (7,),
                                             _Pool(1).rows)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se

@@ -260,9 +260,8 @@ def test_regime_table_entry_is_complete(spec):
                             100.0)
     assert stat.shape == (2,) and np.all(np.isfinite(stat))
     assert math.isfinite(regime.moment(spec, 1.0, 1))
-    refs = regime.reference(spec, (1.0, 2.0), 5, 0, (9,), _scenario(spec),
-                            _Pool(1).rows)
-    assert refs.shape == (5, 2) and np.all(np.isfinite(refs))
+    refs = regime.reference(_scenario(spec), (1.0, 2.0), (9,), _Pool(1).rows)
+    assert refs.shape == (100, 2) and np.all(np.isfinite(refs))
     cdf = regime.exact(spec, 1.0)
     if cdf is not None:
         q = np.asarray(cdf(np.sort(refs[:, 0])))

@@ -336,6 +336,30 @@ def test_no_worker_outlives_its_run(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_starts_no_more_workers_than_cpus(monkeypatch):
+    # a fork pool starts all max_workers at the first map; the row split
+    # into 4 * threads ranges stays, so the bits do not depend on the CPUs
+    started, ranges = [], []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, chunks):
+            ranges.extend(chunks)
+            return [fn(rows) for rows in chunks]
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with verify._Pool(3) as pool:
+        rows = pool.rows(lambda r: np.arange(r.start, r.stop), 100)
+    assert started == [2] and len(ranges) == 12
+    np.testing.assert_array_equal(rows, np.arange(100))
+
+
 def test_report_serialization_shapes():
     scn = _a1_scenario(u_grid=(1.0, 2.0), t_ladder=(50.0, 150.0),
                        plans=("KS_MARGINAL",))
