@@ -121,10 +121,8 @@ def load_config(path):
     for key in ("x_star_truncation", "reference_mesh_d"):
         if key in run:
             kw[key] = run.getfloat(key)
-    horizon = run.getfloat("horizon")
-    if not (horizon is None or horizon > 0):
-        raise ConfigError(f"[run] horizon must be positive, got {horizon}")
-    return spec, kw, {"horizon": horizon, "delay": run.get("delay", "zero")}
+    return spec, kw, {"horizon": run.getfloat("horizon"),
+                      "delay": run.get("delay", "zero")}
 
 
 def _scenario(args):
@@ -218,6 +216,9 @@ def cmd_path_dump(args):
             raise ConfigError("path-dump needs [run] horizon or a nonempty "
                               "[grid] t")
         horizon = kw["t_ladder"][-1]
+    if not 0 < horizon < np.inf:
+        raise ConfigError(f"path-dump needs a positive, finite horizon, got "
+                          f"{horizon}")
     delay = {"zero": renewal.ZERO_DELAYED,
              "stationary": renewal.STATIONARY}.get(extras["delay"])
     if delay is None:

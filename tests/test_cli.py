@@ -451,11 +451,11 @@ def test_path_dump_without_horizon_or_ladder_exits_2(tmp_path, capsys):
 
 
 def test_path_dump_horizon_is_positive_or_the_last_t(tmp_path, capsys):
-    # a horizon that is set must be positive (0 is not "unset"); an unset
-    # one is the last t of the ladder
+    # a horizon that is set must be positive and finite (0 is not
+    # "unset"); an unset one is the last t of the ladder
     p = tmp_path / "horizon.ini"
     out = str(tmp_path / "path.csv")
-    for horizon in ("0", "-1"):
+    for horizon in ("0", "-1", "inf"):
         p.write_text(A1_CONFIG + f"horizon = {horizon}\n")
         assert cli.main(["path-dump", "--config", str(p), "--out", out]) == 2
         assert "horizon" in capsys.readouterr().err
