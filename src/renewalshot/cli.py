@@ -223,6 +223,7 @@ def cmd_path_dump(args):
              "stationary": renewal.STATIONARY}.get(extras["delay"])
     if delay is None:
         raise ConfigError(f"unknown delay kind {extras['delay']!r}")
+    renewal.check_shot_cap(spec.law, horizon, 1, kw["max_shots"])
     rng = substream(seed, DOMAIN_AUX, 0)
     path = renewal.sample_path(spec.law, horizon, delay, rng)
     with open(args.out, "w", newline="", encoding="utf-8") as f:

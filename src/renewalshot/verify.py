@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from functools import partial
 from typing import Callable, NamedTuple
@@ -285,10 +286,14 @@ class _Pool:
     same bits) maps its rows over them.  There are none at threads = 1;
     otherwise the first such loop starts min(threads, CPU count) of them
     (a fork pool starts all its workers at once), and leaving the `with`
-    block shuts them down, on return or on error."""
+    block shuts them down, on return or on error.  `ladder` is the run's
+    t-ladder: a matrix drawn at one rung draws the later rungs too, and
+    `ahead` keeps their matrices until their rung asks for them."""
 
-    def __init__(self, threads: int):
+    def __init__(self, threads: int, ladder=()):
         self.threads = threads
+        self.ladder = tuple(ladder)
+        self.ahead = {}
         self._executor = None
 
     def __enter__(self):
@@ -313,15 +318,19 @@ class _Pool:
             fn, [range(a, b) for a, b in zip(cut, cut[1:]) if b > a])))
 
 
-def _simulate_chunk(spec, u_grid, t, seed, rows):
-    """The matrix rows `rows`: each replicate's path from its own
-    substream, the statistic for a buffer of paths at a time."""
-    out = np.empty((len(rows), len(u_grid)))
+def _simulate_chunk(spec, u_grid, ts, seed, rows):
+    """The rows `rows` of the matrix of every rung t of ts, as
+    (len(rows), len(ts), len(u_grid)): each replicate's path from its own
+    substream, drawn once to u_max * ts[-1] (the path to u_max * t is its
+    prefix), the statistic of every rung for a buffer of paths at a
+    time."""
+    out = np.empty((len(rows), len(ts), len(u_grid)))
     for at, paths in renewal.epoch_batches(
-            spec.law, max(u_grid) * t, renewal.ZERO_DELAYED,
+            spec.law, max(u_grid) * ts[-1], renewal.ZERO_DELAYED,
             substreams(seed, (DOMAIN_REPLICATE,), rows), len(rows)):
-        out[at:at + len(paths)] = shotnoise.batch_statistic(spec, paths,
-                                                            u_grid, t)
+        for i, t in enumerate(ts):
+            out[at:at + len(paths), i] = shotnoise.batch_statistic(
+                spec, paths, u_grid, t)
     return out
 
 
@@ -332,25 +341,39 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     """(n, len(u_grid)) matrix of the scaled statistic, one zero-delayed
     path per replicate shared across the u-grid.  The rows run in `pool`,
     the pool of a run (run_scenario passes its own), else in one of
-    `threads` workers opened for this call."""
+    `threads` workers opened for this call.  The paths go on to the last
+    rung of the pool's ladder, under the shot cap there: this call
+    computes the matrices of the later rungs too and leaves them in the
+    pool for their own calls."""
     u_grid = tuple(float(u) for u in u_grid)
-    renewal.check_shot_cap(spec.law, max(u_grid) * t, n, max_shots)
-    draw = partial(_simulate_chunk, spec, u_grid, t, seed)
-    if pool is None:
-        with _Pool(threads) as own:
-            return own.rows(draw, n)
-    return pool.rows(draw, n)
+    with (_Pool(threads) if pool is None else nullcontext(pool)) as pool:
+        key = (t, spec, u_grid, n, seed)
+        if key in pool.ahead:
+            return pool.ahead.pop(key)
+        ts = (t,) + tuple(r for r in pool.ladder if r > t)
+        renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n, max_shots)
+        m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n)
+        pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
+                          for i, r in enumerate(ts[1:], 1))
+        return np.ascontiguousarray(m[:, 0])
 
 
-def _counts(law, t, delay_kind, seed, key, rows):
-    """N(t) on the path of stream (seed, *key, i) for each i of rows."""
-    return renewal.counts_at(law, t, delay_kind,
-                             substreams(seed, key, rows), len(rows))
+def _counts(law, ts, delay_kind, seed, key, rows):
+    """(len(rows), len(ts)): N(t) for each t of the increasing ts on the
+    path of stream (seed, *key, i), i of rows, drawn once to ts[-1] (the
+    path to t is its prefix)."""
+    out = np.empty((len(rows), len(ts)), dtype=np.intp)
+    for at, paths in renewal.epoch_batches(
+            law, ts[-1], delay_kind, substreams(seed, key, rows), len(rows)):
+        for i, t in enumerate(ts):
+            out[at:at + len(paths), i] = np.count_nonzero(paths <= t, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # plan runners: (scenario, t, samples or None, k or None, records,
-# references: the limit-law draws of this run_scenario call, by plan,
+# references: the draws of this run_scenario call that serve every rung
+# (limit-law references, MEAN_ABS_N counts), by plan,
 # pool: the _Pool of this run)
 # ---------------------------------------------------------------------------
 
@@ -433,8 +456,8 @@ def _run_time_reversal(scn, t, samples, arg, records, references, pool):
             rev[at:at + len(rows)] = (
                 np.count_nonzero(rows <= horizon, axis=1)
                 - np.count_nonzero(rows < horizon - s, axis=1))
-        fwd = _counts(law, s, renewal.STATIONARY, scn.seed,
-                      (DOMAIN_AUX, 200 + idx), range(n))
+        fwd = _counts(law, (s,), renewal.STATIONARY, scn.seed,
+                      (DOMAIN_AUX, 200 + idx), range(n))[:, 0]
         d, p = ks_two_sample(rev, fwd)
         records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
@@ -474,10 +497,14 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
     spec = scn.spec
     law = spec.law
     n = scn.replicates
+    if MEAN_ABS_N not in references:
+        # the counts of every rung from one path per stream to the last t
+        renewal.check_shot_cap(law, scn.t_ladder[-1], n, scn.max_shots)
+        references[MEAN_ABS_N] = pool.rows(partial(
+            _counts, law, scn.t_ladder, renewal.ZERO_DELAYED, scn.seed,
+            (DOMAIN_AUX, 500)), n)
     g = shotnoise.scaling_g(spec, t)
-    renewal.check_shot_cap(law, t, n, scn.max_shots)
-    dev = np.abs(pool.rows(partial(_counts, law, t, renewal.ZERO_DELAYED,
-                                   scn.seed, (DOMAIN_AUX, 500)), n)
+    dev = np.abs(references[MEAN_ABS_N][:, scn.t_ladder.index(t)]
                  - t / law.mean)
     est = dev.mean() / g
     ref = abs_moment(spec.alpha, 1.0)
@@ -567,7 +594,7 @@ def run_scenario(s: Scenario) -> TestReport:
     plans = [_parse_plan(p) for p in s.plans]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
     references = {}
-    with _Pool(s.threads) as pool:
+    with _Pool(s.threads, s.t_ladder) as pool:
         for t in s.t_ladder:
             samples = None
             if needs_samples:

@@ -61,3 +61,19 @@ def test_every_rung_passes_the_matrix_probe(monkeypatch):
         assert [n for n, _, _ in probe.calls] == [100, 100]
         digests[threads] = [d for _, _, d in probe.calls]
     assert digests[1] == digests[2]
+
+
+def test_a_direct_matrix_call_passes_the_probe_once(monkeypatch):
+    # bench/workloads.part_b and `renewalshot simulate` call the engine
+    # directly: the probe must time that one call, not an inner one too
+    workloads = _load(monkeypatch, "workloads")
+    monkeypatch.setattr(verify, "simulate_scaled_matrix",
+                        verify.simulate_scaled_matrix)
+    probe = workloads.MatrixProbe()
+    probe.install()
+    spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
+    for threads in (1, 2):
+        probe.calls.clear()
+        verify.simulate_scaled_matrix(spec, (0.5, 1.0, 2.0), 100.0, 100, 5,
+                                      threads)
+        assert [n for n, _, _ in probe.calls] == [100]

@@ -465,6 +465,15 @@ def test_path_dump_horizon_is_positive_or_the_last_t(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["horizon"] == 60.0
 
 
+def test_path_dump_is_under_the_shot_cap(tmp_path, capsys):
+    # about 100,000 epochs on [0, 1e5] against a cap of 10 shots
+    p = tmp_path / "cap.ini"
+    p.write_text(A1_CONFIG + "max_shots = 10\nhorizon = 100000\n")
+    out = tmp_path / "path.csv"
+    assert cli.main(["path-dump", "--config", str(p), "--out", str(out)]) == 4
+    assert "cap" in capsys.readouterr().err and not out.exists()
+
+
 def test_config_scenario_round_trip(a1_config):
     spec, kw, _ = cli.load_config(a1_config)
     from renewalshot.verify import Scenario

@@ -15,8 +15,9 @@ from renewalshot.renewal import ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_CENTERED, NOSCALE_DRI,
                                    InadmissibleSpec, LimitSpec,
                                    scaled_statistic)
-from renewalshot import limits, renewal, verify
-from renewalshot.streams import DOMAIN_REFERENCE, DOMAIN_REPLICATE, substream
+from renewalshot import limits, renewal, shotnoise, verify
+from renewalshot.streams import (DOMAIN_AUX, DOMAIN_REFERENCE,
+                                 DOMAIN_REPLICATE, substream)
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
                                 copula_independence_test, covariance_z,
                                 energy_distance_test, ks_one_sample_normal,
@@ -285,6 +286,105 @@ def test_resource_cap():
         simulate_scaled_matrix(spec, (1.0,), 1e6, 10000, 0, max_shots=1e6)
 
 
+def _watch_rows(monkeypatch):
+    """A list that collects the row count of every renewal.epoch_rows call
+    made in this process."""
+    drawn = []
+    inner = renewal.epoch_rows
+
+    def counted(law, T, delay_kind, streams, rows):
+        drawn.append(rows)
+        return inner(law, T, delay_kind, streams, rows)
+
+    monkeypatch.setattr(renewal, "epoch_rows", counted)
+    return drawn
+
+
+def _watch_matrices(monkeypatch):
+    """A list that collects (t, matrix) of every verify.simulate_scaled_matrix
+    call, as the rungs of run_scenario make them."""
+    got = []
+    inner = verify.simulate_scaled_matrix
+
+    def watched(spec, u_grid, t, n, *args, **kwargs):
+        m = inner(spec, u_grid, t, n, *args, **kwargs)
+        got.append((t, m))
+        return m
+
+    monkeypatch.setattr(verify, "simulate_scaled_matrix", watched)
+    return got
+
+
+# D4 rows outgrow their first draw; A1 PowerDecay paths pass 4096 gaps
+LADDER_SPECS = {
+    "D4": (D4_SPEC, (50.0, 200.0, 1e3)),
+    "A1": (LimitSpec(A1, 2.0, 0.25, Gamma(2.0, 2.0), PowerDecay(0.25)),
+           (100.0, 400.0, 2500.0)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec, ladder", LADDER_SPECS.values(),
+                         ids=LADDER_SPECS)
+def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
+                                          threads):
+    # the paths are drawn once to the last rung; each rung's matrix still
+    # equals the matrix of that rung alone
+    got = _watch_matrices(monkeypatch)
+    scn = _a1_scenario(spec=spec, u_grid=(0.5, 1.0, 2.0), t_ladder=ladder,
+                       replicates=100, threads=threads)
+    run_scenario(scn)
+    assert [t for t, _ in got] == list(ladder)
+    for t, m in got:
+        # the name imported by this module is the unwatched function
+        alone = simulate_scaled_matrix(spec, scn.u_grid, t, 100, scn.seed,
+                                       threads=threads)
+        assert m.flags.c_contiguous and m.tobytes() == alone.tobytes()
+
+
+def test_a_run_draws_each_path_once(monkeypatch):
+    drawn = _watch_rows(monkeypatch)
+    spec, ladder = LADDER_SPECS["D4"]
+    scn = _a1_scenario(spec=spec, u_grid=(0.5, 1.0, 2.0), t_ladder=ladder,
+                       replicates=100)
+    run_scenario(scn)
+    assert sum(drawn) == 100
+    # a call without a run's pool draws its own paths
+    drawn.clear()
+    simulate_scaled_matrix(spec, scn.u_grid, ladder[0], 100, scn.seed)
+    assert sum(drawn) == 100
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mean_abs_n_equals_a_count_per_rung(monkeypatch, threads):
+    ladder = (100.0, 400.0, 1600.0)
+    scn = _a1_scenario(replicates=100, t_ladder=ladder, threads=threads,
+                       plans=("MEAN_ABS_N",))
+    drawn = _watch_rows(monkeypatch)
+    rep = run_scenario(scn)
+    if threads == 1:
+        assert sum(drawn) == 100           # one path per stream, not three
+    law = scn.spec.law
+    for rec, t in zip(rep.records, ladder, strict=True):
+        counts = verify._counts(law, (t,), ZERO_DELAYED, scn.seed,
+                                (DOMAIN_AUX, 500), range(100))[:, 0]
+        g = shotnoise.scaling_g(scn.spec, t)
+        dev = np.abs(counts - t / law.mean)
+        assert rec.t == t and rec.statistic == float(dev.mean() / g)
+        assert rec.z_score == moment_test(dev / g, 1, rec.reference)
+
+
+@pytest.mark.parametrize("plans", [("KS_MARGINAL",), ("MEAN_ABS_N",)])
+def test_last_rung_over_the_cap_draws_nothing(monkeypatch, plans):
+    # 100 paths to 1e4 hold about 1e6 shots, the first rung's only 6000
+    drawn = _watch_rows(monkeypatch)
+    scn = _a1_scenario(replicates=100, t_ladder=(50.0, 1e4), max_shots=1e5,
+                       plans=plans)
+    with pytest.raises(ResourceCapExceeded):
+        run_scenario(scn)
+    assert drawn == []
+
+
 # the per-row-stream loops of a run: the engine's rungs with D4 jump-epoch
 # references, with X* references and stationary time-reversal paths, and
 # the MEAN_ABS_N counts
@@ -328,10 +428,13 @@ def test_no_worker_outlives_its_run(monkeypatch):
     # one pool serves both rungs and is gone once the run returns
     assert len(alive) == 2 and alive[1] > 0
     assert multiprocessing.active_children() == []
-    # the first rung starts the pool, the second is over the shot cap
+    # the first rung's matrix starts the pool (4300 expected shots), then
+    # the time-reversal paths (12100) are over the shot cap
     alive.clear()
     with pytest.raises(ResourceCapExceeded):
-        run_scenario(dataclasses.replace(scn, t_ladder=(50.0, 1e4)))
+        run_scenario(dataclasses.replace(
+            scn, t_ladder=(5.0, 10.0), max_shots=1e4,
+            plans=("KS_MARGINAL", "TIME_REVERSAL")))
     assert alive and alive[0] > 0
     assert multiprocessing.active_children() == []
 
