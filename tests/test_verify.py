@@ -300,21 +300,6 @@ def _watch_rows(monkeypatch):
     return drawn
 
 
-def _watch_matrices(monkeypatch):
-    """A list that collects (t, matrix) of every verify.simulate_scaled_matrix
-    call, as the rungs of run_scenario make them."""
-    got = []
-    inner = verify.simulate_scaled_matrix
-
-    def watched(spec, u_grid, t, n, *args, **kwargs):
-        m = inner(spec, u_grid, t, n, *args, **kwargs)
-        got.append((t, m))
-        return m
-
-    monkeypatch.setattr(verify, "simulate_scaled_matrix", watched)
-    return got
-
-
 # D4 rows outgrow their first draw; A1 PowerDecay paths pass 4096 gaps
 LADDER_SPECS = {
     "D4": (D4_SPEC, (50.0, 200.0, 1e3)),
@@ -328,31 +313,28 @@ LADDER_SPECS = {
                          ids=LADDER_SPECS)
 def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
                                           threads):
-    # the paths are drawn once to the last rung; each rung's matrix still
-    # equals the matrix of that rung alone
-    got = _watch_matrices(monkeypatch)
+    # a run draws each path once, to the last rung (rows counted in
+    # process); each rung's matrix still equals that rung's alone
+    got = []
+    inner = verify.simulate_scaled_matrix
+
+    def watched(spec, u_grid, t, n, *args, **kwargs):
+        got.append((t, inner(spec, u_grid, t, n, *args, **kwargs)))
+        return got[-1][1]
+
+    monkeypatch.setattr(verify, "simulate_scaled_matrix", watched)
+    drawn = _watch_rows(monkeypatch)
     scn = _a1_scenario(spec=spec, u_grid=(0.5, 1.0, 2.0), t_ladder=ladder,
                        replicates=100, threads=threads)
     run_scenario(scn)
     assert [t for t, _ in got] == list(ladder)
+    if threads == 1:
+        assert sum(drawn) == 100           # n rows per run, not per rung
     for t, m in got:
         # the name imported by this module is the unwatched function
         alone = simulate_scaled_matrix(spec, scn.u_grid, t, 100, scn.seed,
                                        threads=threads)
         assert m.flags.c_contiguous and m.tobytes() == alone.tobytes()
-
-
-def test_a_run_draws_each_path_once(monkeypatch):
-    drawn = _watch_rows(monkeypatch)
-    spec, ladder = LADDER_SPECS["D4"]
-    scn = _a1_scenario(spec=spec, u_grid=(0.5, 1.0, 2.0), t_ladder=ladder,
-                       replicates=100)
-    run_scenario(scn)
-    assert sum(drawn) == 100
-    # a call without a run's pool draws its own paths
-    drawn.clear()
-    simulate_scaled_matrix(spec, scn.u_grid, ladder[0], 100, scn.seed)
-    assert sum(drawn) == 100
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -376,7 +358,7 @@ def test_mean_abs_n_equals_a_count_per_rung(monkeypatch, threads):
 
 @pytest.mark.parametrize("plans", [("KS_MARGINAL",), ("MEAN_ABS_N",)])
 def test_last_rung_over_the_cap_draws_nothing(monkeypatch, plans):
-    # 100 paths to 1e4 hold about 1e6 shots, the first rung's only 6000
+    # 100 paths to 1e4 hold about 1.1e6 shots, those to 50 about 12,000
     drawn = _watch_rows(monkeypatch)
     scn = _a1_scenario(replicates=100, t_ladder=(50.0, 1e4), max_shots=1e5,
                        plans=plans)
