@@ -45,7 +45,10 @@ def expected_count(law: IncrementLaw, T: float) -> float:
     mean the Mittag-Leffler mean (T/x_m)^a / (Gamma(1+a) Gamma(1-a)) plus
     100.  It is not a bound: N(T)/T^a has a spread-out Mittag-Leffler
     limit, and 169 of the 2000 Pareto(1/2) replicate paths to T = 2e4 at
-    seed 1 exceed it."""
+    seed 1 exceed it.  Every path loop and the shot cap size by it, so
+    it is where a horizon T that is not positive and finite is refused."""
+    if not 0 < T < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if math.isfinite(law.variance):
         return T / law.mean + 10.0 * math.sqrt(T / law.mean + 1)
     a, xm = law.tail_index, law.tail_scale
@@ -96,8 +99,6 @@ def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
     inside 4096-gap blocks (see _fill_epochs), so neither the draw sizes
     nor the number of rows changes any epoch.  A stream serves one path:
     what is left of it depends on the draw sizes."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
     if delay_kind not in (ZERO_DELAYED, STATIONARY):
         raise ValueError(f"unknown delay kind {delay_kind!r}")
     first = math.ceil(expected_count(law, T))

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import limits, renewal, shotnoise
 from .renewal import ResourceCapExceeded
@@ -51,6 +51,9 @@ def ks_two_sample(x, y):
     y = np.asarray(y, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValueError("samples must be nonempty")
+    # imported here: scipy.stats doubles the start-up time of a run that
+    # needs no two-sample test
+    from scipy import stats
     res = stats.ks_2samp(x, y, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -163,6 +166,7 @@ def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
         c = (cu[:, :, None] & cv[:, None, :]).mean(axis=0)
         return np.abs(c - qs[:, None] * qs[None, :]).max()
 
+    from scipy import stats     # imported here, as in ks_two_sample
     u = stats.rankdata(x) / (n + 1.0)
     v = stats.rankdata(y) / (n + 1.0)
     return _permutation_test(lambda w: cop_dist(u, w), v,
@@ -195,14 +199,18 @@ class Scenario:
             raise ValueError("max_shots must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if not (self.x_star_truncation is None or self.x_star_truncation > 0):
-            raise ValueError("x_star_truncation must be positive")
+        if not (self.x_star_truncation is None
+                or 0 < self.x_star_truncation < math.inf):
+            raise ValueError("x_star_truncation must be positive and finite")
+        if not 0 < self.reference_mesh_d < math.inf:
+            raise ValueError("reference_mesh_d must be positive and finite")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates")
         for name, g in (("t-ladder", self.t_ladder), ("u-grid", self.u_grid)):
-            if not g or g[0] <= 0 or any(b <= a for a, b in zip(g, g[1:])):
-                raise InadmissibleSpec(f"{name} must be positive and strictly "
-                                       "increasing")
+            if (not g or g[0] <= 0 or not all(map(math.isfinite, g))
+                    or any(b <= a for a, b in zip(g, g[1:]))):
+                raise InadmissibleSpec(f"{name} must be positive, finite and "
+                                       "strictly increasing")
         for p in self.plans:
             plan, arg = _parse_plan(p)
             if not plan.admits(self.spec, arg):

@@ -1,13 +1,14 @@
 """Command line front end: config parsing, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from renewalshot import cli, limits, verify
+from renewalshot import cli, limits, renewal, verify
 
 
 A1_CONFIG = """\
@@ -191,6 +192,55 @@ def test_empty_or_nonpositive_t_ladder_exits_3(tmp_path, capsys, command,
     assert cli.main([command, "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 3
     assert "t-ladder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("old, new, name", [
+    ("t = 60", "t = inf", "t-ladder"),
+    ("t = 60", "t = 1e400", "t-ladder"),
+    ("t = 60", "t = 100, nan", "t-ladder"),
+    ("u = 0.5, 1.0", "u = 1, inf", "u-grid"),
+    ("u = 0.5, 1.0", "u = nan", "u-grid"),
+], ids=["t-inf", "t-overflow", "t-nan", "u-inf", "u-nan"])
+def test_nonfinite_grid_exits_3(tmp_path, capsys, command, old, new, name):
+    # before, the infinite values exited 4 (resource cap) and the nan ones
+    # 2, from math.ceil failing inside the path builder
+    p = tmp_path / "grid.ini"
+    p.write_text(A1_CONFIG.replace(old, new))
+    assert cli.main([command, "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+
+
+D4_BETA_BELOW_ALPHA_CONFIG = EXP_LIMIT_CONFIG.replace(
+    "beta = 0.5", "beta = 0.25").replace(
+    "kind = paretotailmatch\nalpha = 0.5\nxm = 1.0\nc = 1.0",
+    "kind = powerdecay\nbeta = 0.25").replace(", MOMENTS:4", "")
+
+
+@pytest.mark.parametrize("line, why", [
+    ("reference_mesh_d = nan", "reference_mesh_d"),
+    ("reference_mesh_d = inf", "reference_mesh_d"),
+    ("reference_mesh_d = 0", "reference_mesh_d"),
+    ("reference_mesh_d = -1", "reference_mesh_d"),
+    ("x_star_truncation = inf", "x_star_truncation"),
+], ids=["mesh-nan", "mesh-inf", "mesh-zero", "mesh-negative", "trunc-inf"])
+def test_nonfinite_or_nonpositive_reference_setting_exits_2(
+        tmp_path, capsys, monkeypatch, line, why):
+    # before, on this config, these exited 1 with nan statistics, 1 with
+    # D = 1, 2 only after the first rung's matrix was drawn (twice), and 0
+    # (D4 has no X* reference to truncate)
+    built = []
+    rows = renewal.epoch_rows
+    monkeypatch.setattr(renewal, "epoch_rows",
+                        lambda *a: built.append(a) or rows(*a))
+    p = tmp_path / "mesh.ini"
+    p.write_text(D4_BETA_BELOW_ALPHA_CONFIG + f"{line}\n")
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert built == []
+    assert why in capsys.readouterr().err
 
 
 def test_powerdecay_without_beta_exits_2(tmp_path, capsys):
@@ -491,6 +541,37 @@ def test_config_scenario_round_trip(a1_config):
                     significance=echo["significance"],
                     max_shots=echo["max_shots"])
     assert scn2.echo()["spec"] == echo["spec"]
+
+
+def test_scipy_stats_loads_only_for_a_two_sample_test(tmp_path):
+    # scipy.stats is about half of the start-up time, so verify loads it
+    # only in ks_two_sample and copula_independence_test.  A fresh
+    # interpreter: this one holds it already, from other tests
+    dri = A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI").replace(
+        "kind = constant\nvalue = 1.0", "kind = expdecay\nlam = 1.0")
+    runs = []
+    for name, text in (("d4_exp_limit", EXP_LIMIT_CONFIG), ("a1", A1_CONFIG),
+                       ("noscale_dri", dri)):
+        (tmp_path / f"{name}.ini").write_text(text)
+        runs.append([str(tmp_path / f"{name}.ini"), str(tmp_path / name)])
+    script = (
+        "import json, sys\n"
+        "from renewalshot import cli\n"
+        "seen = [[None, 'scipy.stats' in sys.modules]]\n"
+        "for config, out in json.loads(sys.argv[1]):\n"
+        "    rc = cli.main(['verify', '--config', config, '--out', out])\n"
+        "    seen.append([rc, 'scipy.stats' in sys.modules])\n"
+        "print(json.dumps(seen))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    # import, D4 with beta = alpha (exact Exp(1) marginal), A1 (exact
+    # normal), NOSCALE_DRI (two-sample KS against X* draws)
+    assert json.loads(out.stdout) == [[None, False], [0, False], [0, False],
+                                      [0, True]]
 
 
 def test_console_entry_point():

@@ -210,6 +210,20 @@ def test_builder_refuses_rows_without_streams():
                            substreams(1, (3,), range(2)), 3)
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan], ids=["inf", "nan"])
+def test_nonfinite_horizon_is_refused(T):
+    # inf used to overflow math.ceil, nan to fail converting to an integer,
+    # and the shot cap let nan through (paths * nan > cap is False)
+    law = Exponential(1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_path(law, T, ZERO_DELAYED, substream(1, 3, 0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        renewal.counts_at(law, T, ZERO_DELAYED, substreams(1, (3,), range(2)),
+                          2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        renewal.check_shot_cap(law, T, 10, 1e8)
+
+
 @pytest.mark.parametrize("law, T, delay", [
     (Pareto(0.5, 1.0), 2e4, ZERO_DELAYED),
     (Gamma(2.0, 2.0), 40.0, STATIONARY),
