@@ -216,13 +216,11 @@ def cmd_path_dump(args):
             raise ConfigError("path-dump needs [run] horizon or a nonempty "
                               "[grid] t")
         horizon = kw["t_ladder"][-1]
-    if not 0 < horizon < np.inf:
-        raise ConfigError(f"path-dump needs a positive, finite horizon, got "
-                          f"{horizon}")
     delay = {"zero": renewal.ZERO_DELAYED,
              "stationary": renewal.STATIONARY}.get(extras["delay"])
     if delay is None:
         raise ConfigError(f"unknown delay kind {extras['delay']!r}")
+    # a ValueError (exit 2) for a horizon that is not positive and finite
     renewal.check_shot_cap(spec.law, horizon, 1, kw["max_shots"])
     rng = substream(seed, DOMAIN_AUX, 0)
     path = renewal.sample_path(spec.law, horizon, delay, rng)
