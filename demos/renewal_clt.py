@@ -11,7 +11,6 @@ from scipy.stats import norm
 
 from renewalshot import renewal
 from renewalshot.laws import Gamma
-from renewalshot.streams import substreams
 
 law = Gamma(2.0, 1.0)          # mu = 2, sigma^2 = 2
 mu, var = 2.0, 2.0
@@ -21,9 +20,11 @@ probes = (0.1, 0.25, 0.5, 0.75, 0.9)
 print("gamma(2,1) gaps, zero-delayed, n = %d replicates per horizon" % n)
 print("horizon   " + "".join("   q%02d" % int(100 * p) for p in probes)
       + "   max err")
-for t in (10.0, 100.0, 1000.0):
-    count = renewal.counts_at(law, t, renewal.ZERO_DELAYED,
-                              substreams(2024, (3, 1), range(n)), n)
+# one path per replicate, drawn to the last horizon and counted at each
+horizons = (10.0, 100.0, 1000.0)
+counts = renewal.counts_at(law, horizons, renewal.ZERO_DELAYED, 2024, (3, 1),
+                           range(n))
+for t, count in zip(horizons, counts.T):
     z = (count - t / mu) / np.sqrt(var * t / mu**3)
     q = np.quantile(z, probes)
     err = np.max(np.abs(q - norm.ppf(probes)))

@@ -62,8 +62,8 @@ class Exponential(IncrementLaw):
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     tail_index = math.inf
 
@@ -96,8 +96,8 @@ class Uniform(IncrementLaw):
     b: float
 
     def __post_init__(self):
-        if not (0 <= self.a < self.b):
-            raise ValueError("need 0 <= a < b")
+        if not 0 <= self.a < self.b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
 
     tail_index = math.inf
 
@@ -136,8 +136,8 @@ class Gamma(IncrementLaw):
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("shape and rate must be positive and finite")
 
     tail_index = math.inf
 
@@ -179,8 +179,9 @@ class Pareto(IncrementLaw):
     xm: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.xm <= 0:
-            raise ValueError("tail index and scale must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.xm < math.inf):
+            raise ValueError("tail index and scale must be positive and "
+                             "finite")
 
     @property
     def tail_index(self):
@@ -270,8 +271,8 @@ class PowerDecay(ResponseFunction):
     c0: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0 or self.c0 <= 0:
-            raise ValueError("need beta >= 0 and c0 > 0")
+        if not (0 <= self.beta < math.inf and 0 < self.c0 < math.inf):
+            raise ValueError("need 0 <= beta < inf and 0 < c0 < inf")
 
     @property
     def rv_index(self):
@@ -292,8 +293,8 @@ class ExpDecay(ResponseFunction):
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("decay rate must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("decay rate must be positive and finite")
 
     rv_index = None
 
@@ -312,8 +313,8 @@ class Window(ResponseFunction):
     b: float
 
     def __post_init__(self):
-        if not (0 <= self.a < self.b):
-            raise ValueError("need 0 <= a < b")
+        if not 0 <= self.a < self.b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
 
     rv_index = None
 
@@ -330,8 +331,8 @@ class Constant(ResponseFunction):
     v: float
 
     def __post_init__(self):
-        if self.v <= 0:
-            raise ValueError("constant must be positive")
+        if not 0 < self.v < math.inf:
+            raise ValueError("constant must be positive and finite")
 
     rv_index = 0.0
 
@@ -352,8 +353,8 @@ class ParetoTailMatch(ResponseFunction):
     c: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.xm <= 0 or self.c <= 0:
-            raise ValueError("parameters must be positive")
+        if not all(0 < x < math.inf for x in (self.alpha, self.xm, self.c)):
+            raise ValueError("parameters must be positive and finite")
 
     @property
     def rv_index(self):

@@ -5,7 +5,8 @@ indexes shots by their age t - S_k.  One builder, `epoch_rows`, makes
 the epochs of every path: a buffer with one sorted row per stream, each
 row drawn past the horizon and padded with +inf, so N(t) is exact for
 every t up to the horizon.  `sample_path` is its one-row case, cut at
-the horizon.
+the horizon; `epoch_batches` walks the paths of a range of streams in
+buffers of rows, and `counts_at` counts N(t) on them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .laws import IncrementLaw
+from .streams import substreams
 
 ZERO_DELAYED = "zero_delayed"
 STATIONARY = "stationary"
@@ -127,23 +129,26 @@ def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
     return out
 
 
-def epoch_batches(law: IncrementLaw, T: float, delay_kind: str, streams,
-                  n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """epoch_rows for n paths, one per stream of `streams`, as (index of
-    the first path, rows) in consecutive buffers: rows times the first
-    draw's width is at most _SUB_BATCH_EPOCHS (one row at least)."""
+def epoch_batches(law: IncrementLaw, T: float, delay_kind: str, seed: int,
+                  key: tuple, rows) -> Iterator[np.ndarray]:
+    """epoch_rows for the paths of streams (seed, *key, i), i of rows, in
+    consecutive buffers: a buffer's paths times the first draw's width is
+    at most _SUB_BATCH_EPOCHS (one path at least)."""
+    streams = substreams(seed, key, rows)
     per = max(1, _SUB_BATCH_EPOCHS // (1 + math.ceil(expected_count(law, T))))
-    for lo in range(0, n, per):
-        yield lo, epoch_rows(law, T, delay_kind, streams, min(per, n - lo))
+    for lo in range(0, len(rows), per):
+        yield epoch_rows(law, T, delay_kind, streams,
+                         min(per, len(rows) - lo))
 
 
-def counts_at(law: IncrementLaw, t: float, delay_kind: str, streams,
-              n: int) -> np.ndarray:
-    """N(t) on n fresh paths, one per stream of `streams`."""
-    out = np.empty(n, dtype=np.intp)
-    for lo, rows in epoch_batches(law, t, delay_kind, streams, n):
-        out[lo:lo + len(rows)] = np.count_nonzero(rows <= t, axis=1)
-    return out
+def counts_at(law: IncrementLaw, ts, delay_kind: str, seed: int, key: tuple,
+              rows) -> np.ndarray:
+    """(len(rows), len(ts)): N(t) for each t of the increasing ts on the
+    path of stream (seed, *key, i), i of rows, drawn once to ts[-1] (the
+    path to t is its prefix)."""
+    return np.concatenate([
+        np.column_stack([np.count_nonzero(paths <= t, axis=1) for t in ts])
+        for paths in epoch_batches(law, ts[-1], delay_kind, seed, key, rows)])
 
 
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,
@@ -196,4 +201,5 @@ def dump_csv(path: RenewalPath, fileobj) -> None:
 def count_at(law: IncrementLaw, t: float, delay_kind: str,
              rng: np.random.Generator) -> int:
     """N(t) on a fresh path from rng, without keeping the path."""
-    return int(counts_at(law, t, delay_kind, (rng,), 1)[0])
+    return int(np.count_nonzero(
+        epoch_rows(law, t, delay_kind, (rng,), 1) <= t))

@@ -271,12 +271,13 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
     law, h = spec.law, spec.h
     out = np.empty((len(rows), columns))
     for j in range(columns):
-        for at, paths in renewal.epoch_batches(
-                law, T, renewal.STATIONARY,
-                substreams(seed, key + (j,), rows), len(rows)):
+        sums = []
+        for paths in renewal.epoch_batches(law, T, renewal.STATIONARY, seed,
+                                           key + (j,), rows):
             used = paths <= T
-            out[at:at + len(paths), j] = _row_sums(
-                h.eval(paths[used]), np.count_nonzero(used, axis=1).tolist())
+            sums += _row_sums(h.eval(paths[used]),
+                              np.count_nonzero(used, axis=1).tolist())
+        out[:, j] = sums
     if not h.integrable:
         out -= h.integral(T) / law.mean
     return out

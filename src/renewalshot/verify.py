@@ -29,7 +29,7 @@ from .renewal import ResourceCapExceeded
 from .shotnoise import REGIMES, LimitSpec, InadmissibleSpec
 from .stable import abs_moment
 from .streams import (DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE,
-                      substream, substreams)
+                      substream)
 
 KS_MARGINAL = "KS_MARGINAL"
 MOMENTS = "MOMENTS"
@@ -332,14 +332,12 @@ def _simulate_chunk(spec, u_grid, ts, seed, rows):
     substream, drawn once to u_max * ts[-1] (the path to u_max * t is its
     prefix), the statistic of every rung for a buffer of paths at a
     time."""
-    out = np.empty((len(rows), len(ts), len(u_grid)))
-    for at, paths in renewal.epoch_batches(
-            spec.law, max(u_grid) * ts[-1], renewal.ZERO_DELAYED,
-            substreams(seed, (DOMAIN_REPLICATE,), rows), len(rows)):
-        for i, t in enumerate(ts):
-            out[at:at + len(paths), i] = shotnoise.batch_statistic(
-                spec, paths, u_grid, t)
-    return out
+    return np.concatenate([
+        np.stack([shotnoise.batch_statistic(spec, paths, u_grid, t)
+                  for t in ts], axis=1)
+        for paths in renewal.epoch_batches(
+            spec.law, max(u_grid) * ts[-1], renewal.ZERO_DELAYED, seed,
+            (DOMAIN_REPLICATE,), rows)])
 
 
 def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
@@ -353,6 +351,8 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     rung of the pool's ladder, under the shot cap there: this call
     computes the matrices of the later rungs too and leaves them in the
     pool for their own calls."""
+    if n < 1:
+        raise ValueError("need at least one replicate")
     u_grid = tuple(float(u) for u in u_grid)
     with (_Pool(threads) if pool is None else nullcontext(pool)) as pool:
         key = (t, spec, u_grid, n, seed)
@@ -364,18 +364,6 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
         pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
                           for i, r in enumerate(ts[1:], 1))
         return np.ascontiguousarray(m[:, 0])
-
-
-def _counts(law, ts, delay_kind, seed, key, rows):
-    """(len(rows), len(ts)): N(t) for each t of the increasing ts on the
-    path of stream (seed, *key, i), i of rows, drawn once to ts[-1] (the
-    path to t is its prefix)."""
-    out = np.empty((len(rows), len(ts)), dtype=np.intp)
-    for at, paths in renewal.epoch_batches(
-            law, ts[-1], delay_kind, substreams(seed, key, rows), len(rows)):
-        for i, t in enumerate(ts):
-            out[at:at + len(paths), i] = np.count_nonzero(paths <= t, axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +445,15 @@ def _run_time_reversal(scn, t, samples, arg, records, references, pool):
     renewal.check_shot_cap(law, max(h for _, h in _REVERSAL_PAIRS), n,
                            scn.max_shots)
     for idx, (s, horizon) in enumerate(_REVERSAL_PAIRS):
-        rev = np.empty(n, dtype=np.intp)
-        for at, rows in renewal.epoch_batches(
-                law, horizon, renewal.STATIONARY,
-                substreams(scn.seed, (DOMAIN_AUX, 100 + idx), range(n)), n):
-            rev[at:at + len(rows)] = (
-                np.count_nonzero(rows <= horizon, axis=1)
-                - np.count_nonzero(rows < horizon - s, axis=1))
-        fwd = _counts(law, (s,), renewal.STATIONARY, scn.seed,
-                      (DOMAIN_AUX, 200 + idx), range(n))[:, 0]
-        d, p = ks_two_sample(rev, fwd)
+        # the arrivals in [horizon - s, horizon]: an epoch < horizon - s is
+        # one <= the float just below it
+        before, end = renewal.counts_at(
+            law, (np.nextafter(horizon - s, -np.inf), horizon),
+            renewal.STATIONARY, scn.seed, (DOMAIN_AUX, 100 + idx),
+            range(n)).T
+        fwd = renewal.counts_at(law, (s,), renewal.STATIONARY, scn.seed,
+                                (DOMAIN_AUX, 200 + idx), range(n))[:, 0]
+        d, p = ks_two_sample(end - before, fwd)
         records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
 
@@ -509,8 +496,8 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
         # the counts of every rung from one path per stream to the last t
         renewal.check_shot_cap(law, scn.t_ladder[-1], n, scn.max_shots)
         references[MEAN_ABS_N] = pool.rows(partial(
-            _counts, law, scn.t_ladder, renewal.ZERO_DELAYED, scn.seed,
-            (DOMAIN_AUX, 500)), n)
+            renewal.counts_at, law, scn.t_ladder, renewal.ZERO_DELAYED,
+            scn.seed, (DOMAIN_AUX, 500)), n)
     g = shotnoise.scaling_g(spec, t)
     dev = np.abs(references[MEAN_ABS_N][:, scn.t_ladder.index(t)]
                  - t / law.mean)

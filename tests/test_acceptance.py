@@ -18,7 +18,7 @@ from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.shotnoise import (A1, A3, D4, NOSCALE_DRI, LimitSpec)
 from renewalshot.stable import StableSpec, abs_moment
-from renewalshot.streams import substream, substreams
+from renewalshot.streams import substream
 from renewalshot.verify import (energy_distance_test, ks_one_sample,
                                 ks_one_sample_normal, ks_two_sample,
                                 moment_test, simulate_scaled_matrix)
@@ -42,9 +42,9 @@ def test_acceptance_1_renewal_clt_and_moment_convergence(report):
     elapsed = time.time() - t0
 
     n = 100000
-    dev = np.abs(renewal.counts_at(Exponential(1.0), 1e4,
-                                   renewal.ZERO_DELAYED,
-                                   substreams(5, (3, 500), range(n)), n)
+    dev = np.abs(renewal.counts_at(Exponential(1.0), (1e4,),
+                                   renewal.ZERO_DELAYED, 5, (3, 500),
+                                   range(n))[:, 0]
                  - 1e4)
     est = dev.mean() / 100.0
     lo, hi = 0.758, 0.838

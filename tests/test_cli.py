@@ -292,6 +292,23 @@ def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
     assert why in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("rate = 1.0", "rate = inf"),
+    ("rate = 1.0", "rate = nan"),
+    ("value = 1.0", "value = nan"),
+], ids=["rate-inf", "rate-nan", "constant-nan"])
+def test_nonfinite_law_or_response_parameter_exits_2(tmp_path, capsys, old,
+                                                     new):
+    # before, these died on a ZeroDivisionError traceback, exited 3 ("A1
+    # requires a finite-variance law") and exited 0 with every record
+    # passing
+    p = tmp_path / "nonfinite.ini"
+    p.write_text(A1_CONFIG.replace(old, new))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_too_few_replicates_exits_2(tmp_path, capsys):
     # exit 3 is for a violated hypothesis or a plan that does not apply
     p = tmp_path / "few.ini"

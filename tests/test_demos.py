@@ -1,10 +1,12 @@
 """Every renewalshot name a demo uses still exists.
 
-The demos in demos/ are scripts of a few seconds each, and no test runs
-them.  This test parses them instead: every name a demo imports from
-renewalshot, or reads as module.attr of an imported renewalshot name,
-must resolve, so a rename or removal in the package cannot leave a demo
-pointing at a name that is gone.
+The demos in demos/ are scripts of a few seconds each.  No test runs
+them: the `demos` step of .github/workflows/tier1.yml does, and fails on
+a non-zero exit, which is what catches a changed signature.  This test
+parses them instead: every name a demo imports from renewalshot, or
+reads as module.attr of an imported renewalshot name, must resolve, so a
+rename or removal in the package cannot leave a demo pointing at a name
+that is gone.
 """
 
 import ast

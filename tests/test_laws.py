@@ -1,6 +1,7 @@
 """Increment laws and response functions: exact metadata, sampling, and
 the stationary-delay construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,6 +102,29 @@ def test_law_parameter_validation():
                 lambda: Pareto(1.0, 0.0)):
         with pytest.raises(ValueError):
             bad()
+
+
+# valid arguments of every law and response class
+VALID_ARGS = {Exponential: (1.0,), Uniform: (0.5, 2.0), Gamma: (2.0, 1.0),
+              Pareto: (1.5, 1.0), PowerDecay: (0.5, 1.0), ExpDecay: (1.0,),
+              Window: (0.5, 2.0), Constant: (1.0,),
+              ParetoTailMatch: (1.5, 1.0, 1.0)}
+ONE_PARAMETER = [(cls, i) for cls, args in VALID_ARGS.items()
+                 for i in range(len(args))]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("cls, i", ONE_PARAMETER, ids=[
+    f"{cls.__name__}.{dataclasses.fields(cls)[i].name}"
+    for cls, i in ONE_PARAMETER])
+def test_nonfinite_parameter_is_refused(cls, i, value):
+    # an infinite rate made the mean 0 and a NaN passed every `x <= 0`
+    # check; both reached the simulation
+    args = list(VALID_ARGS[cls])
+    cls(*args)
+    args[i] = value
+    with pytest.raises(ValueError, match="finite|< inf"):
+        cls(*args)
 
 
 # -- responses ---------------------------------------------------------------

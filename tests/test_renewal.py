@@ -198,8 +198,8 @@ def test_finite_mean_infinite_variance_draw_holds_most_paths():
     # stable limit, so the first draw is sized by that scale: before it
     # was, 555 of these 2000 paths outgrew it
     law, T, n = Pareto(1.3, 1.0), 2e4, 2000
-    counts = renewal.counts_at(law, T, ZERO_DELAYED,
-                               substreams(1, (1,), range(n)), n)
+    counts = renewal.counts_at(law, (T,), ZERO_DELAYED, 1, (1,),
+                               range(n))[:, 0]
     first = math.ceil(renewal.expected_count(law, T))
     assert np.count_nonzero(counts - 1 >= first) <= 20
 
@@ -218,8 +218,7 @@ def test_nonfinite_horizon_is_refused(T):
     with pytest.raises(ValueError, match="positive and finite"):
         sample_path(law, T, ZERO_DELAYED, substream(1, 3, 0))
     with pytest.raises(ValueError, match="positive and finite"):
-        renewal.counts_at(law, T, ZERO_DELAYED, substreams(1, (3,), range(2)),
-                          2)
+        renewal.counts_at(law, (T,), ZERO_DELAYED, 1, (3,), range(2))
     with pytest.raises(ValueError, match="positive and finite"):
         renewal.check_shot_cap(law, T, 10, 1e8)
 
@@ -231,12 +230,14 @@ def test_nonfinite_horizon_is_refused(T):
 ], ids=["pareto", "gamma-stationary", "exponential-3-blocks"])
 def test_counts_at_equals_path_lengths(law, T, delay):
     # more paths than one buffer holds, counted in buffers of
-    # epoch_batches
-    n = 300
-    got = renewal.counts_at(law, T, delay, substreams(13, (3,), range(n)), n)
-    want = [len(sample_path(law, T, delay, substream(13, 3, i)))
-            for i in range(n)]
-    assert got.tolist() == want
+    # epoch_batches, at several t of each path
+    n, ts = 300, (T / 4, T / 2, T)
+    got = renewal.counts_at(law, ts, delay, 13, (3,), range(n))
+    assert got.shape == (n, len(ts))
+    for col, t in zip(got.T, ts):
+        want = [len(sample_path(law, t, delay, substream(13, 3, i)))
+                for i in range(n)]
+        assert col.tolist() == want
 
 
 def test_count_at_agrees_with_path():

@@ -280,6 +280,16 @@ def test_matrix_equals_one_path_per_replicate(spec, t, n, threads):
     assert m.tobytes() == oracle.tobytes()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_no_replicates_is_refused_before_a_pool_starts(monkeypatch, threads):
+    # threads 1 returned a (0, 1) matrix, threads 2 raised numpy's "need at
+    # least one array to concatenate" from the pool
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)
+    spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
+    with pytest.raises(ValueError, match="replicate"):
+        simulate_scaled_matrix(spec, (1.0,), 10.0, 0, 1, threads=threads)
+
+
 def test_resource_cap():
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ResourceCapExceeded):
@@ -348,8 +358,8 @@ def test_mean_abs_n_equals_a_count_per_rung(monkeypatch, threads):
         assert sum(drawn) == 100           # one path per stream, not three
     law = scn.spec.law
     for rec, t in zip(rep.records, ladder, strict=True):
-        counts = verify._counts(law, (t,), ZERO_DELAYED, scn.seed,
-                                (DOMAIN_AUX, 500), range(100))[:, 0]
+        counts = renewal.counts_at(law, (t,), ZERO_DELAYED, scn.seed,
+                                   (DOMAIN_AUX, 500), range(100))[:, 0]
         g = shotnoise.scaling_g(scn.spec, t)
         dev = np.abs(counts - t / law.mean)
         assert rec.t == t and rec.statistic == float(dev.mean() / g)
