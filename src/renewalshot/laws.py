@@ -44,7 +44,18 @@ class IncrementLaw(ABC):
     def tail_prob(self, t): ...
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None): ...
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        """The stream draw behind sample (uniforms or standard gammas),
+        into out if given."""
+
+    @abstractmethod
+    def transform(self, x):
+        """Gaps from values of draw, elementwise: a buffer of many paths'
+        draws goes through one call and gives the same gaps as one call
+        per path."""
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return self.transform(self.draw(rng, size))
 
     @abstractmethod
     def stationary_cdf(self, t): ...
@@ -78,8 +89,10 @@ class Exponential(IncrementLaw):
     def tail_prob(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
+    def draw(self, rng, size=None, out=None):
+        return rng.random(size, out=out)
+
+    def transform(self, u):
         return -np.log1p(-u) / self.rate
 
     def stationary_cdf(self, t):
@@ -113,8 +126,11 @@ class Uniform(IncrementLaw):
         t = np.asarray(t, dtype=float)
         return np.clip((self.b - t) / (self.b - self.a), 0.0, 1.0)
 
-    def sample(self, rng, size=None):
-        return self.a + (self.b - self.a) * rng.random(size)
+    def draw(self, rng, size=None, out=None):
+        return rng.random(size, out=out)
+
+    def transform(self, u):
+        return self.a + (self.b - self.a) * u
 
     def stationary_cdf(self, t):
         # mu^{-1} (min(t, a) + d - d^2 / (2 (b - a))) with d = clip(t, a, b) - a
@@ -152,8 +168,11 @@ class Gamma(IncrementLaw):
     def tail_prob(self, t):
         return special.gammaincc(self.shape, self.rate * np.asarray(t, dtype=float))
 
-    def sample(self, rng, size=None):
-        return rng.standard_gamma(self.shape, size) / self.rate
+    def draw(self, rng, size=None, out=None):
+        return rng.standard_gamma(self.shape, size, out=out)
+
+    def transform(self, x):
+        return x / self.rate
 
     def stationary_cdf(self, t):
         # integral of the survival function in closed form:
@@ -209,8 +228,10 @@ class Pareto(IncrementLaw):
             s = (self.xm / t) ** self.alpha
         return np.where(t < self.xm, 1.0, s)
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
+    def draw(self, rng, size=None, out=None):
+        return rng.random(size, out=out)
+
+    def transform(self, u):
         return self.xm * (1.0 - u) ** (-1.0 / self.alpha)
 
     def stationary_cdf(self, t):

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .laws import IncrementLaw
-from .streams import substreams
+from .streams import Substreams, substreams
 
 ZERO_DELAYED = "zero_delayed"
 STATIONARY = "stationary"
@@ -26,7 +26,7 @@ STATIONARY = "stationary"
 _BLOCK = 4096
 # epochs per buffer of epoch_batches: the statistic's vector passes over
 # one buffer then stay cache-sized whatever the number of paths
-_SUB_BATCH_EPOCHS = 2**13
+_SUB_BATCH_EPOCHS = 2**14
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,17 @@ def check_shot_cap(law: IncrementLaw, T: float, paths: int,
             f"estimated shot count exceeds cap {max_shots:g}")
 
 
-def _fill_epochs(row: np.ndarray, start: float, gaps: np.ndarray) -> None:
-    """row[0] = start and row[1 + j] the epoch after gap j: a sequential
-    running sum inside each _BLOCK-gap block, plus the last epoch before
-    the block."""
-    row[0] = last = start
-    for b in range(0, len(gaps), _BLOCK):
-        block = row[1 + b:1 + b + _BLOCK]
-        gaps[b:b + _BLOCK].cumsum(out=block)
+def _fill_epochs(out: np.ndarray, start: np.ndarray, gaps: np.ndarray) -> None:
+    """Row i of out: out[i, 0] = start[i] and out[i, 1 + j] the epoch after
+    gap j of gaps[i], a sequential running sum inside each _BLOCK-gap
+    block plus the last epoch before the block."""
+    out[:, 0] = start
+    last = start[:, None]
+    for b in range(0, gaps.shape[1], _BLOCK):
+        block = out[:, 1 + b:1 + b + _BLOCK]
+        gaps[:, b:b + _BLOCK].cumsum(axis=1, out=block)
         block += last
-        last = block[-1]
+        last = block[:, -1:]
 
 
 def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
@@ -95,32 +96,53 @@ def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
     delay exceeds T is all +inf.  So each row is sorted and N(t) for
     t <= T is the number of its entries <= t.
 
-    A row draws ceil(expected_count(law, T)) gaps with one law.sample call
-    and, while its last epoch is still <= T, as many again, from its own
-    stream before the next stream is touched.  Its epochs are running sums
-    inside 4096-gap blocks (see _fill_epochs), so neither the draw sizes
-    nor the number of rows changes any epoch.  A stream serves one path:
-    what is left of it depends on the draw sizes."""
+    Per row only stream work runs: the stationary delay and law.draw of
+    ceil(expected_count(law, T)) values into row i of one buffer.  Then
+    law.transform, the running sums inside 4096-gap blocks (see
+    _fill_epochs), the +inf rows and the test for a last epoch still
+    <= T run once over the buffer.  A row that fails that test draws as
+    many gaps again, and again, from its own stream: re-keyed by
+    streams.again when `streams` is a Substreams (which re-keys one
+    generator per row), its delay and first draw drawn once more; else
+    the row's own generator, which must still be live.  So neither the
+    draw sizes nor the number of rows changes any epoch.  A stream serves
+    one path: what is left of it depends on the draw sizes."""
     if delay_kind not in (ZERO_DELAYED, STATIONARY):
         raise ValueError(f"unknown delay kind {delay_kind!r}")
     first = math.ceil(expected_count(law, T))
-    out = np.full((rows, 1 + first), np.inf)
+    stationary = delay_kind == STATIONARY
+    base = streams.drawn if isinstance(streams, Substreams) else None
+    draws = np.empty((rows, first))
+    start = np.zeros(rows)
+    gens = []
+    for i, rng in zip(range(rows), streams):
+        gens.append(rng)
+        if stationary:
+            start[i] = law.stationary_delay(rng)
+            if start[i] > T:
+                draws[i] = 0.0      # drawn nothing; its row becomes +inf
+                continue
+        law.draw(rng, out=draws[i])
+    if len(gens) < rows:
+        raise ValueError(f"{rows} rows asked for, {len(gens)} streams given")
+    gaps = law.transform(draws)
+    out = np.empty((rows, 1 + first))
+    _fill_epochs(out, start, gaps)
+    if stationary:
+        out[start > T] = np.inf
     longer = {}                 # rows that outgrew the first draw
-    filled = 0
-    for row, rng in zip(out, streams):
-        filled += 1
-        start = (float(law.stationary_delay(rng))
-                 if delay_kind == STATIONARY else 0.0)
-        if start > T:
-            continue
-        gaps = law.sample(rng, first)
-        _fill_epochs(row, start, gaps)
-        while row[len(gaps)] <= T:
-            gaps = np.concatenate((gaps, law.sample(rng, len(gaps))))
-            row = longer[filled - 1] = np.empty(1 + len(gaps))
-            _fill_epochs(row, start, gaps)
-    if filled < rows:
-        raise ValueError(f"{rows} rows asked for, {filled} streams given")
+    for i in np.flatnonzero(out[:, first] <= T).tolist():
+        rng = gens[i]
+        if base is not None:
+            rng = streams.again(base + i)
+            if stationary:
+                law.stationary_delay(rng)
+            law.draw(rng, first)
+        row, g = out[i], gaps[i]
+        while row[len(g)] <= T:
+            g = np.concatenate((g, law.sample(rng, len(g))))
+            row = longer[i] = np.empty(1 + len(g))
+            _fill_epochs(row[None], start[i:i + 1], g[None])
     if longer:
         width = max(len(row) for row in longer.values())
         out = np.hstack((out, np.full((rows, width - out.shape[1]), np.inf)))
@@ -143,12 +165,16 @@ def epoch_batches(law: IncrementLaw, T: float, delay_kind: str, seed: int,
 
 def counts_at(law: IncrementLaw, ts, delay_kind: str, seed: int, key: tuple,
               rows) -> np.ndarray:
-    """(len(rows), len(ts)): N(t) for each t of the increasing ts on the
-    path of stream (seed, *key, i), i of rows, drawn once to ts[-1] (the
-    path to t is its prefix)."""
-    return np.concatenate([
+    """(len(rows), len(ts)): N(t) for each t of the non-decreasing ts on
+    the path of stream (seed, *key, i), i of rows, drawn once to ts[-1]
+    (the path to t is its prefix)."""
+    if not len(ts) or not np.all(np.diff(ts) >= 0):
+        raise ValueError("ts must be non-empty and non-decreasing")
+    counts = [
         np.column_stack([np.count_nonzero(paths <= t, axis=1) for t in ts])
-        for paths in epoch_batches(law, ts[-1], delay_kind, seed, key, rows)])
+        for paths in epoch_batches(law, ts[-1], delay_kind, seed, key, rows)]
+    return (np.concatenate(counts) if counts
+            else np.zeros((0, len(ts)), dtype=np.intp))
 
 
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,

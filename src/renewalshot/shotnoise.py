@@ -109,44 +109,85 @@ def scaling_g(spec: LimitSpec, t: float) -> float:
     return g(spec, t)
 
 
-# below about this many entries per row, one masked gather over a whole
-# buffer of paths costs less than a Python slice per row (measured: D4
-# buffers 130-190 wide gain, A1 rows 2448 and 21415 wide lose)
+# below this many entries per row, one masked gather over a whole buffer
+# of paths costs less than a Python slice per row (measured: A1 rows 2449
+# and 21416 wide lose; D4 Pareto(1/2) buffers to 2e4 gain, which are 192
+# wide or, as one row that outgrew its first draw widens its whole
+# buffer, 383 and more)
 _GATHER_WIDTH = 1024
+
+# numpy's pairwise-summation block (PW_BLOCKSIZE in its loops_utils.h)
+_PAIRWISE_BLOCK = 128
 
 
 def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
     """X(tau) on each path (row of the 2-D array `paths`: its sorted
     arrival epochs, which may go on past tau, as the +inf-padded rows of
-    `renewal.epoch_rows` do) at each tau of times (column).  The ages of
-    all paths, each row cut at tau, go through one h.eval per tau, each
-    path's in ascending order, and each X is np.sum (pairwise) over its
-    own slice, so it equals `evaluate` bit for bit (np.add.reduce is
-    np.sum without its Python wrapper).  Short rows are gathered by one
-    mask over the reversed buffer, long rows by a slice each; both give
-    the same ages in the same order."""
+    `renewal.epoch_rows` do) at each tau of times (column).  Each path's
+    ages, cut at tau and in ascending order, go through h.eval, and each X
+    sums its own slice as np.sum does (see _row_sums), so it equals
+    `evaluate` bit for bit.  Short rows are gathered by one mask over the
+    reversed buffer, and the ages of every row and tau go through one
+    h.eval; long rows are cut by a slice each, one h.eval per tau (on a
+    shared 2-core VM, PowerDecay's (x + 1)**-0.25 cost 10.7 ns per age on
+    35,000 ages, all three taus of an A1 row, and 4.5 ns on 20,000)."""
     paths = np.asarray(paths)
-    out = np.empty((len(paths), len(times)))
-    back = (np.ascontiguousarray(paths[:, ::-1])
-            if paths.shape[1] < _GATHER_WIDTH else None)
-    for j, tau in enumerate(times):
-        if back is not None:
-            used = back <= tau
-            ages = tau - back[used]
-            lengths = np.count_nonzero(used, axis=1).tolist()
-        else:
+    taus = np.asarray(times, dtype=float)
+    if paths.shape[1] >= _GATHER_WIDTH:
+        out = np.empty((len(paths), len(taus)))
+        for j, tau in enumerate(taus):
             used = [a[:a.searchsorted(tau, side="right")][::-1] for a in paths]
-            ages = tau - np.concatenate(used)
-            lengths = [len(a) for a in used]
-        out[:, j] = _row_sums(h.eval(ages), lengths)
+            out[:, j] = _row_sums(h.eval(tau - np.concatenate(used)),
+                                  np.array([len(a) for a in used]))
+        return out
+    # the columns of a buffer past the last epoch <= max(times) of any row
+    # hold no ages (min over rows is sorted as the rows are)
+    cols = paths.min(axis=0).searchsorted(taus.max(), side="right")
+    back = paths[:, :cols][:, ::-1]
+    used = back <= taus[:, None, None]
+    ages = (taus[:, None, None] - back)[used]
+    sums = _row_sums(h.eval(ages), np.count_nonzero(used, axis=2).ravel())
+    return sums.reshape(len(taus), len(paths)).T.copy()
+
+
+def _row_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.add.reduce (np.sum, pairwise) over consecutive slices of vals of
+    the given lengths, bit for bit.  On n <= _PAIRWISE_BLOCK values
+    numpy's pairwise sum is one pass of 8 accumulators: lane k adds
+    values k, k + 8, ... of the first n - n % 8 in order, from -0.0; then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8
+    values in order, and the reduction adds that to 0.  All short slices
+    take that form at once, one row each of a grid padded with -0.0, which
+    adds exactly nothing, the last n % 8 through np.cumsum (sequential);
+    a longer slice calls np.add.reduce."""
+    out = np.empty(len(lengths))
+    end = np.cumsum(lengths).tolist()
+    long = [i for i, n in enumerate(lengths.tolist()) if n > _PAIRWISE_BLOCK]
+    for i in long:
+        out[i] = np.add.reduce(vals[end[i] - lengths[i]:end[i]])
+    if len(long) == len(out):
+        return out
+    short = lengths <= _PAIRWISE_BLOCK
+    if long:
+        vals = vals[np.repeat(short, lengths)]
+    n = lengths[short]
+    # row j: short slice j, then -0.0 to at least 7 past its first n - n % 8
+    width = 8 * (n.max() // 8 + 1)
+    col = np.arange(width)
+    grid = np.full((len(n), width), -0.0)
+    grid[col < n[:, None]] = vals
+    m = n - n % 8
+    tail = np.empty((len(n), 8))
+    tail[:, 1:] = grid.ravel()[(np.arange(len(n)) * width + m)[:, None]
+                               + np.arange(7)]
+    grid[col >= m[:, None]] = -0.0
+    r = np.full((len(n), 8), -0.0)
+    for b in range(0, m.max(), 8):
+        r += grid[:, b:b + 8]
+    pairs = r[:, 0::2] + r[:, 1::2]
+    tail[:, 0] = pairs[:, 0] + pairs[:, 1] + (pairs[:, 2] + pairs[:, 3])
+    out[short] = 0.0 + np.cumsum(tail, axis=1)[:, -1]
     return out
-
-
-def _row_sums(vals: np.ndarray, lengths: list) -> list:
-    """np.add.reduce (np.sum, pairwise, without its Python wrapper) over
-    consecutive slices of vals of the given lengths."""
-    cut = np.cumsum([0] + lengths).tolist()
-    return [np.add.reduce(vals[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
@@ -275,9 +316,9 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
         for paths in renewal.epoch_batches(law, T, renewal.STATIONARY, seed,
                                            key + (j,), rows):
             used = paths <= T
-            sums += _row_sums(h.eval(paths[used]),
-                              np.count_nonzero(used, axis=1).tolist())
-        out[:, j] = sums
+            sums.append(_row_sums(h.eval(paths[used]),
+                                  np.count_nonzero(used, axis=1)))
+        out[:, j] = np.concatenate(sums)
     if not h.integrable:
         out -= h.integral(T) / law.mean
     return out

@@ -91,8 +91,8 @@ def _philox_keys(master_seed: int, key: tuple, index: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def substreams(master_seed: int, key, indices):
-    """Iterator whose i-th generator draws exactly what
+def substreams(master_seed: int, key, indices) -> "Substreams":
+    """A Substreams whose i-th generator draws exactly what
     substream(master_seed, *key, indices[i]) draws.
 
     The keys of all indices (each in [0, 2**32)) come from one vectorised
@@ -111,16 +111,37 @@ def substreams(master_seed: int, key, indices):
         if not np.array_equal(keys[0], want):
             raise RuntimeError("substreams: derived Philox key differs from "
                                "numpy's SeedSequence")
-    return _rekeyed(keys)
+    return Substreams(keys)
 
 
-def _rekeyed(keys):
-    bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for k in keys:
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zeros, "key": k},
-                      "buffer": zeros, "buffer_pos": 4,
-                      "has_uint32": 0, "uinteger": 0}
-        yield gen
+class Substreams:
+    """Iterator over the streams of a list of Philox keys: step i re-keys
+    one Philox to key i (counter 0) and yields its generator.  `drawn`
+    counts the steps taken, and `again(i)` re-keys the generator to the
+    start of stream i once more, for a caller that goes back to a stream
+    it has passed (it too is valid until the next re-key)."""
+
+    def __init__(self, keys):
+        self._keys = keys
+        self.drawn = 0
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": zeros, "key": None},
+                       "buffer": zeros, "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.random.Generator:
+        if self.drawn == len(self._keys):
+            raise StopIteration
+        self.drawn += 1
+        return self.again(self.drawn - 1)
+
+    def again(self, i: int) -> np.random.Generator:
+        self._state["state"]["key"] = self._keys[i]
+        self._bits.state = self._state
+        return self._gen

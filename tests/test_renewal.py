@@ -240,6 +240,25 @@ def test_counts_at_equals_path_lengths(law, T, delay):
         assert col.tolist() == want
 
 
+@pytest.mark.parametrize("ts", [(), (1000.0, 5.0), (5.0, 1000.0, 999.0),
+                                (math.nan, 5.0)],
+                         ids=["empty", "decreasing", "decreasing-last", "nan"])
+def test_counts_at_refuses_empty_or_decreasing_times(ts):
+    # (1000, 5) drew each path only to 5 and read N(1000) = 31 on every
+    # row (945, 1015 and 1019 in the order (5, 1000)); () raised IndexError
+    with pytest.raises(ValueError, match="non-empty and non-decreasing"):
+        renewal.counts_at(Exponential(1.0), ts, ZERO_DELAYED, 1, (3,),
+                          range(3))
+
+
+def test_counts_at_without_rows_is_empty():
+    # numpy's "need at least one array to concatenate" before
+    got = renewal.counts_at(Exponential(1.0), (5.0, 1000.0), ZERO_DELAYED, 1,
+                            (3,), range(0))
+    assert got.shape == (0, 2)
+    assert got.tolist() == []
+
+
 def test_count_at_agrees_with_path():
     law = Exponential(1.0)
     n_stream = count_at(law, 500.0, ZERO_DELAYED, substream(8, 3, 0))

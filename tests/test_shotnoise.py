@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
@@ -44,20 +45,42 @@ def test_evaluate_window_counts_recent_shots():
     assert evaluate(p, h, t) == pytest.approx(float(expected))
 
 
-@pytest.mark.parametrize("T", [50.0, 5000.0], ids=["gathered", "sliced"])
+@pytest.mark.parametrize("T", [50.0, 300.0, 5000.0],
+                         ids=["gathered", "gathered-long", "sliced"])
 def test_shot_noise_on_a_buffer_equals_evaluate(T):
     # a buffer of renewal.epoch_rows: rows narrower than _GATHER_WIDTH go
     # through one masked gather, wider ones through a slice per row; both
-    # equal evaluate on each path bit for bit
+    # equal evaluate on each path bit for bit; at T = 300 the ages at tau
+    # = T are more than numpy's pairwise block (128), at 0.3 T fewer
     law, h, n = Exponential(1.0), PowerDecay(0.25), 20
     rows = renewal.epoch_rows(law, T, ZERO_DELAYED,
                               substreams(21, (3,), range(n)), n)
-    assert (rows.shape[1] < shotnoise._GATHER_WIDTH) == (T == 50.0)
+    assert (rows.shape[1] < shotnoise._GATHER_WIDTH) == (T < 5000.0)
     times = (0.3 * T, T)
     got = shotnoise.shot_noise(rows, h, times)
     for i in range(n):
         p = _path(law, T, key=i)
         assert got[i].tolist() == [evaluate(p, h, tau) for tau in times]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[7, 8, 15, 16, 127, 128, 129, 255, 256], seed=0)
+@example(lengths=[0, 1, 300, 0], seed=1)
+def test_row_sums_equal_np_add_reduce(lengths, seed):
+    # the vector form of short slices and np.add.reduce of long ones give
+    # np.add.reduce's bits; one slice mixes 0, subnormals and values of
+    # every magnitude up to 1e300
+    rng = np.random.default_rng(seed)
+    total = sum(lengths)
+    vals = rng.random(total) * 10.0 ** rng.uniform(-323.0, 300.0, total)
+    vals[rng.random(total) < 0.05] = 0.0
+    cut = np.cumsum([0] + lengths)
+    want = np.array([np.add.reduce(vals[a:b])
+                     for a, b in zip(cut, cut[1:])])
+    got = shotnoise._row_sums(vals, np.array(lengths))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_centered_statistic_centering():

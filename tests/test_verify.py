@@ -11,7 +11,7 @@ import pytest
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay)
-from renewalshot.renewal import ZERO_DELAYED, sample_path
+from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_CENTERED, NOSCALE_DRI,
                                    InadmissibleSpec, LimitSpec,
                                    scaled_statistic)
@@ -294,6 +294,30 @@ def test_resource_cap():
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ResourceCapExceeded):
         simulate_scaled_matrix(spec, (1.0,), 1e6, 10000, 0, max_shots=1e6)
+
+
+@pytest.mark.parametrize("epochs", [2**8, 2**13, 2**16])
+def test_buffer_size_changes_no_bit(monkeypatch, epochs):
+    # one row per buffer, about the default and every row in one buffer:
+    # D4 Pareto(1/2) paths to 2e4, some outgrowing their first draw;
+    # stationary Gamma(2, 2) counts; Exponential(1) rows of three 4096-gap
+    # blocks
+    law, T, n = D4_SPEC.law, 2e4, 200
+    counts = renewal.counts_at(law, (T,), ZERO_DELAYED, 5, (DOMAIN_REPLICATE,),
+                               range(n))
+    assert np.any(counts - 1 >= math.ceil(renewal.expected_count(law, T)))
+
+    def draw():
+        return (simulate_scaled_matrix(D4_SPEC, (0.5, 1.0, 2.0), 1e4, n,
+                                       5).tobytes(),
+                renewal.counts_at(Gamma(2.0, 2.0), (10.0, 40.0), STATIONARY,
+                                  5, (3,), range(300)).tobytes(),
+                renewal.counts_at(Exponential(1.0), (4500.0, 9000.0),
+                                  ZERO_DELAYED, 5, (3,), range(20)).tobytes())
+
+    want = draw()
+    monkeypatch.setattr(renewal, "_SUB_BATCH_EPOCHS", epochs)
+    assert draw() == want
 
 
 def _watch_rows(monkeypatch):
