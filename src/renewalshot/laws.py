@@ -93,7 +93,14 @@ class Exponential(IncrementLaw):
         return rng.random(size, out=out)
 
     def transform(self, u):
-        return -np.log1p(-u) / self.rate
+        if np.ndim(u) == 0:
+            return -np.log1p(-u) / self.rate
+        # into one buffer: log1p(-u) / (-rate) is -log1p(-u) / rate bit
+        # for bit, as round-to-nearest is symmetric in the sign
+        x = np.negative(u)
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return x
 
     def stationary_cdf(self, t):
         return -np.expm1(-self.rate * np.asarray(t, dtype=float))
@@ -300,7 +307,11 @@ class PowerDecay(ResponseFunction):
         return self.beta
 
     def eval(self, t):
-        return (np.asarray(t, dtype=float) + self.c0) ** (-self.beta)
+        # for scalar t, x is a numpy scalar and **= rebinds it; else the
+        # power is taken in place in the buffer of the sum
+        x = np.asarray(t, dtype=float) + self.c0
+        x **= -self.beta
+        return x
 
     def integral(self, T):
         b, c0 = self.beta, self.c0

@@ -110,10 +110,10 @@ def scaling_g(spec: LimitSpec, t: float) -> float:
 
 
 # below this many entries per row, one masked gather over a whole buffer
-# of paths costs less than a Python slice per row (measured: A1 rows 2449
-# and 21416 wide lose; D4 Pareto(1/2) buffers to 2e4 gain, which are 192
-# wide or, as one row that outgrew its first draw widens its whole
-# buffer, 383 and more)
+# of paths costs less than a Python slice per row and tau (measured: A1
+# rows 2449 and 21416 wide lose; D4 Pareto(1/2) buffers to 2e4 gain,
+# which are 192 wide or, as one row that outgrew its first draw widens its
+# whole buffer, 383 and more)
 _GATHER_WIDTH = 1024
 
 # numpy's pairwise-summation block (PW_BLOCKSIZE in its loops_utils.h)
@@ -123,31 +123,48 @@ _PAIRWISE_BLOCK = 128
 def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
     """X(tau) on each path (row of the 2-D array `paths`: its sorted
     arrival epochs, which may go on past tau, as the +inf-padded rows of
-    `renewal.epoch_rows` do) at each tau of times (column).  Each path's
-    ages, cut at tau and in ascending order, go through h.eval, and each X
-    sums its own slice as np.sum does (see _row_sums), so it equals
-    `evaluate` bit for bit.  Short rows are gathered by one mask over the
-    reversed buffer, and the ages of every row and tau go through one
-    h.eval; long rows are cut by a slice each, one h.eval per tau (on a
-    shared 2-core VM, PowerDecay's (x + 1)**-0.25 cost 10.7 ns per age on
-    35,000 ages, all three taus of an A1 row, and 4.5 ns on 20,000)."""
+    `renewal.epoch_rows` do) at each tau of `times`, a 1-D array or a 2-D
+    one with a rung of a t-ladder per row, as (len(paths),) + shape of
+    times.  Each path's ages, cut at tau and in ascending order, go
+    through h.eval, and each X sums its own slice as np.sum does, so it
+    equals `evaluate` bit for bit.  Short rows are gathered by one mask
+    over the reversed buffer per rung, and the ages of every row and tau
+    go through one h.eval, summed by _row_sums.  A long row finds every
+    tau's cut by one searchsorted and then, per tau, sums h.eval of the
+    ages of a reversed view of the row by np.add.reduce: one h.eval per
+    tau, as on a shared 2-core VM PowerDecay's (x + 1)**-0.25 cost 10.7 ns
+    per age on 35,000 ages, all three taus of an A1 row, and 4.5 ns on
+    20,000."""
     paths = np.asarray(paths)
     taus = np.asarray(times, dtype=float)
+    shape = (len(paths),) + taus.shape
     if paths.shape[1] >= _GATHER_WIDTH:
-        out = np.empty((len(paths), len(taus)))
-        for j, tau in enumerate(taus):
-            used = [a[:a.searchsorted(tau, side="right")][::-1] for a in paths]
-            out[:, j] = _row_sums(h.eval(tau - np.concatenate(used)),
-                                  np.array([len(a) for a in used]))
-        return out
-    # the columns of a buffer past the last epoch <= max(times) of any row
-    # hold no ages (min over rows is sorted as the rows are)
-    cols = paths.min(axis=0).searchsorted(taus.max(), side="right")
-    back = paths[:, :cols][:, ::-1]
-    used = back <= taus[:, None, None]
-    ages = (taus[:, None, None] - back)[used]
-    sums = _row_sums(h.eval(ages), np.count_nonzero(used, axis=2).ravel())
-    return sums.reshape(len(taus), len(paths)).T.copy()
+        flat = taus.ravel()
+        out = np.zeros((len(paths), len(flat)))
+        for row, x in zip(paths, out):
+            cuts = row.searchsorted(flat, side="right").tolist()
+            for j, (tau, k) in enumerate(zip(flat.tolist(), cuts)):
+                if k:               # else no epoch <= tau, and X is 0
+                    ages = np.subtract(tau, row[k - 1::-1])
+                    x[j] = np.add.reduce(h.eval(ages))
+        return out.reshape(shape)
+    # the columns of a buffer past the last epoch <= a rung's largest tau
+    # of any row hold none of its ages (min over rows is sorted as the rows
+    # are): cut per rung, so an early rung's mask leaves out the columns
+    # only a later one reaches (on a shared 2-core VM, one mask over all
+    # six taus of a D4 ladder took its statistic over 2000 paths to 2e4
+    # from 24 to 28 ms)
+    firsts = paths.min(axis=0)
+    ages, counts = [], []
+    for rung in np.atleast_2d(taus):
+        cols = firsts.searchsorted(rung.max(), side="right")
+        back = paths[:, :cols][:, ::-1]
+        used = back <= rung[:, None, None]
+        ages.append((rung[:, None, None] - back)[used])
+        counts.append(np.count_nonzero(used, axis=2))
+    sums = _row_sums(h.eval(np.concatenate(ages)),
+                     np.concatenate(counts).ravel())
+    return sums.reshape(-1, len(paths)).T.copy().reshape(shape)
 
 
 def _row_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -190,16 +207,25 @@ def _row_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_grid(u_grid, t: float) -> np.ndarray:
+    """The u-grid as a float array; a ValueError unless it is non-empty,
+    finite, positive and strictly increasing and 0 < t < inf."""
+    u = np.asarray(u_grid, dtype=float)
+    if not (u.ndim == 1 and len(u) and np.all(np.isfinite(u)) and u[0] > 0
+            and np.all(np.diff(u) > 0)):
+        raise ValueError("u-grid must be finite, positive and strictly "
+                         "increasing")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    return u
+
+
 def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
     """The theorem statistic on each path (row of `paths`; see shot_noise)
-    at each u of the grid (column); every path must be generated up to
-    u_max * t."""
-    u = np.asarray(u_grid, dtype=float)
-    if np.any(np.diff(u) <= 0) or np.any(u <= 0):
-        raise ValueError("u-grid must be increasing and positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return REGIMES[spec.regime].statistic(spec, paths, u, t)
+    at each u of the grid (column), the one-rung case of the regime's
+    statistic; every path must be generated up to u_max * t."""
+    u = check_grid(u_grid, t)
+    return REGIMES[spec.regime].statistic(spec, paths, u, (t,))[:, 0]
 
 
 def scaled_statistic(spec: LimitSpec, path: RenewalPath,
@@ -246,37 +272,35 @@ _GAUSSIAN_HYPOTHESES = (
 )
 
 
-def _plain(spec, paths, u, t):
+def _plain(spec, paths, u, ts):
     """X(ut) itself."""
-    return shot_noise(paths, spec.h, u * t)
+    return shot_noise(paths, spec.h, np.multiply.outer(ts, u))
 
 
-def _centered(spec, paths, u, t, h=None):
+def _centered(spec, paths, u, ts, h=None):
     """X(ut) - mu^{-1} int_0^{ut} h, with h = spec.h unless given."""
     h = spec.h if h is None else h
-    times = u * t
-    return shot_noise(paths, h, times) - [h.integral(tau) / spec.law.mean
-                                          for tau in times]
+    times = np.multiply.outer(ts, u)
+    return shot_noise(paths, h, times) - [
+        [h.integral(tau) / spec.law.mean for tau in rung] for rung in times]
 
 
-def _tail_scaled(spec, paths, u, t):
+def _tail_scaled(spec, paths, u, ts):
     """P(xi > t)/h(t) * X(ut)."""
-    ht = float(spec.h.eval(t))
-    pt = float(spec.law.tail_prob(t))
-    return _plain(spec, paths, u, t) * (pt / ht)
+    return _plain(spec, paths, u, ts) * [
+        [float(spec.law.tail_prob(t)) / float(spec.h.eval(t))] for t in ts]
 
 
 _UNIT = Constant(1.0)
 
 
-def _g_scaled(spec, paths, u, t):
+def _g_scaled(spec, paths, u, ts):
     """(X(ut) - mu^{-1} int_0^{ut} h) / (g(t) h(t))."""
-    h, ht = spec.h, float(spec.h.eval(t))
-    if isinstance(h, Constant):
-        # the constant cancels algebraically; compute with h == 1 so the
-        # result is bit-identical for every value of the constant
-        h, ht = _UNIT, 1.0
-    return _centered(spec, paths, u, t, h) / (scaling_g(spec, t) * ht)
+    # a constant cancels algebraically; compute with h == 1 so the result
+    # is bit-identical for every value of the constant
+    h = _UNIT if isinstance(spec.h, Constant) else spec.h
+    return _centered(spec, paths, u, ts, h) / [
+        [scaling_g(spec, t) * float(h.eval(t))] for t in ts]
 
 
 def _gaussian_variance(spec, u):
@@ -389,8 +413,9 @@ class Regime:
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
-    statistic: Callable         # (spec, paths, u, t) -> statistic
-                                # per path (row) and u (column)
+    statistic: Callable         # (spec, paths, u, ts) -> statistic
+                                # per path, rung t of ts and u, as
+                                # (len(paths), len(ts), len(u))
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
     reference: Callable         # (scenario, u_grid, key, map_rows) ->
                                 # (replicates, len(u_grid)) draws of Y on

@@ -330,11 +330,12 @@ def _simulate_chunk(spec, u_grid, ts, seed, rows):
     """The rows `rows` of the matrix of every rung t of ts, as
     (len(rows), len(ts), len(u_grid)): each replicate's path from its own
     substream, drawn once to u_max * ts[-1] (the path to u_max * t is its
-    prefix), the statistic of every rung for a buffer of paths at a
-    time."""
+    prefix), and one call of the regime's statistic per buffer of paths
+    for every rung at once, so shot_noise sees every tau = u t of the
+    ladder in one call."""
+    statistic = REGIMES[spec.regime].statistic
     return np.concatenate([
-        np.stack([shotnoise.batch_statistic(spec, paths, u_grid, t)
-                  for t in ts], axis=1)
+        statistic(spec, paths, u_grid, ts)
         for paths in renewal.epoch_batches(
             spec.law, max(u_grid) * ts[-1], renewal.ZERO_DELAYED, seed,
             (DOMAIN_REPLICATE,), rows)])
@@ -350,10 +351,11 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     `threads` workers opened for this call.  The paths go on to the last
     rung of the pool's ladder, under the shot cap there: this call
     computes the matrices of the later rungs too and leaves them in the
-    pool for their own calls."""
+    pool for their own calls.  n < 1 and a bad grid (see
+    shotnoise.check_grid) are refused before the shot cap and the pool."""
     if n < 1:
         raise ValueError("need at least one replicate")
-    u_grid = tuple(float(u) for u in u_grid)
+    u_grid = tuple(shotnoise.check_grid(u_grid, t).tolist())
     with (_Pool(threads) if pool is None else nullcontext(pool)) as pool:
         key = (t, spec, u_grid, n, seed)
         if key in pool.ahead:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
@@ -186,3 +187,65 @@ def test_pareto_tail_match_is_scaled_tail():
 def test_exp_decay_integral_exact():
     h = ExpDecay(2.0)
     assert h.integral(3.0) == pytest.approx((1 - math.exp(-6.0)) / 2.0)
+
+
+ELEMENTWISE = settings(max_examples=50, derandomize=True, deadline=None,
+                       database=None)
+_UNIT_INTERVAL = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def _as_inputs(values):
+    """The same values as an array, and each as a 0-d array and a float."""
+    arr = np.array(values, dtype=float)
+    return arr, [np.array(v) for v in values] + [float(v) for v in values]
+
+
+@ELEMENTWISE
+@given(rate=st.floats(1e-3, 1e3),
+       u=st.lists(_UNIT_INTERVAL, min_size=1, max_size=20))
+@example(rate=1.0, u=[0.0, 1e-300, 0.5, float(np.nextafter(1.0, 0.0))])
+@example(rate=2.5, u=[1.0 - 2.0**-20, 1.0 - 2.0**-40, 1.0 - 2.0**-52])
+def test_exponential_transform_is_its_closed_form(rate, u):
+    # log1p(-u) / (-rate) in one buffer equals -log1p(-u) / rate bit for
+    # bit (round-to-nearest is symmetric in the sign), on arrays and
+    # scalars, and leaves its input as it was
+    law = Exponential(rate)
+    arr, scalars = _as_inputs(u)
+    before = arr.copy()
+    got = law.transform(arr)
+    assert got.tobytes() == (-np.log1p(-before) / rate).tobytes()
+    assert arr.tobytes() == before.tobytes()
+    for x in scalars:
+        y = law.transform(x)
+        assert np.ndim(y) == 0
+        assert np.float64(y).tobytes() == np.float64(
+            -np.log1p(-x) / rate).tobytes()
+
+
+@ELEMENTWISE
+@given(beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]),
+       c0=st.floats(1e-3, 1e3),
+       t=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=20))
+@example(beta=0.5, c0=1.0, t=[0.0, 1.0, 3.0, 1e300])
+def test_power_decay_eval_is_its_closed_form(beta, c0, t):
+    # (t + c0) ** -beta, its power taken in place, on arrays and scalars
+    h = PowerDecay(beta, c0)
+    arr, scalars = _as_inputs(t)
+    before = arr.copy()
+    got = h.eval(arr)
+    assert got.tobytes() == ((before + c0) ** (-beta)).tobytes()
+    assert arr.tobytes() == before.tobytes()
+    for x in scalars:
+        y = h.eval(x)
+        assert np.ndim(y) == 0
+        assert np.float64(y).tobytes() == np.float64(
+            (x + c0) ** (-beta)).tobytes()
+
+
+def test_exponential_stationary_delay_of_size_none_is_a_scalar():
+    # the scalar form of transform: an in-place log1p(out=) on the float
+    # of rng.random() raises TypeError
+    law = Exponential(2.0)
+    x = law.stationary_delay(substream(101, 3, 2))
+    assert np.ndim(x) == 0 and x > 0
+    assert law.stationary_delay(substream(101, 3, 2), 3).shape == (3,)

@@ -11,14 +11,14 @@ from scipy import integrate
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay, Uniform, Window)
 from renewalshot.limits import x_star_tail_bound
-from renewalshot import renewal, shotnoise
-from renewalshot.renewal import ZERO_DELAYED, sample_path
+from renewalshot import renewal, shotnoise, verify
+from renewalshot.renewal import RenewalPath, ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
                                    NOSCALE_DRI, REGIMES, InadmissibleSpec,
                                    LimitSpec, Regime, _H_DECLARED_BETA,
                                    default_x_star_truncation, evaluate,
                                    scaled_statistic, scaling_g, solve_c)
-from renewalshot.streams import substream, substreams
+from renewalshot.streams import DOMAIN_REPLICATE, substream, substreams
 from renewalshot.verify import (Scenario, _Pool, _limit_reference_sample,
                                 ks_one_sample, moment_test,
                                 simulate_scaled_matrix)
@@ -61,6 +61,89 @@ def test_shot_noise_on_a_buffer_equals_evaluate(T):
     for i in range(n):
         p = _path(law, T, key=i)
         assert got[i].tolist() == [evaluate(p, h, tau) for tau in times]
+
+
+def _finished(spec, path, u, t):
+    """The statistic at (t, u) on one path: evaluate, then the regime's
+    own arithmetic, one scalar at a time."""
+    law, h, tau = spec.law, spec.h, u * t
+    if spec.regime == NOSCALE_DRI:
+        return evaluate(path, h, tau)
+    if spec.regime == NOSCALE_CENTERED:
+        return evaluate(path, h, tau) - h.integral(tau) / law.mean
+    if spec.regime == D4:
+        return evaluate(path, h, tau) * (float(law.tail_prob(t))
+                                         / float(h.eval(t)))
+    if isinstance(h, Constant):         # the _UNIT rule
+        h = Constant(1.0)
+    return ((evaluate(path, h, tau) - h.integral(tau) / law.mean)
+            / (scaling_g(spec, t) * float(h.eval(t))))
+
+
+_LADDER = ((0.5, 1.0, 2.0), (100.0, 200.0))  # tau 100 and 200 in both rungs
+_D4_LADDER = ((0.5, 1.0, 2.0), (1000.0, 10000.0))
+
+
+@pytest.mark.parametrize("spec, ladder, n, wide", [
+    (LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0)),
+     _LADDER, 20, False),
+    (LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Exponential(1.0),
+               PowerDecay(0.75)), _LADDER, 20, False),
+    (LimitSpec(A1, 2.0, 0.25, Exponential(1.0), PowerDecay(0.25)),
+     _LADDER, 20, False),
+    (LimitSpec(A1, 2.0, 0.25, Exponential(1.0), PowerDecay(0.25)),
+     ((0.5, 1.0, 2.0), (500.0, 1000.0)), 4, True),
+    (LimitSpec(A2, 2.0, 0.0, Pareto(2.0, 1.0), Constant(3.0)),
+     _LADDER, 20, False),
+    (LimitSpec(A3, 1.5, 0.25, Pareto(1.5, 1.0), PowerDecay(0.25)),
+     _LADDER, 20, False),
+    (LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0), PowerDecay(0.25)),
+     _D4_LADDER, 200, False),
+    (LimitSpec(D4, 0.5, 0.5, Pareto(0.5, 1.0), ParetoTailMatch(0.5)),
+     _D4_LADDER, 200, False),
+], ids=["NOSCALE_DRI", "NOSCALE_CENTERED", "A1-gathered", "A1-sliced",
+        "A2-constant", "A3", "D4-beta<alpha", "D4-beta=alpha"])
+def test_every_rung_of_a_chunk_equals_evaluate(spec, ladder, n, wide):
+    # one statistic call per buffer for every rung gives, entry by entry,
+    # evaluate on the replicate's own path and the regime's arithmetic,
+    # bit for bit
+    (u_grid, ts), seed = ladder, 3
+    T = max(u_grid) * ts[-1]
+    widths = {b.shape[1] for b in renewal.epoch_batches(
+        spec.law, T, ZERO_DELAYED, seed, (DOMAIN_REPLICATE,), range(n))}
+    assert {w >= shotnoise._GATHER_WIDTH for w in widths} == {wide}
+    if spec.regime == D4:               # some rows outgrow their first draw
+        first = math.ceil(renewal.expected_count(spec.law, T))
+        assert max(widths) > 1 + first
+    got = verify._simulate_chunk(spec, u_grid, ts, seed, range(n))
+    assert got.shape == (n, len(ts), len(u_grid))
+    want = np.empty_like(got)
+    for i in range(n):
+        p = sample_path(spec.law, T, ZERO_DELAYED,
+                        substream(seed, DOMAIN_REPLICATE, i))
+        for r, t in enumerate(ts):
+            want[i, r] = [_finished(spec, p, u, t) for u in u_grid]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [8, shotnoise._GATHER_WIDTH],
+                         ids=["gathered", "sliced"])
+def test_shot_noise_before_the_first_epoch_is_zero(width):
+    # a row whose first epoch lies after tau and a row of +inf hold no
+    # ages; the other row is cut at tau as evaluate cuts it
+    h = PowerDecay(0.25)
+    late = 10.0 + np.arange(width, dtype=float)
+    early = np.arange(width, dtype=float)
+    times = np.array([[5.0, 6.5], [0.0, 6.5]])
+    got = shotnoise.shot_noise(np.stack([late, np.full(width, np.inf),
+                                         early]), h, times)
+    assert got.shape == (3, 2, 2)
+    assert got[:2].tobytes() == np.zeros((2, 2, 2)).tobytes()
+    p = RenewalPath(early, float(early[-1]))
+    assert got[2].tolist() == [[evaluate(p, h, tau) for tau in rung]
+                               for rung in times]
+    assert shotnoise.shot_noise(np.full((2, width), np.inf), h,
+                                (1.0, 3.0)).tobytes() == bytes(32)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

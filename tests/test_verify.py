@@ -290,6 +290,34 @@ def test_no_replicates_is_refused_before_a_pool_starts(monkeypatch, threads):
         simulate_scaled_matrix(spec, (1.0,), 10.0, 0, 1, threads=threads)
 
 
+_BAD_GRIDS = [((1.0, math.nan), 10.0), ((math.inf,), 10.0),
+              ((0.0, 1.0), 10.0), ((2.0, 1.0), 10.0), ((1.0, 1.0), 10.0),
+              ((), 10.0), ((1.0,), math.nan), ((1.0,), math.inf),
+              ((1.0,), 0.0), ((1.0,), -1.0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("u_grid, t", _BAD_GRIDS)
+def test_bad_grid_is_refused_before_a_pool_starts(monkeypatch, threads,
+                                                  u_grid, t):
+    # (1, nan) gave a column of NaN and t = nan a matrix of NaN; at threads
+    # 2 a decreasing grid raised only from inside a worker
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)
+    spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
+    with pytest.raises(ValueError, match="u-grid|t must"):
+        simulate_scaled_matrix(spec, u_grid, t, 100, 1, threads=threads)
+
+
+@pytest.mark.parametrize("u_grid, t", _BAD_GRIDS)
+def test_bad_grid_is_refused_by_the_statistic(u_grid, t):
+    spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
+    path = sample_path(spec.law, 50.0, ZERO_DELAYED, substream(1, 9, 0))
+    with pytest.raises(ValueError, match="u-grid|t must"):
+        shotnoise.batch_statistic(spec, path.arrivals[None], u_grid, t)
+    with pytest.raises(ValueError):     # some by the horizon check
+        scaled_statistic(spec, path, u_grid, t)
+
+
 def test_resource_cap():
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ResourceCapExceeded):
