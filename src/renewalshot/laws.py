@@ -93,14 +93,7 @@ class Exponential(IncrementLaw):
         return rng.random(size, out=out)
 
     def transform(self, u):
-        if np.ndim(u) == 0:
-            return -np.log1p(-u) / self.rate
-        # into one buffer: log1p(-u) / (-rate) is -log1p(-u) / rate bit
-        # for bit, as round-to-nearest is symmetric in the sign
-        x = np.negative(u)
-        np.log1p(x, out=x)
-        x /= -self.rate
-        return x
+        return -np.log1p(-u) / self.rate
 
     def stationary_cdf(self, t):
         return -np.expm1(-self.rate * np.asarray(t, dtype=float))

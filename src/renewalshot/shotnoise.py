@@ -207,24 +207,24 @@ def _row_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_grid(u_grid, t: float) -> np.ndarray:
-    """The u-grid as a float array; a ValueError unless it is non-empty,
-    finite, positive and strictly increasing and 0 < t < inf."""
-    u = np.asarray(u_grid, dtype=float)
-    if not (u.ndim == 1 and len(u) and np.all(np.isfinite(u)) and u[0] > 0
-            and np.all(np.diff(u) > 0)):
-        raise ValueError("u-grid must be finite, positive and strictly "
-                         "increasing")
-    if not 0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    return u
+def check_grid(grid, name: str) -> np.ndarray:
+    """`grid` (a u-grid, a t-ladder, or (t,) for one t) as a float array;
+    InadmissibleSpec unless it is non-empty, finite, positive and strictly
+    increasing."""
+    g = np.asarray(grid, dtype=float)
+    if not (g.ndim == 1 and len(g) and np.all(np.isfinite(g)) and g[0] > 0
+            and np.all(np.diff(g) > 0)):
+        raise InadmissibleSpec(f"{name} must be positive, finite and "
+                               "strictly increasing")
+    return g
 
 
 def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
     """The theorem statistic on each path (row of `paths`; see shot_noise)
     at each u of the grid (column), the one-rung case of the regime's
     statistic; every path must be generated up to u_max * t."""
-    u = check_grid(u_grid, t)
+    check_grid((t,), "t")
+    u = check_grid(u_grid, "u-grid")
     return REGIMES[spec.regime].statistic(spec, paths, u, (t,))[:, 0]
 
 

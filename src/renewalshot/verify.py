@@ -206,11 +206,8 @@ class Scenario:
             raise ValueError("reference_mesh_d must be positive and finite")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates")
-        for name, g in (("t-ladder", self.t_ladder), ("u-grid", self.u_grid)):
-            if (not g or g[0] <= 0 or not all(map(math.isfinite, g))
-                    or any(b <= a for a, b in zip(g, g[1:]))):
-                raise InadmissibleSpec(f"{name} must be positive, finite and "
-                                       "strictly increasing")
+        shotnoise.check_grid(self.t_ladder, "t-ladder")
+        shotnoise.check_grid(self.u_grid, "u-grid")
         for p in self.plans:
             plan, arg = _parse_plan(p)
             if not plan.admits(self.spec, arg):
@@ -355,7 +352,8 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     shotnoise.check_grid) are refused before the shot cap and the pool."""
     if n < 1:
         raise ValueError("need at least one replicate")
-    u_grid = tuple(shotnoise.check_grid(u_grid, t).tolist())
+    shotnoise.check_grid((t,), "t")
+    u_grid = tuple(shotnoise.check_grid(u_grid, "u-grid").tolist())
     with (_Pool(threads) if pool is None else nullcontext(pool)) as pool:
         key = (t, spec, u_grid, n, seed)
         if key in pool.ahead:

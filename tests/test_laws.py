@@ -206,9 +206,8 @@ def _as_inputs(values):
 @example(rate=1.0, u=[0.0, 1e-300, 0.5, float(np.nextafter(1.0, 0.0))])
 @example(rate=2.5, u=[1.0 - 2.0**-20, 1.0 - 2.0**-40, 1.0 - 2.0**-52])
 def test_exponential_transform_is_its_closed_form(rate, u):
-    # log1p(-u) / (-rate) in one buffer equals -log1p(-u) / rate bit for
-    # bit (round-to-nearest is symmetric in the sign), on arrays and
-    # scalars, and leaves its input as it was
+    # -log1p(-u) / rate bit for bit on arrays and scalars, and its input
+    # left as it was
     law = Exponential(rate)
     arr, scalars = _as_inputs(u)
     before = arr.copy()
@@ -243,8 +242,8 @@ def test_power_decay_eval_is_its_closed_form(beta, c0, t):
 
 
 def test_exponential_stationary_delay_of_size_none_is_a_scalar():
-    # the scalar form of transform: an in-place log1p(out=) on the float
-    # of rng.random() raises TypeError
+    # rng.random() with size None is a float: transform must take it (an
+    # in-place log1p(out=) on it raises TypeError)
     law = Exponential(2.0)
     x = law.stationary_delay(substream(101, 3, 2))
     assert np.ndim(x) == 0 and x > 0
