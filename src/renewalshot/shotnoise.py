@@ -169,41 +169,29 @@ def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
 
 def _row_sums(vals: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """np.add.reduce (np.sum, pairwise) over consecutive slices of vals of
-    the given lengths, bit for bit.  On n <= _PAIRWISE_BLOCK values
-    numpy's pairwise sum is one pass of 8 accumulators: lane k adds
-    values k, k + 8, ... of the first n - n % 8 in order, from -0.0; then
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8
-    values in order, and the reduction adds that to 0.  All short slices
-    take that form at once, one row each of a grid padded with -0.0, which
-    adds exactly nothing, the last n % 8 through np.cumsum (sequential);
-    a longer slice calls np.add.reduce."""
+    the given lengths, bit for bit.  numpy sums a row of at most
+    _PAIRWISE_BLOCK values in one pass: 8 lanes over its first n - n % 8
+    values, their pair tree, then its last n % 8 values in order.  So each
+    slice shorter than the block is one row of a grid of -0.0, which adds
+    exactly nothing, L + 7 wide (L the largest n - n % 8, at most 120):
+    its first n - n % 8 values from column 0 and its last n % 8 from
+    column L, and one np.add.reduce over the rows (each contiguous, so
+    summed by one pairwise call) gives each its slice's bits; a longer
+    slice has its own np.add.reduce."""
     out = np.empty(len(lengths))
     end = np.cumsum(lengths).tolist()
-    long = [i for i, n in enumerate(lengths.tolist()) if n > _PAIRWISE_BLOCK]
-    for i in long:
+    short = lengths < _PAIRWISE_BLOCK
+    for i in np.flatnonzero(~short).tolist():
         out[i] = np.add.reduce(vals[end[i] - lengths[i]:end[i]])
-    if len(long) == len(out):
-        return out
-    short = lengths <= _PAIRWISE_BLOCK
-    if long:
+    if not short.all():
         vals = vals[np.repeat(short, lengths)]
-    n = lengths[short]
-    # row j: short slice j, then -0.0 to at least 7 past its first n - n % 8
-    width = 8 * (n.max() // 8 + 1)
-    col = np.arange(width)
-    grid = np.full((len(n), width), -0.0)
-    grid[col < n[:, None]] = vals
-    m = n - n % 8
-    tail = np.empty((len(n), 8))
-    tail[:, 1:] = grid.ravel()[(np.arange(len(n)) * width + m)[:, None]
-                               + np.arange(7)]
-    grid[col >= m[:, None]] = -0.0
-    r = np.full((len(n), 8), -0.0)
-    for b in range(0, m.max(), 8):
-        r += grid[:, b:b + 8]
-    pairs = r[:, 0::2] + r[:, 1::2]
-    tail[:, 0] = pairs[:, 0] + pairs[:, 1] + (pairs[:, 2] + pairs[:, 3])
-    out[short] = 0.0 + np.cumsum(tail, axis=1)[:, -1]
+    n = lengths[short, None]
+    lanes = n - n % 8
+    L = lanes.max(initial=0)
+    col = np.arange(L + 7)
+    grid = np.full((len(n), L + 7), -0.0)
+    grid[(col < lanes) | (col >= L) & (col < L + n % 8)] = vals
+    out[short] = np.add.reduce(grid, axis=1)
     return out
 
 
@@ -219,21 +207,16 @@ def check_grid(grid, name: str) -> np.ndarray:
     return g
 
 
-def batch_statistic(spec: LimitSpec, paths, u_grid, t: float) -> np.ndarray:
-    """The theorem statistic on each path (row of `paths`; see shot_noise)
-    at each u of the grid (column), the one-rung case of the regime's
-    statistic; every path must be generated up to u_max * t."""
-    check_grid((t,), "t")
-    u = check_grid(u_grid, "u-grid")
-    return REGIMES[spec.regime].statistic(spec, paths, u, (t,))[:, 0]
-
-
 def scaled_statistic(spec: LimitSpec, path: RenewalPath,
                      u_grid, t: float) -> np.ndarray:
-    """The theorem statistic at each u of the grid, on one shared path."""
-    if np.max(u_grid) * t > path.horizon:
+    """The theorem statistic at each u of the grid (see check_grid), on
+    one shared path generated up to u_max * t."""
+    check_grid((t,), "t")
+    u = check_grid(u_grid, "u-grid")
+    if u[-1] * t > path.horizon:
         raise ValueError("u_max * t exceeds the generated horizon")
-    return batch_statistic(spec, path.arrivals[None], u_grid, t)[0]
+    return REGIMES[spec.regime].statistic(spec, path.arrivals[None], u,
+                                          (t,))[0, 0]
 
 
 def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:

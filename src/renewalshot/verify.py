@@ -208,8 +208,12 @@ class Scenario:
             raise ValueError("need at least 100 replicates")
         shotnoise.check_grid(self.t_ladder, "t-ladder")
         shotnoise.check_grid(self.u_grid, "u-grid")
-        for p in self.plans:
+        names = [p.partition(":")[0] for p in self.plans]
+        for i, p in enumerate(self.plans):
             plan, arg = _parse_plan(p)
+            if names[i] in names[:i]:
+                # each (t, u, test) has one record
+                raise InadmissibleSpec(f"plan {names[i]} is named twice")
             if not plan.admits(self.spec, arg):
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
                                        f"{self.spec.regime} spec")

@@ -160,6 +160,19 @@ def test_inadmissible_plan_exits_3(tmp_path, capsys):
         assert plan in capsys.readouterr().err
 
 
+def test_plan_named_twice_exits_3(tmp_path, capsys):
+    # it ran twice: 16 records on this config, each (t, u, test) twice
+    p = tmp_path / "twice.ini"
+    p.write_text(A1_CONFIG.replace("u = 0.5, 1.0", "u = 1, 2").replace(
+        "t = 60", "t = 100").replace(
+        "plans = KS_MARGINAL",
+        "plans = MOMENTS:2, MOMENTS:4, KS_MARGINAL, KS_MARGINAL"))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    assert "named twice" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_moments_without_closed_form_exit_3(tmp_path, capsys):
     # the A3 limit has a closed-form first moment only, so MOMENTS:2 would
     # test order 1 and silently skip order 2

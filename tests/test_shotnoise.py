@@ -147,18 +147,31 @@ def test_shot_noise_before_the_first_epoch_is_zero(width):
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=8),
-       seed=st.integers(0, 2**32 - 1))
-@example(lengths=[7, 8, 15, 16, 127, 128, 129, 255, 256], seed=0)
-@example(lengths=[0, 1, 300, 0], seed=1)
-def test_row_sums_equal_np_add_reduce(lengths, seed):
-    # the vector form of short slices and np.add.reduce of long ones give
-    # np.add.reduce's bits; one slice mixes 0, subnormals and values of
-    # every magnitude up to 1e300
+@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.1, 1.0]))
+@example(lengths=[7, 8, 15, 16, 127, 128, 129, 255, 256], seed=0, zeros=0.1)
+@example(lengths=[0, 1, 300, 0], seed=1, zeros=0.1)
+@example(lengths=[126, 127, 128, 129], seed=2, zeros=0.1)
+@example(lengths=[129, 128, 127, 126], seed=3, zeros=1.0)
+# every n % 8 and every lane part from 0 to 120 in one grid
+@example(lengths=list(range(128)) * 3, seed=4, zeros=0.1)
+@example(lengths=list(range(128))[::-1] + [300], seed=5, zeros=1.0)
+# a grid 7 columns wide, and no grid at all
+@example(lengths=list(range(8)) * 20, seed=6, zeros=0.1)
+@example(lengths=list(range(8)) * 20, seed=7, zeros=1.0)
+@example(lengths=[128, 300, 129, 255, 256], seed=8, zeros=0.1)
+def test_row_sums_equal_np_add_reduce(lengths, seed, zeros):
+    # each short slice as one row of the -0.0 grid and each long one by
+    # np.add.reduce give np.add.reduce's bits; values of either sign and of
+    # every magnitude from subnormals up to 1e300, with 0.0 and -0.0 mixed
+    # in at the share `zeros` (1.0: every value is a signed zero)
     rng = np.random.default_rng(seed)
     total = sum(lengths)
-    vals = rng.random(total) * 10.0 ** rng.uniform(-323.0, 300.0, total)
-    vals[rng.random(total) < 0.05] = 0.0
+    vals = (rng.choice([-1.0, 1.0], total) * rng.random(total)
+            * 10.0 ** rng.uniform(-323.0, 300.0, total))
+    share = rng.random(total)
+    vals[share < zeros / 2] = 0.0
+    vals[share > 1.0 - zeros / 2] = -0.0
     cut = np.cumsum([0] + lengths)
     want = np.array([np.add.reduce(vals[a:b])
                      for a, b in zip(cut, cut[1:])])

@@ -158,6 +158,16 @@ def test_scenario_validation():
     _a1_scenario(spec=DRI_SPEC, plans=("TIME_REVERSAL",))
 
 
+@pytest.mark.parametrize("plans", [
+    ("MOMENTS:2", "MOMENTS:4", "KS_MARGINAL", "KS_MARGINAL"),
+    ("KS_MARGINAL", "KS_MARGINAL"), ("MOMENTS", "MOMENTS:4"),
+    ("MOMENTS:2", "KS_MARGINAL", "MOMENTS:2")])
+def test_plan_named_twice_is_refused(plans):
+    # a repeated plan ran twice and wrote each of its records twice
+    with pytest.raises(InadmissibleSpec, match="named twice"):
+        _a1_scenario(u_grid=(1.0, 2.0), plans=plans)
+
+
 def test_d4_moments_csv_has_plain_floats():
     # limits.moments_inverse_case and limits.stationary_covariance return
     # numpy.float64, whose repr is "np.float64(...)"
@@ -312,9 +322,8 @@ def test_bad_grid_is_refused_before_a_pool_starts(monkeypatch, threads,
 def test_bad_grid_is_refused_by_the_statistic(u_grid, t):
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     path = sample_path(spec.law, 50.0, ZERO_DELAYED, substream(1, 9, 0))
+    # the grid is checked before the horizon
     with pytest.raises(ValueError, match="u-grid|t must"):
-        shotnoise.batch_statistic(spec, path.arrivals[None], u_grid, t)
-    with pytest.raises(ValueError):     # some by the horizon check
         scaled_statistic(spec, path, u_grid, t)
 
 
