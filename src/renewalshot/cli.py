@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 
@@ -100,6 +101,10 @@ def load_config(path):
         raise ConfigError(f"unknown regime {name!r}")
     alpha = float(cp["regime"].get("alpha", "2"))
     beta = float(cp["regime"].get("beta", "0"))
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        # the report echoes them, and JSON has no NaN or Infinity
+        raise ConfigError(f"[regime] alpha and beta must be finite; got "
+                          f"alpha = {alpha}, beta = {beta}")
     spec = LimitSpec(regime=name, alpha=alpha, beta=beta, law=law, h=h)
 
     _check_keys(cp["grid"], {"u", "t"}, "grid")

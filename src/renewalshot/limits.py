@@ -19,7 +19,8 @@ from scipy.special import gamma as _gamma
 
 from .laws import IncrementLaw, ResponseFunction
 from .renewal import STATIONARY, sample_path
-from .stable import StableSpec, sample_stable, sample_subordinator_increment
+from .stable import (StableSpec, kanter, sample_stable,
+                     sample_subordinator_increment, subordinator_scale)
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,36 @@ def simulate_inverse_subordinator_path(alpha: float, u_max: float,
     """The jump epochs 0 = D_0 < D_1 < ... <= u_max of the inverse
     subordinator discretised at step mesh_d: D_j = D(j*mesh_d), where
     W = mesh_d * #{j : D_j <= u} jumps by mesh_d.  Increments are drawn
-    in blocks of 2048 until D passes u_max, so the epochs up to any
-    u <= u_max do not depend on u_max."""
+    in blocks of 2048 (2048 uniforms, then 2048 exponentials) until D
+    passes u_max, so the epochs up to any u <= u_max do not depend on
+    u_max.
+
+    Only the prefix that is read gets Kanter's transform: the first
+    block's exponentials are drawn and transformed in pieces, the first
+    of ceil(E W(u_max) / mesh_d) increments and each later one twice the
+    last, until an epoch passes u_max.  Each piece's cumsum starts from
+    the last epoch, so the epochs are the running sum of the whole block,
+    bit for bit.  A row that outgrows the first block draws the later
+    ones whole, each summed as its last epoch plus its own cumsum."""
     if mesh_d <= 0 or u_max <= 0:
         raise ValueError("u_max and mesh_d must be positive")
     block = 2048
-    d_vals = [np.array([0.0])]
-    total = 0.0
+    piece = math.ceil(moments_inverse_case(alpha, 0.0, u_max, 1) / mesh_d)
+    scale = subordinator_scale(alpha, mesh_d)
+    u = math.pi * stream.random(block)
+    d = np.zeros(block + 1)
+    a = 0
+    while a < block and d[a] <= u_max:
+        b = min(block, a + piece)
+        d[a + 1:b + 1] = scale * kanter(alpha, u[a:b],
+                                        stream.standard_exponential(b - a))
+        np.cumsum(d[a:b + 1], out=d[a:b + 1])
+        a, piece = b, 2 * piece
+    d_vals = [d[:a + 1]]
+    total = d[a]
     while total <= u_max:
-        incs = sample_subordinator_increment(alpha, mesh_d, stream, block)
-        chunk = total + np.cumsum(incs)
+        chunk = total + np.cumsum(
+            sample_subordinator_increment(alpha, mesh_d, stream, block))
         d_vals.append(chunk)
         total = chunk[-1]
     d = np.concatenate(d_vals)

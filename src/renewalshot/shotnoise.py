@@ -445,7 +445,7 @@ REGIMES = {
     A3: Regime(
         admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
                 (lambda s: 0 <= s.beta < 1.0 / s.alpha,
-                 "A3 requires beta in the interval (0,1/alpha); got {s.beta}"),
+                 "A3 requires beta in [0, 1/alpha); got {s.beta}"),
                 _H_TAIL_ALPHA, _H_DECLARED_BETA),
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),

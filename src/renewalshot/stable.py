@@ -76,25 +76,38 @@ def sample_stable(spec: StableSpec, stream: np.random.Generator, size=None):
     return spec.scale * (s * num * rest)
 
 
-def sample_positive_stable(alpha: float, stream: np.random.Generator, size=None):
-    """Standard positive stable S with E exp(-s S) = exp(-s^alpha), via
-    Kanter's representation, 0 < alpha < 1."""
-    if not 0 < alpha < 1:
-        raise ValueError("one-sided stable needs alpha in (0, 1)")
-    u = math.pi * stream.random(size)
-    w = stream.standard_exponential(size)
+def kanter(alpha: float, u, w):
+    """Kanter's transform (A(u)/w)^{(1-alpha)/alpha} of uniforms u on
+    (0, pi) and standard exponentials w, elementwise: a standard positive
+    stable draw for each pair."""
     a_u = (np.sin(alpha * u) ** alpha * np.sin((1.0 - alpha) * u) ** (1.0 - alpha)
            / np.sin(u)) ** (1.0 / (1.0 - alpha))
     return (a_u / w) ** ((1.0 - alpha) / alpha)
 
 
+def sample_positive_stable(alpha: float, stream: np.random.Generator, size=None):
+    """Standard positive stable S with E exp(-s S) = exp(-s^alpha), via
+    Kanter's representation, 0 < alpha < 1: `size` uniforms, then `size`
+    exponentials."""
+    if not 0 < alpha < 1:
+        raise ValueError("one-sided stable needs alpha in (0, 1)")
+    u = math.pi * stream.random(size)
+    return kanter(alpha, u, stream.standard_exponential(size))
+
+
+def subordinator_scale(alpha: float, dt: float) -> float:
+    """(Gamma(1-alpha) dt)^{1/alpha}: the subordinator's increment over dt
+    is this times a standard positive stable."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return (_gamma(1.0 - alpha) * dt) ** (1.0 / alpha)
+
+
 def sample_subordinator_increment(alpha: float, dt: float,
                                   stream: np.random.Generator, size=None):
     """Increment of the subordinator with -log E exp(-t D(1)) = Gamma(1-alpha) t^alpha."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    scale = (_gamma(1.0 - alpha) * dt) ** (1.0 / alpha)
-    return scale * sample_positive_stable(alpha, stream, size)
+    return (subordinator_scale(alpha, dt)
+            * sample_positive_stable(alpha, stream, size))
 
 
 def abs_moment(alpha: float, r: float) -> float:

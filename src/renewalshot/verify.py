@@ -45,17 +45,26 @@ MEAN_ABS_N = "MEAN_ABS_N"
 # ---------------------------------------------------------------------------
 
 def ks_two_sample(x, y):
-    """Sup-distance of the two ECDFs and the asymptotic Kolmogorov p-value
-    at effective size nm/(n+m)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) == 0 or len(y) == 0:
+    """Smirnov's sup-distance of the two ECDFs and its asymptotic p-value,
+    computed as scipy.stats.ks_2samp(x, y, method="asymp") computes them:
+    the exact Kolmogorov-Smirnov survival function at the effective size
+    round(nm/(n+m)), clipped to [0, 1]."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    n, m = len(x), len(y)
+    if n == 0 or m == 0:
         raise ValueError("samples must be nonempty")
+    both = np.concatenate([x, y])
+    if np.isnan(both).any():           # as scipy's nan_policy="propagate"
+        return math.nan, math.nan
+    diff = (np.searchsorted(x, both, side="right") / n
+            - np.searchsorted(y, both, side="right") / m)
+    d = float(max(diff.max(), -diff.min()))
     # imported here: scipy.stats doubles the start-up time of a run that
     # needs no two-sample test
-    from scipy import stats
-    res = stats.ks_2samp(x, y, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    from scipy.stats import kstwo
+    p = kstwo.sf(d, np.round(n * m / (n + m)))
+    return d, float(np.clip(p, 0.0, 1.0))
 
 
 def ks_one_sample(x, cdf):
@@ -159,18 +168,22 @@ def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
         x, y = x[keep], y[keep]
     n = len(x)
     qs = np.linspace(0.05, 0.95, grid)
-
-    def cop_dist(u, v):
-        cu = u[:, None] <= qs[None, :]
-        cv = v[:, None] <= qs[None, :]
-        c = (cu[:, :, None] & cv[:, None, :]).mean(axis=0)
-        return np.abs(c - qs[:, None] * qs[None, :]).max()
-
     from scipy import stats     # imported here, as in ks_two_sample
     u = stats.rankdata(x) / (n + 1.0)
     v = stats.rankdata(y) / (n + 1.0)
-    return _permutation_test(lambda w: cop_dist(u, w), v,
-                             lambda: rng.permutation(v), n_perm)
+    # the indicators 1{u_i <= q_a} and 1{v_i <= q_b}: the copula at
+    # (q_a, q_b) of a shuffle of v's rows counts their products, one matrix
+    # product (exact in float64: integer sums far below 2^53)
+    cu = (u[:, None] <= qs[None, :]).T.astype(float)
+    cv = (v[:, None] <= qs[None, :]).astype(float)
+    prod = qs[:, None] * qs[None, :]
+
+    def cop_dist(rows):
+        return np.abs((cu @ cv[rows]) / n - prod).max()
+
+    # rng.permutation(n) draws the same shuffle as rng.permutation(v)
+    return _permutation_test(cop_dist, np.arange(n),
+                             lambda: rng.permutation(n), n_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +208,8 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.significance < 1:
             raise ValueError("significance must lie in (0, 1)")
-        if not self.max_shots > 0:
-            raise ValueError("max_shots must be positive")
+        if not 0 < self.max_shots < math.inf:
+            raise ValueError("max_shots must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if not (self.x_star_truncation is None

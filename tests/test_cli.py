@@ -62,6 +62,10 @@ seed = 2
 plans = KS_MARGINAL, MOMENTS:4
 """
 
+NOSCALE_DRI_CONFIG = A1_CONFIG.replace(
+    "name = A1", "name = NOSCALE_DRI").replace(
+    "kind = constant\nvalue = 1.0", "kind = expdecay\nlam = 1.0")
+
 
 @pytest.fixture
 def a1_config(tmp_path):
@@ -128,7 +132,7 @@ def test_inadmissible_beta_exits_3(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(p), "--out",
                    str(tmp_path / "x.csv")])
     assert rc == 3
-    assert "(0,1/alpha)" in capsys.readouterr().err
+    assert "[0, 1/alpha)" in capsys.readouterr().err
 
 
 def test_response_without_power_decay_exits_3(tmp_path, capsys):
@@ -292,12 +296,16 @@ def test_slowly_decaying_response_without_truncation_exits_2(tmp_path,
     ("significance = 1.5", [], "significance"),
     ("significance = -0.1", [], "significance"),
     ("max_shots = -1", [], "max_shots"),
+    ("max_shots = inf", [], "max_shots"),
+    ("max_shots = nan", [], "max_shots"),
     ("", ["--threads", "-2"], "threads"),
 ], ids=["significance-above-1", "negative-significance", "negative-max-shots",
-        "negative-threads"])
+        "infinite-max-shots", "nan-max-shots", "negative-threads"])
 def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
-    # before the range checks these exited 1, 0, 4 and 0: every record
-    # failing, every p-value record passing, a cap of -1, a serial run
+    # before the range checks these exited 1, 0, 4, 0 and 0: every record
+    # failing, every p-value record passing, a cap of -1, no cap with
+    # "max_shots": Infinity in the report, a serial run; a nan cap was
+    # refused already
     p = tmp_path / "range.ini"
     p.write_text(A1_CONFIG + f"\n{line}\n")
     assert cli.main(["verify", "--config", str(p),
@@ -305,18 +313,21 @@ def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
     assert why in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("rate = 1.0", "rate = inf"),
-    ("rate = 1.0", "rate = nan"),
-    ("value = 1.0", "value = nan"),
-], ids=["rate-inf", "rate-nan", "constant-nan"])
-def test_nonfinite_law_or_response_parameter_exits_2(tmp_path, capsys, old,
-                                                     new):
+@pytest.mark.parametrize("config, old, new", [
+    (A1_CONFIG, "rate = 1.0", "rate = inf"),
+    (A1_CONFIG, "rate = 1.0", "rate = nan"),
+    (A1_CONFIG, "value = 1.0", "value = nan"),
+    (NOSCALE_DRI_CONFIG, "alpha = 2", "alpha = nan"),
+    (NOSCALE_DRI_CONFIG, "beta = 0", "beta = inf"),
+], ids=["rate-inf", "rate-nan", "constant-nan", "alpha-nan", "beta-inf"])
+def test_nonfinite_law_or_response_parameter_exits_2(tmp_path, capsys, config,
+                                                     old, new):
     # before, these died on a ZeroDivisionError traceback, exited 3 ("A1
-    # requires a finite-variance law") and exited 0 with every record
-    # passing
+    # requires a finite-variance law"), exited 0 with every record passing,
+    # and exited 0 with "alpha": NaN and "beta": Infinity in the report
+    # (the no-scaling regimes read neither)
     p = tmp_path / "nonfinite.ini"
-    p.write_text(A1_CONFIG.replace(old, new))
+    p.write_text(config.replace(old, new))
     assert cli.main(["verify", "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 2
     assert "finite" in capsys.readouterr().err
@@ -358,10 +369,7 @@ def test_zero_x_star_truncation_exits_2(tmp_path, capsys):
     # 0 used to stand for the default truncation level, with the report
     # echoing x_star_truncation 0.0
     p = tmp_path / "zero_trunc.ini"
-    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI")
-                 .replace("kind = constant\nvalue = 1.0",
-                          "kind = expdecay\nlam = 1.0")
-                 + "\nx_star_truncation = 0\n")
+    p.write_text(NOSCALE_DRI_CONFIG + "\nx_star_truncation = 0\n")
     assert cli.main(["verify", "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 2
     assert "x_star_truncation" in capsys.readouterr().err
@@ -577,11 +585,9 @@ def test_scipy_stats_loads_only_for_a_two_sample_test(tmp_path):
     # scipy.stats is about half of the start-up time, so verify loads it
     # only in ks_two_sample and copula_independence_test.  A fresh
     # interpreter: this one holds it already, from other tests
-    dri = A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI").replace(
-        "kind = constant\nvalue = 1.0", "kind = expdecay\nlam = 1.0")
     runs = []
     for name, text in (("d4_exp_limit", EXP_LIMIT_CONFIG), ("a1", A1_CONFIG),
-                       ("noscale_dri", dri)):
+                       ("noscale_dri", NOSCALE_DRI_CONFIG)):
         (tmp_path / f"{name}.ini").write_text(text)
         runs.append([str(tmp_path / f"{name}.ini"), str(tmp_path / name)])
     script = (

@@ -2,7 +2,8 @@
 
 The demos in demos/ are scripts of a few seconds each.  No test runs
 them: the `demos` step of .github/workflows/tier1.yml does, and fails on
-a non-zero exit, which is what catches a changed signature.  This test
+a non-zero exit, which is what catches a changed signature, or on stdout
+that differs from the demo's demos/expected/<name>.txt.  This test
 parses them instead: every name a demo imports from renewalshot, or
 reads as module.attr of an imported renewalshot name, must resolve, so a
 rename or removal in the package cannot leave a demo pointing at a name
@@ -72,3 +73,9 @@ def test_demo_uses_only_existing_names(demo):
     assert names, f"{demo.name} uses no renewalshot name"
     missing = [n for n in names if not exists(n)]
     assert not missing, f"{demo.name} uses names that are gone: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_has_expected_output(demo):
+    # the file the CI step diffs the demo's stdout against
+    assert (demo.parent / "expected" / f"{demo.stem}.txt").is_file()

@@ -16,6 +16,7 @@ from renewalshot.limits import (ProcessPath, covariance_inverse_case,
                                 simulate_inverse_subordinator_path,
                                 simulate_levy_path, stationary_covariance,
                                 x_star_tail_bound)
+from renewalshot.stable import sample_subordinator_increment
 from renewalshot.shotnoise import (NOSCALE_CENTERED, REGIMES,
                                    InadmissibleSpec, LimitSpec)
 from renewalshot.streams import substream
@@ -244,6 +245,8 @@ def test_frac_integral_admissibility():
         inverse_frac_integral(0.5, 0.25, (0.0, 1.0), 1e-2, q)
     with pytest.raises(ValueError):
         inverse_frac_integral(0.5, 0.25, (1.0,), 0.0, q)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        simulate_inverse_subordinator_path(0.0, 1.0, 1e-2, q)
 
 
 def test_one_epoch_draw_serves_every_u():
@@ -257,6 +260,44 @@ def test_one_epoch_draw_serves_every_u():
     assert d[0] == 0.0 and np.all(np.diff(d) > 0) and d[-1] <= 3.0
     w = inverse_frac_integral(0.5, 0.0, (3.0,), 1e-3, substream(31, 3, 6))
     assert w[0] == 1e-3 * len(d)             # beta = 0: W(u), D_0 counted
+
+
+def _full_block_epochs(alpha, u_max, mesh_d, stream):
+    """The jump epochs with every 2048-increment block drawn and
+    transformed whole, each summed as its last epoch plus its cumsum."""
+    d_vals = [np.array([0.0])]
+    total = 0.0
+    while total <= u_max:
+        chunk = total + np.cumsum(
+            sample_subordinator_increment(alpha, mesh_d, stream, 2048))
+        d_vals.append(chunk)
+        total = chunk[-1]
+    d = np.concatenate(d_vals)
+    return d[:np.searchsorted(d, u_max, side="right")]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_epochs_are_the_full_block_epochs(alpha):
+    # only the prefix that is read is transformed; the epochs and both
+    # functionals stay those of the whole block, bit for bit
+    mesh_d = 2.5e-4
+    blocks = set()
+    for u_max in (0.5, 1.0, 2.0, 4.0, 7.0):
+        for r in range(12):
+            key = (31, 8, int(10 * alpha), int(u_max), r)
+            want = _full_block_epochs(alpha, u_max, mesh_d, substream(*key))
+            got = simulate_inverse_subordinator_path(alpha, u_max, mesh_d,
+                                                     substream(*key))
+            assert got.tobytes() == want.tobytes()
+            blocks.add((len(want) - 1) // 2048 + 1)
+            u = (u_max / 3, u_max)
+            for beta in (0.0, alpha):
+                y = inverse_frac_integral(alpha, beta, u, mesh_d,
+                                          substream(*key))
+                ref = [mesh_d * np.sum((x - want[:want.searchsorted(x)])
+                                       ** -beta) for x in u]
+                assert y.tobytes() == np.array(ref).tobytes()
+    assert {1, 2, 3} <= blocks, blocks
 
 
 def test_x_star_sampling():

@@ -244,7 +244,7 @@ def test_constant_response_cancels_exactly():
 
 
 def test_admissibility_rejections():
-    with pytest.raises(InadmissibleSpec, match=r"\(0,1/alpha\)"):
+    with pytest.raises(InadmissibleSpec, match=r"\[0, 1/alpha\)"):
         LimitSpec(A3, 1.5, 0.8, Pareto(1.5, 1.0), PowerDecay(0.8))
     with pytest.raises(InadmissibleSpec):
         LimitSpec(A1, 1.5, 0.0, Exponential(1.0), Constant(1.0))

@@ -36,6 +36,23 @@ def test_ks_two_sample_enumerated():
         ks_two_sample([], [1.0])
 
 
+@pytest.mark.parametrize("n, m, ties", [
+    (1, 1, False), (1, 9, False), (9, 1, True), (7, 3, True), (60, 45, True),
+    (400, 250, False), (2000, 2000, False), (2000, 1999, True)])
+def test_ks_two_sample_is_scipys_asymptotic_test(n, m, ties):
+    # statistic and p, bit for bit, as scipy.stats.ks_2samp computes them
+    from scipy import stats
+    rng = substream(41, 3, 4, n, m)
+    x = rng.normal(0.0, 1.0, n)
+    y = rng.normal(0.1, 1.0, m)
+    if ties:
+        x, y = np.round(x, 1), np.round(y, 1)
+    for a, b in ((x, y), (y, x), (x, np.concatenate([y, [np.nan]]))):
+        res = stats.ks_2samp(a, b, method="asymp")
+        want = np.array([res.statistic, res.pvalue])
+        assert np.array(ks_two_sample(a, b)).tobytes() == want.tobytes()
+
+
 def test_ks_one_sample_normal_geometry():
     # exact quantiles at (i - 0.5)/n leave sup-distance exactly 0.5/n
     from scipy.special import ndtri
@@ -83,6 +100,45 @@ def test_copula_independence():
     assert p_null > 0.01
     _, p_dep = copula_independence_test(x, 0.6 * x + 0.8 * y, seed=1)
     assert p_dep <= 0.01
+
+
+def _copula_cube(x, y, n_perm, seed, max_n, grid):
+    """copula_independence_test with each copula as the mean of an
+    (n, grid, grid) boolean cube of indicator products."""
+    from scipy import stats
+    rng = substream(seed, DOMAIN_AUX, 7002)
+    if len(x) > max_n:
+        keep = rng.choice(len(x), max_n, replace=False)
+        x, y = x[keep], y[keep]
+    n = len(x)
+    qs = np.linspace(0.05, 0.95, grid)
+
+    def cop_dist(u, v):
+        cu = u[:, None] <= qs[None, :]
+        cv = v[:, None] <= qs[None, :]
+        c = (cu[:, :, None] & cv[:, None, :]).mean(axis=0)
+        return np.abs(c - qs[:, None] * qs[None, :]).max()
+
+    u = stats.rankdata(x) / (n + 1.0)
+    v = stats.rankdata(y) / (n + 1.0)
+    obs = cop_dist(u, v)
+    hits = sum(cop_dist(u, rng.permutation(v)) >= obs for _ in range(n_perm))
+    return float(obs), float((1.0 + hits) / (n_perm + 1.0))
+
+
+@pytest.mark.parametrize("n, max_n, grid, ties", [
+    (40, 2000, 20, True), (300, 2000, 20, False), (500, 350, 20, False),
+    (200, 2000, 7, True)])
+def test_copula_test_is_the_boolean_cube_form(n, max_n, grid, ties):
+    rng = substream(41, 3, 5, n)
+    x = rng.normal(0.0, 1.0, n)
+    y = 0.3 * x + rng.normal(0.0, 1.0, n)
+    if ties:
+        x, y = np.round(x), np.round(y, 1)
+    for seed in (1, 2):
+        got = copula_independence_test(x, y, n_perm=49, seed=seed,
+                                       max_n=max_n, grid=grid)
+        assert got == _copula_cube(x, y, 49, seed, max_n, grid)
 
 
 D4_SPEC = LimitSpec(D4, 0.5, 0.25, Pareto(0.5, 1.0), PowerDecay(0.25))
