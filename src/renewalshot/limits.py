@@ -52,6 +52,13 @@ def simulate_levy_path(alpha: float, u_max: float, mesh: float,
     return ProcessPath(grid=grid, values=values, alpha=alpha)
 
 
+def expected_jumps(alpha: float, u_max: float, mesh_d: float) -> int:
+    """ceil(E W(u_max) / mesh_d): the expected count of jump epochs
+    D_j <= u_max of the inverse subordinator discretised at step mesh_d,
+    the first piece that simulate_inverse_subordinator_path transforms."""
+    return math.ceil(moments_inverse_case(alpha, 0.0, u_max, 1) / mesh_d)
+
+
 def simulate_inverse_subordinator_path(alpha: float, u_max: float,
                                        mesh_d: float,
                                        stream: np.random.Generator
@@ -73,7 +80,7 @@ def simulate_inverse_subordinator_path(alpha: float, u_max: float,
     if mesh_d <= 0 or u_max <= 0:
         raise ValueError("u_max and mesh_d must be positive")
     block = 2048
-    piece = math.ceil(moments_inverse_case(alpha, 0.0, u_max, 1) / mesh_d)
+    piece = expected_jumps(alpha, u_max, mesh_d)
     scale = subordinator_scale(alpha, mesh_d)
     u = math.pi * stream.random(block)
     d = np.zeros(block + 1)

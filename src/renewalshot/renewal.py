@@ -66,12 +66,15 @@ class ResourceCapExceeded(RuntimeError):
 
 
 def check_shot_cap(law: IncrementLaw, T: float, paths: int,
-                   max_shots: float) -> None:
-    """Raise ResourceCapExceeded, before anything is drawn, when `paths`
-    paths to T hold more than max_shots shots by expected_count."""
-    if paths * expected_count(law, T) > max_shots:
+                   max_shots: float) -> float:
+    """The shots that `paths` paths to T hold by expected_count;
+    ResourceCapExceeded, before anything is drawn, when that is more
+    than max_shots."""
+    shots = paths * expected_count(law, T)
+    if shots > max_shots:
         raise ResourceCapExceeded(
             f"estimated shot count exceeds cap {max_shots:g}")
+    return shots
 
 
 def _fill_epochs(out: np.ndarray, start: np.ndarray, gaps: np.ndarray) -> None:

@@ -333,13 +333,15 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
 
 def _x_star_reference(scn, u_grid, key, map_rows):
     """Independent X* columns (see _x_star_rows), T the scenario's
-    x_star_truncation or its default, under the scenario's shot cap."""
+    x_star_truncation or its default, under the scenario's shot cap; the
+    map's work is the shots of its n * columns paths."""
     spec, n = scn.spec, scn.replicates
     T = (default_x_star_truncation(spec) if scn.x_star_truncation is None
          else scn.x_star_truncation)
-    renewal.check_shot_cap(spec.law, T, n * len(u_grid), scn.max_shots)
+    shots = renewal.check_shot_cap(spec.law, T, n * len(u_grid),
+                                   scn.max_shots)
     return map_rows(partial(_x_star_rows, spec, T, len(u_grid), scn.seed,
-                            key), n)
+                            key), n, shots)
 
 
 def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
@@ -351,9 +353,12 @@ def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
 
 
 def _inverse_subordinator_reference(scn, u_grid, key, map_rows):
-    return map_rows(partial(_inverse_subordinator_rows, scn.spec, u_grid,
-                            scn.reference_mesh_d, scn.seed, key),
-                    scn.replicates)
+    """The rows of _inverse_subordinator_rows; the map's work is the jump
+    epochs of each row's first piece (limits.expected_jumps)."""
+    spec, n, mesh_d = scn.spec, scn.replicates, scn.reference_mesh_d
+    epochs = n * limits.expected_jumps(spec.alpha, max(u_grid), mesh_d)
+    return map_rows(partial(_inverse_subordinator_rows, spec, u_grid,
+                            mesh_d, scn.seed, key), n, epochs)
 
 
 def _gaussian_moment(spec, u, k):
@@ -390,9 +395,11 @@ class Regime:
     no-scaling limits (independent at distinct u).  A1-A3 columns have the
     right marginals but are drawn independently.  The D4 and no-scaling
     samplers draw each row from its own streams and hand their rows to
-    map_rows(fn, n), which returns fn's rows for [0, n) from calls of fn
-    on ranges of rows (verify's run pool); the A1-A3 blocks come from one
-    stream each, cannot be split, and ignore it."""
+    map_rows(fn, n, work), which returns fn's rows for [0, n) from calls
+    of fn on ranges of rows (verify's run pool), `work` being the map's
+    expected epochs, which decide whether the rows are worth splitting;
+    the A1-A3 blocks come from one stream each, cannot be split, and
+    ignore it."""
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling

@@ -119,18 +119,28 @@ def covariance_z(a, b, reference):
     return _sectioned_z(prod, reference)
 
 
-def _permutation_test(stat, observed, permuted, n_perm):
-    """stat(observed) and its permutation p-value (1 + hits)/(n_perm + 1),
-    hits counting the n_perm draws permuted() whose stat is >= it."""
-    obs = stat(observed)
-    hits = sum(stat(permuted()) >= obs for _ in range(n_perm))
-    return float(obs), float((1.0 + hits) / (n_perm + 1.0))
+def _permutation_test(observed, permuted):
+    """The observed statistic and its permutation p-value
+    (1 + hits)/(n_perm + 1), hits counting the n_perm permuted statistics
+    that are >= it."""
+    hits = np.count_nonzero(np.asarray(permuted) >= observed)
+    return float(observed), float((1.0 + hits) / (len(permuted) + 1.0))
 
 
 def energy_distance_test(x, y, n_perm=199, seed=0, max_n=2000):
     """Two-sample energy-distance test for multivariate samples with a
     permutation p-value.  Samples larger than max_n per group are
-    deterministically subsampled to keep the distance matrix tractable."""
+    deterministically subsampled to keep the distance matrix tractable.
+
+    The distance matrix is summed column by column, which for fewer than
+    8 columns is the sequential sum that .sum(-1) over an (N, N, k) array
+    of squared differences does, bit for bit.  The statistic of a
+    grouping with indicator z of group x needs only d z: the observed one
+    comes from one matrix-vector product, the n_perm permuted ones from
+    one product of their indicator matrix with d.  A permuted statistic
+    computed so can differ in its last bits from one computed by its own
+    matrix-vector product, so p can move only on a near-tie with the
+    observed statistic."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     rng = substream(seed, DOMAIN_AUX, 7001)
@@ -140,21 +150,30 @@ def energy_distance_test(x, y, n_perm=199, seed=0, max_n=2000):
         y = y[rng.choice(len(y), max_n, replace=False)]
     n, m = len(x), len(y)
     pooled = np.vstack([x, y])
-    d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
+    sq = np.zeros((n + m, n + m))
+    diff = np.empty_like(sq)
+    for col in pooled.T:
+        np.subtract.outer(col, col, out=diff)
+        sq += np.square(diff, out=diff)
+    d = np.sqrt(sq, out=sq)
     total = d.sum()
 
-    def estat(idx_x):
-        # block sums of d from one product with the indicator z of group x
-        z = np.zeros(n + m)
-        z[idx_x] = 1.0
-        dz = d @ z
-        s_xx = z @ dz
-        s_xy = dz.sum() - s_xx
+    def estat(s_xx, s_x):
+        # s_x = sum of d z, s_xx = z . d z: the block sums of d
+        s_xy = s_x - s_xx
         s_yy = total - 2.0 * s_xy - s_xx
         return 2.0 * s_xy / (n * m) - s_xx / (n * n) - s_yy / (m * m)
 
-    return _permutation_test(estat, np.arange(n),
-                             lambda: rng.permutation(n + m)[:n], n_perm)
+    z = np.zeros(n + m)
+    z[:n] = 1.0
+    dz = d @ z
+    observed = estat(z @ dz, dz.sum())
+    zs = np.zeros((n_perm, n + m))
+    for row in zs:
+        row[rng.permutation(n + m)[:n]] = 1.0
+    dzs = zs @ d
+    return _permutation_test(
+        observed, estat(np.einsum("ij,ij->i", zs, dzs), dzs.sum(axis=1)))
 
 
 def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
@@ -182,8 +201,9 @@ def copula_independence_test(x, y, n_perm=199, seed=0, max_n=2000, grid=20):
         return np.abs((cu @ cv[rows]) / n - prod).max()
 
     # rng.permutation(n) draws the same shuffle as rng.permutation(v)
-    return _permutation_test(cop_dist, np.arange(n),
-                             lambda: rng.permutation(n), n_perm)
+    return _permutation_test(cop_dist(np.arange(n)),
+                             [cop_dist(rng.permutation(n))
+                              for _ in range(n_perm)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +322,30 @@ class TestReport:
 # simulation of the scaled statistic
 # ---------------------------------------------------------------------------
 
+# the expected epochs from which a map repays the pool.  Two workers save
+# a map (1 - 1/s) of its in-process time W c, s their speed-up, and the
+# pool costs P once per run, so a map repays it from W = P / (c (1 - 1/s)).
+# Measured on a shared 2-core VM (two timings, medians of 10 and of 7):
+# P = 17-19 ms (the start with a first no-op map 12.7-14.0 ms, the
+# shutdown 4.1-5.0 ms); c = 30 ns per expected epoch in-process (27-41 ns
+# for the A1 engine and MEAN_ABS_N counts, the cheapest epochs); s = 1.5
+# to 1.75 on those maps.  Dearer epochs (short D4 rows, references) are
+# dear by per-row work, which the pool speeds up less (the D4 engine 1.24
+# to 1.43 times), so the cheapest epoch sets the constant.
+_POOL_MIN_EPOCHS = 1.6e6
+
+
 class _Pool:
     """The worker processes of one run.  Every loop of the run whose rows
     each draw from their own streams (so any split of the rows gives the
-    same bits) maps its rows over them.  There are none at threads = 1;
-    otherwise the first such loop starts min(threads, CPU count) of them
-    (a fork pool starts all its workers at once), and leaving the `with`
-    block shuts them down, on return or on error.  `ladder` is the run's
-    t-ladder: a matrix drawn at one rung draws the later rungs too, and
-    `ahead` keeps their matrices until their rung asks for them."""
+    same bits) maps its rows through `rows`, with its expected work in
+    epochs.  A map below _POOL_MIN_EPOCHS, and every map at threads = 1,
+    runs in-process; the first map above it starts min(threads, CPU
+    count) workers (a fork pool starts all its workers at once), so a run
+    of small maps never forks, and leaving the `with` block shuts them
+    down, on return or on error.  `ladder` is the run's t-ladder: a
+    matrix drawn at one rung draws the later rungs too, and `ahead` keeps
+    their matrices until their rung asks for them."""
 
     def __init__(self, threads: int, ladder=()):
         self.threads = threads
@@ -325,11 +360,12 @@ class _Pool:
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
 
-    def rows(self, fn, n):
+    def rows(self, fn, n, work):
         """fn's rows for [0, n), in order, fn taking a range of rows: one
-        in-process call fn(range(n)) at threads = 1, else fn on 4 * threads
-        consecutive ranges in the workers, concatenated."""
-        if self.threads <= 1:
+        in-process call fn(range(n)) at threads = 1 or when `work`, the
+        map's expected epochs, is below _POOL_MIN_EPOCHS, else fn on
+        4 * threads consecutive ranges in the workers, concatenated."""
+        if self.threads <= 1 or work < _POOL_MIN_EPOCHS:
             return fn(range(n))
         if self._executor is None:
             import os
@@ -360,9 +396,10 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
                            max_shots: float = 1e8, *,
                            pool: _Pool | None = None) -> np.ndarray:
     """(n, len(u_grid)) matrix of the scaled statistic, one zero-delayed
-    path per replicate shared across the u-grid.  The rows run in `pool`,
-    the pool of a run (run_scenario passes its own), else in one of
-    `threads` workers opened for this call.  The paths go on to the last
+    path per replicate shared across the u-grid.  The rows map over
+    `pool`, the pool of a run (run_scenario passes its own), else over
+    one of `threads` workers opened for this call, with the shot cap's
+    estimate as their work (see _Pool.rows).  The paths go on to the last
     rung of the pool's ladder, under the shot cap there: this call
     computes the matrices of the later rungs too and leaves them in the
     pool for their own calls.  n < 1 and a bad grid (see
@@ -376,8 +413,10 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
         if key in pool.ahead:
             return pool.ahead.pop(key)
         ts = (t,) + tuple(r for r in pool.ladder if r > t)
-        renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n, max_shots)
-        m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n)
+        shots = renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n,
+                                       max_shots)
+        m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n,
+                      shots)
         pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
                           for i, r in enumerate(ts[1:], 1))
         return np.ascontiguousarray(m[:, 0])
@@ -511,10 +550,11 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
     n = scn.replicates
     if MEAN_ABS_N not in references:
         # the counts of every rung from one path per stream to the last t
-        renewal.check_shot_cap(law, scn.t_ladder[-1], n, scn.max_shots)
+        shots = renewal.check_shot_cap(law, scn.t_ladder[-1], n,
+                                       scn.max_shots)
         references[MEAN_ABS_N] = pool.rows(partial(
             renewal.counts_at, law, scn.t_ladder, renewal.ZERO_DELAYED,
-            scn.seed, (DOMAIN_AUX, 500)), n)
+            scn.seed, (DOMAIN_AUX, 500)), n, shots)
     g = shotnoise.scaling_g(spec, t)
     dev = np.abs(references[MEAN_ABS_N][:, scn.t_ladder.index(t)]
                  - t / law.mean)

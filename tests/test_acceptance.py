@@ -206,7 +206,11 @@ def test_acceptance_8_log_time_stationarity(report):
         assert abs(z) < 3, (s, z)
 
 
-def test_acceptance_9_determinism_and_calibration(report, tmp_path):
+def test_acceptance_9_determinism_and_calibration(report, tmp_path,
+                                                  monkeypatch):
+    # 400 paths to t = 200 are far below the pool's threshold: set it to
+    # 0 so that threads = 3 does split the rows over workers
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
     config = tmp_path / "a1.ini"
     config.write_text("""\
 [law]

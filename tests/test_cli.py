@@ -91,7 +91,8 @@ def test_simulate_deterministic(a1_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_thread_invariance(a1_config, tmp_path):
+def test_simulate_thread_invariance(a1_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     cli.main(["simulate", "--config", a1_config, "--out", str(out1),
               "--threads", "1"])

@@ -92,6 +92,56 @@ def test_energy_distance_detects_and_calibrates():
     assert p_alt <= 0.01
 
 
+def _energy_per_permutation(x, y, n_perm=199, seed=0, max_n=2000):
+    """The oracle: energy_distance_test computed as it was, from the
+    (N, N, k) squared differences summed by .sum(-1) and one
+    matrix-vector product per grouping."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    rng = substream(seed, DOMAIN_AUX, 7001)
+    if len(x) > max_n:
+        x = x[rng.choice(len(x), max_n, replace=False)]
+    if len(y) > max_n:
+        y = y[rng.choice(len(y), max_n, replace=False)]
+    n, m = len(x), len(y)
+    pooled = np.vstack([x, y])
+    d = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1))
+    total = d.sum()
+
+    def estat(idx_x):
+        z = np.zeros(n + m)
+        z[idx_x] = 1.0
+        dz = d @ z
+        s_xx = z @ dz
+        s_xy = dz.sum() - s_xx
+        s_yy = total - 2.0 * s_xy - s_xx
+        return 2.0 * s_xy / (n * m) - s_xx / (n * n) - s_yy / (m * m)
+
+    obs = estat(np.arange(n))
+    hits = sum(estat(rng.permutation(n + m)[:n]) >= obs
+               for _ in range(n_perm))
+    return float(obs), float((1.0 + hits) / (n_perm + 1.0))
+
+
+@pytest.mark.parametrize("k, n, m, shift, ties, max_n", [
+    (1, 60, 45, 0.0, False, 2000),
+    (2, 80, 130, 0.1, True, 2000),         # ties: values rounded to 0.1
+    (3, 150, 90, 0.0, False, 100),         # x subsampled
+    (2, 300, 260, 0.3, True, 200),         # both subsampled
+    (3, 40, 40, 1.0, True, 2000),
+])
+def test_energy_test_equals_its_per_permutation_form(k, n, m, shift, ties,
+                                                     max_n):
+    rng = substream(47, 3, k)
+    x = rng.normal(0.0, 1.0, (n, k))
+    y = rng.normal(shift, 1.0, (m, k))
+    if ties:
+        x, y = np.round(x, 1), np.round(y, 1)
+    stat, p = energy_distance_test(x, y, seed=5, max_n=max_n)
+    want_stat, want_p = _energy_per_permutation(x, y, seed=5, max_n=max_n)
+    assert stat.hex() == want_stat.hex() and p == want_p
+
+
 def test_copula_independence():
     rng = substream(41, 3, 3)
     x = rng.normal(0, 1, 1500)
@@ -269,10 +319,12 @@ def _centered_x_star(s, scn, j, rng):
     (D4_SPEC, lambda s, scn, j, rng: limits.inverse_frac_integral(
         s.alpha, s.beta, scn.u_grid, scn.reference_mesh_d, rng)[j]),
 ], ids=["NOSCALE_DRI", "NOSCALE_CENTERED", "D4"])
-def test_x_star_draws_use_one_stream_per_draw(spec, draw):
+def test_x_star_draws_use_one_stream_per_draw(monkeypatch, spec, draw):
     # a stream serves one path: X* draw (i, j) has stream (..., j, i), D4
     # row i has stream (..., i) for the whole grid, in process and when
-    # the rows are split over two workers
+    # the rows are split over two workers (these maps are far below the
+    # pool's threshold, so it is set to 0)
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
     n = 100
     scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0), replicates=n,
                        x_star_truncation=30.0, reference_mesh_d=1e-2)
@@ -311,7 +363,8 @@ def test_mean_abs_n_report_serialises():
     assert "np." not in buf.getvalue()
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     m1 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=1)
     m2 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=3)
@@ -333,7 +386,9 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("spec,t,n", ORACLE_CASES,
                          ids=lambda c: getattr(c, "regime", None))
-def test_matrix_equals_one_path_per_replicate(spec, t, n, threads):
+def test_matrix_equals_one_path_per_replicate(monkeypatch, spec, t, n,
+                                              threads):
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     u, seed = (0.5, 1.0, 2.0), 23
     m = simulate_scaled_matrix(spec, u, t, n, seed, threads=threads)
     paths = [sample_path(spec.law, u[-1] * t, ZERO_DELAYED,
@@ -442,6 +497,7 @@ def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
                                           threads):
     # a run draws each path once, to the last rung (rows counted in
     # process); each rung's matrix still equals that rung's alone
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     got = []
     inner = verify.simulate_scaled_matrix
 
@@ -466,6 +522,7 @@ def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mean_abs_n_equals_a_count_per_rung(monkeypatch, threads):
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     ladder = (100.0, 400.0, 1600.0)
     scn = _a1_scenario(replicates=100, t_ladder=ladder, threads=threads,
                        plans=("MEAN_ABS_N",))
@@ -510,9 +567,11 @@ THREADED_RUNS = {
 
 
 @pytest.mark.parametrize("kw", THREADED_RUNS.values(), ids=THREADED_RUNS)
-def test_whole_report_does_not_depend_on_threads(kw):
+def test_whole_report_does_not_depend_on_threads(monkeypatch, kw):
     # the scenario echo holds the thread count, so compare what the run
-    # computed: the records and the plot quantiles
+    # computed: the records and the plot quantiles; every map of these
+    # small runs is below the pool's threshold, so it is set to 0
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
     runs = {}
     for threads in (1, 2, 3):
         rep = run_scenario(_a1_scenario(replicates=100, threads=threads, **kw))
@@ -522,6 +581,7 @@ def test_whole_report_does_not_depend_on_threads(kw):
 
 
 def test_no_worker_outlives_its_run(monkeypatch):
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
     alive = []
     inner = verify.simulate_scaled_matrix
 
@@ -548,28 +608,71 @@ def test_no_worker_outlives_its_run(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_starts_no_more_workers_than_cpus(monkeypatch):
-    # a fork pool starts all max_workers at the first map; the row split
-    # into 4 * threads ranges stays, so the bits do not depend on the CPUs
-    started, ranges = [], []
+@pytest.fixture
+def in_process(monkeypatch):
+    """A stand-in for ProcessPoolExecutor on 2 CPUs that runs each chunk
+    in process; returns the log of its max_workers, chunks and
+    shutdowns."""
+    log = {"started": [], "ranges": [], "shut": []}
 
     class InProcess:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log["started"].append(max_workers)
 
         def map(self, fn, chunks):
-            ranges.extend(chunks)
+            log["ranges"].extend(chunks)
             return [fn(rows) for rows in chunks]
 
         def shutdown(self, cancel_futures):
-            pass
+            log["shut"].append(cancel_futures)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    return log
+
+
+def test_pool_starts_no_more_workers_than_cpus(in_process):
+    # a fork pool starts all max_workers at the first map; the row split
+    # into 4 * threads ranges stays, so the bits do not depend on the CPUs
     with verify._Pool(3) as pool:
-        rows = pool.rows(lambda r: np.arange(r.start, r.stop), 100)
-    assert started == [2] and len(ranges) == 12
+        rows = pool.rows(lambda r: np.arange(r.start, r.stop), 100,
+                         verify._POOL_MIN_EPOCHS)
+    assert in_process["started"] == [2] and len(in_process["ranges"]) == 12
     np.testing.assert_array_equal(rows, np.arange(100))
+
+
+def test_pool_forks_only_for_a_map_that_repays_it(monkeypatch, in_process):
+    rows = lambda r: np.arange(r.start, r.stop)
+    with verify._Pool(2) as pool:
+        small = pool.rows(rows, 100, verify._POOL_MIN_EPOCHS / 2)
+        assert in_process["started"] == []
+        big = pool.rows(rows, 100, verify._POOL_MIN_EPOCHS)
+        pool.rows(rows, 100, 2 * verify._POOL_MIN_EPOCHS)
+    assert in_process["started"] == [2] and in_process["shut"] == [True]
+    assert small.tobytes() == big.tobytes()
+    # a run of small maps (engine and MEAN_ABS_N) never forks, not even
+    # when it raises
+    scn = _a1_scenario(replicates=100, threads=2, t_ladder=(50.0, 100.0),
+                       plans=("KS_MARGINAL", "MEAN_ABS_N"))
+    over_cap = dataclasses.replace(scn, t_ladder=(5.0, 10.0), max_shots=1e4,
+                                   plans=("KS_MARGINAL", "TIME_REVERSAL"))
+    in_process["started"].clear()
+    in_process["shut"].clear()
+    want = run_scenario(scn).records
+    with pytest.raises(ResourceCapExceeded):
+        run_scenario(over_cap)
+    assert in_process["started"] == []
+    assert multiprocessing.active_children() == []
+    # with the threshold at 0 each run starts one executor for all its
+    # maps, and one that raises after its first map shuts it down
+    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
+    assert run_scenario(scn).records == want
+    run_scenario(scn)
+    assert in_process["started"] == [2, 2]
+    with pytest.raises(ResourceCapExceeded):
+        run_scenario(over_cap)
+    assert in_process["started"] == [2, 2, 2]
+    assert in_process["shut"] == [True, True, True]
 
 
 def test_report_serialization_shapes():
