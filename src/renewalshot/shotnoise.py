@@ -356,9 +356,9 @@ def _inverse_subordinator_reference(scn, u_grid, key, map_rows):
     """The rows of _inverse_subordinator_rows; the map's work is the jump
     epochs of each row's first piece (limits.expected_jumps)."""
     spec, n, mesh_d = scn.spec, scn.replicates, scn.reference_mesh_d
-    epochs = n * limits.expected_jumps(spec.alpha, max(u_grid), mesh_d)
+    jumps = n * limits.expected_jumps(spec.alpha, max(u_grid), mesh_d)
     return map_rows(partial(_inverse_subordinator_rows, spec, u_grid,
-                            mesh_d, scn.seed, key), n, epochs)
+                            mesh_d, scn.seed, key), n, jumps=jumps)
 
 
 def _gaussian_moment(spec, u, k):
@@ -395,9 +395,10 @@ class Regime:
     no-scaling limits (independent at distinct u).  A1-A3 columns have the
     right marginals but are drawn independently.  The D4 and no-scaling
     samplers draw each row from its own streams and hand their rows to
-    map_rows(fn, n, work), which returns fn's rows for [0, n) from calls
-    of fn on ranges of rows (verify's run pool), `work` being the map's
-    expected epochs, which decide whether the rows are worth splitting;
+    map_rows(fn, n, epochs=0, jumps=0), which returns fn's rows for
+    [0, n) from calls of fn on ranges of rows (verify's run pool); the
+    map's expected renewal-path epochs and D4 jump epochs give its
+    expected seconds, which decide whether the rows are worth splitting;
     the A1-A3 blocks come from one stream each, cannot be split, and
     ignore it."""
 

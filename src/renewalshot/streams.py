@@ -122,14 +122,15 @@ class Substreams:
     it has passed (it too is valid until the next re-key)."""
 
     def __init__(self, keys):
-        self._keys = keys
+        # Python ints and lists: Philox's state setter reads them element
+        # by element, which is much faster than from numpy arrays
+        self._keys = keys.tolist()
         self.drawn = 0
         self._bits = np.random.Philox(0)
         self._gen = np.random.Generator(self._bits)
-        zeros = np.zeros(4, dtype=np.uint64)
         self._state = {"bit_generator": "Philox",
-                       "state": {"counter": zeros, "key": None},
-                       "buffer": zeros, "buffer_pos": 4,
+                       "state": {"counter": [0] * 4, "key": None},
+                       "buffer": [0] * 4, "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
     def __iter__(self):

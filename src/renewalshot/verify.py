@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import multiprocessing
+import os
+import sys
 from dataclasses import dataclass, field, asdict
 from functools import partial
 from typing import Callable, NamedTuple
@@ -322,58 +323,100 @@ class TestReport:
 # simulation of the scaled statistic
 # ---------------------------------------------------------------------------
 
-# the expected epochs from which a map repays the pool.  Two workers save
-# a map (1 - 1/s) of its in-process time W c, s their speed-up, and the
-# pool costs P once per run, so a map repays it from W = P / (c (1 - 1/s)).
-# Measured on a shared 2-core VM (two timings, medians of 10 and of 7):
-# P = 17-19 ms (the start with a first no-op map 12.7-14.0 ms, the
-# shutdown 4.1-5.0 ms); c = 30 ns per expected epoch in-process (27-41 ns
-# for the A1 engine and MEAN_ABS_N counts, the cheapest epochs); s = 1.5
-# to 1.75 on those maps.  Dearer epochs (short D4 rows, references) are
-# dear by per-row work, which the pool speeds up less (the D4 engine 1.24
-# to 1.43 times), so the cheapest epoch sets the constant.
-_POOL_MIN_EPOCHS = 1.6e6
+# The fork-join's cost model.  A map's expected in-process seconds are
+# rows * _ROW_S + epochs * _EPOCH_S + jumps * _JUMP_S: renewal-path
+# epochs (engine, MEAN_ABS_N counts, X* paths) and D4 jump epochs (each a
+# Kanter transform) have their own costs, and every row its own stream
+# and Python calls.  With threads - 1 children a map saves (1 - 1/s) of
+# its seconds W, s the workers' speed-up, and pays the fork-join's fixed
+# cost P, so it forks from W = P / (1 - 1/s).  Measured on a shared
+# 2-core VM, three timings of the ten maps of the benchmark's workloads
+# (see README, Threads): the three costs fitted by least squares on the
+# relative error of the in-process times; P = 10.5 ms, a fork-join of one
+# child with a no-op map (median of the timings' medians of 15); s = 1.7,
+# the median of W / (fork-join time - P) over the maps above 50 ms.
+_ROW_S, _EPOCH_S, _JUMP_S = 27.5e-6, 30e-9, 250e-9
+_FORK_MIN_S = 10.5e-3 / (1.0 - 1.0 / 1.7)
+# fork is the start method whose cost the rule measures; elsewhere (spawn
+# took 1.7 s per pool) every map runs in-process
+_FORKS = sys.platform.startswith("linux")
+
+
+def _work_share(fn, rows, send):
+    """A child's share: fn(rows), or the exception it raised, sent back."""
+    try:
+        result = True, fn(rows)
+    except BaseException as exc:        # re-raised in the parent
+        result = False, exc
+    send.send(result)
+
+
+def _share_of(child, got):
+    """The rows a child sent over `got`; its exception, re-raised; a
+    RuntimeError naming its exit code when it died without a result."""
+    try:
+        ok, value = got.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"pool worker exited with code {child.exitcode} "
+                           "before sending its rows") from None
+    if not ok:
+        raise value
+    return value
 
 
 class _Pool:
-    """The worker processes of one run.  Every loop of the run whose rows
-    each draw from their own streams (so any split of the rows gives the
-    same bits) maps its rows through `rows`, with its expected work in
-    epochs.  A map below _POOL_MIN_EPOCHS, and every map at threads = 1,
-    runs in-process; the first map above it starts min(threads, CPU
-    count) workers (a fork pool starts all its workers at once), so a run
-    of small maps never forks, and leaving the `with` block shuts them
-    down, on return or on error.  `ladder` is the run's t-ladder: a
-    matrix drawn at one rung draws the later rungs too, and `ahead` keeps
-    their matrices until their rung asks for them."""
+    """The row maps of one run.  Every loop of the run whose rows each
+    draw from their own streams (so any split of the rows gives the same
+    bits) maps its rows through `rows`, with its expected work.
+    `ladder` is the run's t-ladder: a matrix drawn at one rung draws the
+    later rungs too, and `ahead` keeps their matrices until their rung
+    asks for them."""
 
     def __init__(self, threads: int, ladder=()):
         self.threads = threads
         self.ladder = tuple(ladder)
         self.ahead = {}
-        self._executor = None
 
-    def __enter__(self):
-        return self
+    def workers(self, n: int) -> int:
+        """The processes a map of n rows that repays a fork runs on:
+        min(threads, CPU count, n) where the pool forks, else 1."""
+        return min(self.threads, os.cpu_count() or 1, n) if _FORKS else 1
 
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-
-    def rows(self, fn, n, work):
-        """fn's rows for [0, n), in order, fn taking a range of rows: one
-        in-process call fn(range(n)) at threads = 1 or when `work`, the
-        map's expected epochs, is below _POOL_MIN_EPOCHS, else fn on
-        4 * threads consecutive ranges in the workers, concatenated."""
-        if self.threads <= 1 or work < _POOL_MIN_EPOCHS:
+    def rows(self, fn, n, epochs=0.0, jumps=0.0):
+        """fn's rows for [0, n), in order, fn taking a range of rows.  A
+        map whose expected seconds (see _FORK_MIN_S) repay a fork is cut
+        into workers(n) consecutive shares: the main process computes
+        the first, one forked child each of the others, sending its rows
+        back over a pipe.  Any other map is one call fn(range(n)).  No
+        child outlives the map: each is joined, and killed first when the
+        map raises."""
+        workers = self.workers(n)
+        if (workers <= 1 or n * _ROW_S + epochs * _EPOCH_S + jumps * _JUMP_S
+                < _FORK_MIN_S):
             return fn(range(n))
-        if self._executor is None:
-            import os
-            self._executor = ProcessPoolExecutor(
-                max_workers=min(self.threads, os.cpu_count() or 1))
-        cut = np.linspace(0, n, 4 * self.threads + 1).astype(int).tolist()
-        return np.concatenate(list(self._executor.map(
-            fn, [range(a, b) for a, b in zip(cut, cut[1:]) if b > a])))
+        cut = [n * k // workers for k in range(workers + 1)]
+        ctx = multiprocessing.get_context("fork")
+        children, done = [], False
+        try:
+            for a, b in zip(cut[1:], cut[2:]):
+                got, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_work_share,
+                                    args=(fn, range(a, b), send))
+                child.start()
+                children.append((child, got))
+                # the child holds the only write end: EOF when it dies
+                send.close()
+            shares = [fn(range(cut[1]))]
+            shares += [_share_of(child, got) for child, got in children]
+            done = True
+        finally:
+            for child, got in children:
+                if not done:
+                    child.kill()
+                child.join()
+                got.close()
+        return np.concatenate(shares)
 
 
 def _simulate_chunk(spec, u_grid, ts, seed, rows):
@@ -398,28 +441,28 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     """(n, len(u_grid)) matrix of the scaled statistic, one zero-delayed
     path per replicate shared across the u-grid.  The rows map over
     `pool`, the pool of a run (run_scenario passes its own), else over
-    one of `threads` workers opened for this call, with the shot cap's
-    estimate as their work (see _Pool.rows).  The paths go on to the last
-    rung of the pool's ladder, under the shot cap there: this call
-    computes the matrices of the later rungs too and leaves them in the
-    pool for their own calls.  n < 1 and a bad grid (see
-    shotnoise.check_grid) are refused before the shot cap and the pool."""
+    a pool of `threads` for this call, the shot cap's estimate counting
+    their epochs (see _Pool.rows).  The paths go on to the last rung of
+    the pool's ladder, under the shot cap there: this call computes the
+    matrices of the later rungs too and leaves them in the pool for their
+    own calls.  n < 1 and a bad grid (see shotnoise.check_grid) are
+    refused before the shot cap and the pool."""
     if n < 1:
         raise ValueError("need at least one replicate")
     shotnoise.check_grid((t,), "t")
     u_grid = tuple(shotnoise.check_grid(u_grid, "u-grid").tolist())
-    with (_Pool(threads) if pool is None else nullcontext(pool)) as pool:
-        key = (t, spec, u_grid, n, seed)
-        if key in pool.ahead:
-            return pool.ahead.pop(key)
-        ts = (t,) + tuple(r for r in pool.ladder if r > t)
-        shots = renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n,
-                                       max_shots)
-        m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n,
-                      shots)
-        pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
-                          for i, r in enumerate(ts[1:], 1))
-        return np.ascontiguousarray(m[:, 0])
+    if pool is None:
+        pool = _Pool(threads)
+    key = (t, spec, u_grid, n, seed)
+    if key in pool.ahead:
+        return pool.ahead.pop(key)
+    ts = (t,) + tuple(r for r in pool.ladder if r > t)
+    shots = renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n,
+                                   max_shots)
+    m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n, shots)
+    pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
+                      for i, r in enumerate(ts[1:], 1))
+    return np.ascontiguousarray(m[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -641,24 +684,23 @@ def _parse_plan(p):
 
 def run_scenario(s: Scenario) -> TestReport:
     """Run every plan of the scenario on each rung of the t-ladder, with
-    one pool of s.threads workers for the whole run."""
+    one pool of s.threads for the whole run."""
     report = TestReport(scenario=s.echo(), seed=s.seed)
     plans = [_parse_plan(p) for p in s.plans]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
     references = {}
-    with _Pool(s.threads, s.t_ladder) as pool:
-        for t in s.t_ladder:
-            samples = None
-            if needs_samples:
-                samples = simulate_scaled_matrix(s.spec, s.u_grid, t,
-                                                 s.replicates, s.seed,
-                                                 s.threads, s.max_shots,
-                                                 pool=pool)
-                for j, u in enumerate(s.u_grid):
-                    report.plot_data[(t, u)] = np.quantile(
-                        samples[:, j], np.linspace(0.0, 1.0, 101))
-            for plan, arg in plans:
-                if plan.every_rung or t == s.t_ladder[0]:
-                    plan.runner(s, t, samples, arg, report.records,
-                                references, pool)
+    pool = _Pool(s.threads, s.t_ladder)
+    for t in s.t_ladder:
+        samples = None
+        if needs_samples:
+            samples = simulate_scaled_matrix(s.spec, s.u_grid, t,
+                                             s.replicates, s.seed, s.threads,
+                                             s.max_shots, pool=pool)
+            for j, u in enumerate(s.u_grid):
+                report.plot_data[(t, u)] = np.quantile(
+                    samples[:, j], np.linspace(0.0, 1.0, 101))
+        for plan, arg in plans:
+            if plan.every_rung or t == s.t_ladder[0]:
+                plan.runner(s, t, samples, arg, report.records, references,
+                            pool)
     return report

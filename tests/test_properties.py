@@ -113,6 +113,27 @@ def test_substreams_draw_what_substream_draws(seed, key, start, count):
             assert draw(got).tobytes() == draw(want).tobytes()
 
 
+@PROPERTY
+@given(seed=st.integers(0, 2**70), key=st.lists(KEY_ELEMENTS, max_size=2),
+       count=st.integers(2, 12), order=st.randoms(use_true_random=False))
+def test_again_draws_what_substream_draws(seed, key, count, order):
+    # every stream drawn first, then each again in shuffled order: the
+    # re-key resets the counter, the buffer and the half word left over
+    s = substreams(seed, key, range(count))
+    for g in s:
+        g.random(5)
+        g.integers(0, 2**32, 3, dtype=np.uint32)
+    indices = list(range(count))
+    order.shuffle(indices)
+    for i in indices:
+        got, want = s.again(i), substream(seed, *key, i)
+        for draw in (lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
+                     lambda g: g.random(3),
+                     lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                     lambda g: g.standard_normal(2)):
+            assert draw(got).tobytes() == draw(want).tobytes()
+
+
 @pytest.mark.parametrize("indices", [[2**32], [0, 2**40], [-1], [3, -2]])
 def test_substreams_reject_indices_outside_32_bits(indices):
     with pytest.raises(ValueError, match="indices"):

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -324,7 +326,7 @@ def test_x_star_draws_use_one_stream_per_draw(monkeypatch, spec, draw):
     # row i has stream (..., i) for the whole grid, in process and when
     # the rows are split over two workers (these maps are far below the
     # pool's threshold, so it is set to 0)
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)
     n = 100
     scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0), replicates=n,
                        x_star_truncation=30.0, reference_mesh_d=1e-2)
@@ -334,9 +336,8 @@ def test_x_star_draws_use_one_stream_per_draw(monkeypatch, spec, draw):
         want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
                          for i in range(n)])
         for threads in (1, 2):
-            with verify._Pool(threads) as pool:
-                got = verify._limit_reference_sample(scn, key[1:],
-                                                     scn.u_grid, pool)
+            got = verify._limit_reference_sample(scn, key[1:], scn.u_grid,
+                                                 verify._Pool(threads))
             assert got[:, j].tobytes() == want.tobytes()
 
 
@@ -364,7 +365,7 @@ def test_mean_abs_n_report_serialises():
 
 
 def test_worker_count_does_not_change_output(monkeypatch):
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     m1 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=1)
     m2 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=3)
@@ -388,7 +389,7 @@ ORACLE_CASES = [
                          ids=lambda c: getattr(c, "regime", None))
 def test_matrix_equals_one_path_per_replicate(monkeypatch, spec, t, n,
                                               threads):
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
     u, seed = (0.5, 1.0, 2.0), 23
     m = simulate_scaled_matrix(spec, u, t, n, seed, threads=threads)
     paths = [sample_path(spec.law, u[-1] * t, ZERO_DELAYED,
@@ -401,11 +402,19 @@ def test_matrix_equals_one_path_per_replicate(monkeypatch, spec, t, n,
     assert m.tobytes() == oracle.tobytes()
 
 
+def _no_map(monkeypatch):
+    """Make every map of rows fail, forking or not."""
+    def refused(self, fn, n, *work, **kw):
+        raise AssertionError("a map of rows started")
+
+    monkeypatch.setattr(verify._Pool, "rows", refused)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_no_replicates_is_refused_before_a_pool_starts(monkeypatch, threads):
     # threads 1 returned a (0, 1) matrix, threads 2 raised numpy's "need at
     # least one array to concatenate" from the pool
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)
+    _no_map(monkeypatch)
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ValueError, match="replicate"):
         simulate_scaled_matrix(spec, (1.0,), 10.0, 0, 1, threads=threads)
@@ -423,7 +432,7 @@ def test_bad_grid_is_refused_before_a_pool_starts(monkeypatch, threads,
                                                   u_grid, t):
     # (1, nan) gave a column of NaN and t = nan a matrix of NaN; at threads
     # 2 a decreasing grid raised only from inside a worker
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", None)
+    _no_map(monkeypatch)
     spec = LimitSpec(A1, 2.0, 0.0, Exponential(1.0), Constant(1.0))
     with pytest.raises(ValueError, match="u-grid|t must"):
         simulate_scaled_matrix(spec, u_grid, t, 100, 1, threads=threads)
@@ -497,7 +506,7 @@ def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
                                           threads):
     # a run draws each path once, to the last rung (rows counted in
     # process); each rung's matrix still equals that rung's alone
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
     got = []
     inner = verify.simulate_scaled_matrix
 
@@ -522,7 +531,7 @@ def test_every_rung_equals_its_own_matrix(monkeypatch, spec, ladder,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mean_abs_n_equals_a_count_per_rung(monkeypatch, threads):
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
     ladder = (100.0, 400.0, 1600.0)
     scn = _a1_scenario(replicates=100, t_ladder=ladder, threads=threads,
                        plans=("MEAN_ABS_N",))
@@ -571,7 +580,7 @@ def test_whole_report_does_not_depend_on_threads(monkeypatch, kw):
     # the scenario echo holds the thread count, so compare what the run
     # computed: the records and the plot quantiles; every map of these
     # small runs is below the pool's threshold, so it is set to 0
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)
     runs = {}
     for threads in (1, 2, 3):
         rep = run_scenario(_a1_scenario(replicates=100, threads=threads, **kw))
@@ -580,99 +589,180 @@ def test_whole_report_does_not_depend_on_threads(monkeypatch, kw):
     assert runs[1][0] and runs[1] == runs[2] == runs[3]
 
 
-def test_no_worker_outlives_its_run(monkeypatch):
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)    # fork anyway
-    alive = []
-    inner = verify.simulate_scaled_matrix
+forking = pytest.mark.skipif(not verify._FORKS,
+                             reason="the pool forks on Linux only")
 
-    def watched(*args, **kwargs):
-        m = inner(*args, **kwargs)
-        alive.append(len(multiprocessing.active_children()))
-        return m
 
-    monkeypatch.setattr(verify, "simulate_scaled_matrix", watched)
+def _log_pids(path):
+    """A map of rows that appends the pid of the process that computes
+    each share to the file `path`."""
+    def rows(r):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return np.arange(r.start, r.stop)
+    return rows
+
+
+@forking
+def test_no_worker_outlives_its_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    pids = tmp_path / "pids"
+    inner = verify._simulate_chunk
+
+    def watched(*args):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return inner(*args)
+
+    monkeypatch.setattr(verify, "_simulate_chunk", watched)
     scn = _a1_scenario(replicates=100, threads=2, t_ladder=(50.0, 100.0),
                        max_shots=1e5)
     run_scenario(scn)
-    # one pool serves both rungs and is gone once the run returns
-    assert len(alive) == 2 and alive[1] > 0
+    # the map ran in this process and in a forked child, which is gone
+    # once the map returns
+    assert set(pids.read_text().split()) > {str(os.getpid())}
     assert multiprocessing.active_children() == []
-    # the first rung's matrix starts the pool (4300 expected shots), then
-    # the time-reversal paths (12100) are over the shot cap
-    alive.clear()
+    # the first rung's matrix forks (4300 expected shots), then the
+    # time-reversal paths (12100) are over the shot cap
+    pids.unlink()
     with pytest.raises(ResourceCapExceeded):
         run_scenario(dataclasses.replace(
             scn, t_ladder=(5.0, 10.0), max_shots=1e4,
             plans=("KS_MARGINAL", "TIME_REVERSAL")))
-    assert alive and alive[0] > 0
+    assert len(set(pids.read_text().split())) == 2
     assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
-def in_process(monkeypatch):
-    """A stand-in for ProcessPoolExecutor on 2 CPUs that runs each chunk
-    in process; returns the log of its max_workers, chunks and
-    shutdowns."""
-    log = {"started": [], "ranges": [], "shut": []}
+def forks(monkeypatch):
+    """Real forks on 2 CPUs, logged: returns the list of the row ranges
+    handed to forked children."""
+    log = []
+    fork = multiprocessing.get_context("fork")
 
-    class InProcess:
-        def __init__(self, max_workers):
-            log["started"].append(max_workers)
+    class Logged:
+        Pipe = staticmethod(fork.Pipe)
 
-        def map(self, fn, chunks):
-            log["ranges"].extend(chunks)
-            return [fn(rows) for rows in chunks]
+        @staticmethod
+        def Process(target, args):
+            log.append(args[1])
+            return fork.Process(target=target, args=args)
 
-        def shutdown(self, cancel_futures):
-            log["shut"].append(cancel_futures)
+    class Multiprocessing:
+        @staticmethod
+        def get_context(method):
+            assert method == "fork"
+            return Logged
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(verify, "multiprocessing", Multiprocessing)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     return log
 
 
-def test_pool_starts_no_more_workers_than_cpus(in_process):
-    # a fork pool starts all max_workers at the first map; the row split
-    # into 4 * threads ranges stays, so the bits do not depend on the CPUs
-    with verify._Pool(3) as pool:
-        rows = pool.rows(lambda r: np.arange(r.start, r.stop), 100,
-                         verify._POOL_MIN_EPOCHS)
-    assert in_process["started"] == [2] and len(in_process["ranges"]) == 12
+@forking
+def test_pool_starts_no_more_workers_than_cpus(forks, tmp_path):
+    # threads 3 on 2 CPUs: this process and one child, a share each
+    rows = verify._Pool(3).rows(_log_pids(tmp_path / "pids"), 100, 1e9)
+    assert forks == [range(50, 100)]
+    assert len(set((tmp_path / "pids").read_text().split())) == 2
     np.testing.assert_array_equal(rows, np.arange(100))
 
 
-def test_pool_forks_only_for_a_map_that_repays_it(monkeypatch, in_process):
+@forking
+def test_pool_forks_no_empty_share(forks, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    asked = []
+
+    def rows(r):
+        asked.append(r)
+        return np.arange(r.start, r.stop)
+
+    # 2 rows at threads 3: one share here, one child
+    got = verify._Pool(3).rows(rows, 2, 1e9)
+    assert forks == [range(1, 2)] and asked == [range(0, 1)]
+    np.testing.assert_array_equal(got, np.arange(2))
+    # a single row never forks
+    assert verify._Pool(3).rows(rows, 1, 1e9).tolist() == [0]
+    assert forks == [range(1, 2)]
+
+
+@forking
+def test_pool_forks_only_for_a_map_that_repays_it(monkeypatch, forks):
     rows = lambda r: np.arange(r.start, r.stop)
-    with verify._Pool(2) as pool:
-        small = pool.rows(rows, 100, verify._POOL_MIN_EPOCHS / 2)
-        assert in_process["started"] == []
-        big = pool.rows(rows, 100, verify._POOL_MIN_EPOCHS)
-        pool.rows(rows, 100, 2 * verify._POOL_MIN_EPOCHS)
-    assert in_process["started"] == [2] and in_process["shut"] == [True]
-    assert small.tobytes() == big.tobytes()
+    pool = verify._Pool(2)
+    # 100 rows cost 2.9 ms; the epochs that make up the rest to the
+    # threshold, at 39 ns each
+    to_fork = (verify._FORK_MIN_S - 100 * verify._ROW_S) / verify._EPOCH_S
+    small = pool.rows(rows, 100, to_fork * 0.99)
+    assert forks == []
+    big = pool.rows(rows, 100, to_fork * 1.01)
+    assert forks == [range(50, 100)] and small.tobytes() == big.tobytes()
+    # a D4 jump epoch costs more than a path epoch
+    pool.rows(rows, 100, jumps=to_fork * verify._EPOCH_S / verify._JUMP_S
+              * 1.01)
+    assert len(forks) == 2
     # a run of small maps (engine and MEAN_ABS_N) never forks, not even
     # when it raises
+    forks.clear()
     scn = _a1_scenario(replicates=100, threads=2, t_ladder=(50.0, 100.0),
                        plans=("KS_MARGINAL", "MEAN_ABS_N"))
     over_cap = dataclasses.replace(scn, t_ladder=(5.0, 10.0), max_shots=1e4,
                                    plans=("KS_MARGINAL", "TIME_REVERSAL"))
-    in_process["started"].clear()
-    in_process["shut"].clear()
     want = run_scenario(scn).records
     with pytest.raises(ResourceCapExceeded):
         run_scenario(over_cap)
-    assert in_process["started"] == []
-    assert multiprocessing.active_children() == []
-    # with the threshold at 0 each run starts one executor for all its
-    # maps, and one that raises after its first map shuts it down
-    monkeypatch.setattr(verify, "_POOL_MIN_EPOCHS", 0.0)
+    assert forks == []
+    # with the threshold at 0 each map forks (the engine's once for every
+    # rung, MEAN_ABS_N's once), also in a run that raises after its first
+    # map, and no child is left
+    monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)
     assert run_scenario(scn).records == want
-    run_scenario(scn)
-    assert in_process["started"] == [2, 2]
+    assert forks == [range(50, 100)] * 2
     with pytest.raises(ResourceCapExceeded):
         run_scenario(over_cap)
-    assert in_process["started"] == [2, 2, 2]
-    assert in_process["shut"] == [True, True, True]
+    assert forks == [range(50, 100)] * 3
+    assert multiprocessing.active_children() == []
+
+
+def _fails_in_child(fail):
+    """Rows that call fail() in every share but the first."""
+    def rows(r):
+        if r.start > 0:
+            fail()
+        return np.arange(r.start, r.stop)
+    return rows
+
+
+@forking
+def test_child_exception_reaches_the_caller(forks):
+    def fail():
+        raise ValueError("bad share")
+
+    with pytest.raises(ValueError, match="bad share"):
+        verify._Pool(2).rows(_fails_in_child(fail), 10, 1e9)
+    assert forks and multiprocessing.active_children() == []
+
+
+@forking
+def test_child_that_dies_names_its_exit_code(forks):
+    with pytest.raises(RuntimeError, match="code 3"):
+        verify._Pool(2).rows(_fails_in_child(lambda: os._exit(3)), 10, 1e9)
+    assert forks and multiprocessing.active_children() == []
+
+
+@forking
+def test_main_share_error_kills_the_children(forks):
+    def rows(r):
+        if r.start == 0:
+            raise KeyError("main share")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError, match="main share"):
+        verify._Pool(2).rows(rows, 10, 1e9)
+    assert time.perf_counter() - t0 < 30
+    assert forks and multiprocessing.active_children() == []
 
 
 def test_report_serialization_shapes():
