@@ -130,7 +130,16 @@ def load_config(path):
                       "delay": run.get("delay", "zero")}
 
 
+def _check_out(out):
+    """Refuse an --out whose directory is missing before any path is drawn,
+    not when the first output is written."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+
+
 def _scenario(args):
+    _check_out(args.out)
     spec, kw, _ = load_config(args.config)
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -200,10 +209,22 @@ def cmd_formula(args):
     if name not in _FORMULAS:
         raise ConfigError(f"unknown formula {args.name!r}")
     fn, flags = _FORMULAS[name]
-    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    values = [getattr(args, f) for f in flags]
+    missing = [f"--{f}" for f, v in zip(flags, values) if v is None]
     if missing:
         raise ConfigError(f"formula {name} needs {' '.join(missing)}")
-    val = fn(*(getattr(args, f) for f in flags))
+    given = " ".join(f"--{f} {v}" for f, v in zip(flags, values))
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"formula {name} needs finite flags; got {given}")
+    if "k" in flags and not (args.k >= 1 and args.k.is_integer()):
+        raise ConfigError(f"--k must be a whole number >= 1; got {args.k}")
+    try:
+        val = fn(*values)
+    except OverflowError as exc:
+        raise ConfigError(f"formula {name} overflows at {given}: {exc}") from exc
+    # JSON has no NaN or Infinity, and neither is a value of the formula
+    if not math.isfinite(val):
+        raise ConfigError(f"formula {name} is not finite at {given}: {val}")
     if args.json:
         print(json.dumps({"formula": name, "value": val}, sort_keys=True))
     else:
@@ -213,6 +234,7 @@ def cmd_formula(args):
 
 
 def cmd_path_dump(args):
+    _check_out(args.out)
     spec, kw, extras = load_config(args.config)
     seed = args.seed if args.seed is not None else kw["seed"]
     horizon = extras["horizon"]

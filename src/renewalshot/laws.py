@@ -15,7 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,10 @@ class Gamma(IncrementLaw):
         return self.shape / self.rate**2
 
     def tail_prob(self, t):
-        return special.gammaincc(self.shape, self.rate * np.asarray(t, dtype=float))
+        # imported here: under scipy 1.17 scipy.special is three quarters
+        # of the start-up time, and set-up never evaluates it
+        from scipy.special import gammaincc
+        return gammaincc(self.shape, self.rate * np.asarray(t, dtype=float))
 
     def draw(self, rng, size=None, out=None):
         return rng.standard_gamma(self.shape, size, out=out)
@@ -179,9 +181,10 @@ class Gamma(IncrementLaw):
         #   int_0^t Q(k, r x) dx = t Q(k, r t) + (k/r) P(k+1, r t),
         # so 1 - F = Q(k+1, r t) - (r t/k) Q(k, r t); computing 1 - F and
         # clipping it at 0 keeps F monotone where the tail rounds away
+        from scipy.special import gammaincc     # as in tail_prob
         k, r = self.shape, self.rate
         x = r * np.asarray(t, dtype=float)
-        tail = special.gammaincc(k + 1, x) - (x / k) * special.gammaincc(k, x)
+        tail = gammaincc(k + 1, x) - (x / k) * gammaincc(k, x)
         return 1.0 - np.maximum(tail, 0.0)
 
     def stationary_delay(self, rng, size=None):

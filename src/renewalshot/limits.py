@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.special import gamma as _gamma
 
 from .laws import IncrementLaw, ResponseFunction
 from .renewal import STATIONARY, sample_path
@@ -178,6 +176,9 @@ def moments_inverse_case(alpha: float, beta: float, u: float, k: int) -> float:
     _check_inverse_case(alpha, beta)
     if not u > 0:
         raise ValueError("u must be positive")
+    # imported here: under scipy 1.17 scipy.special is three quarters of
+    # the start-up time, and set-up evaluates it only for D4 moments
+    from scipy.special import gamma as _gamma
     prod = 1.0
     for j in range(1, k + 1):
         prod *= (_gamma(1.0 - beta + (j - 1) * (alpha - beta))
@@ -198,8 +199,10 @@ def covariance_inverse_case(alpha: float, beta: float,
     if not 0 < t1 <= t2:
         raise ValueError("need 0 < t1 <= t2")
     _check_inverse_case(alpha, beta)
-    front = _gamma(1.0 - beta) / (_gamma(alpha) * _gamma(1.0 - alpha) ** 2
-                                  * _gamma(1.0 + alpha - beta))
+    from scipy import special   # imported here, as in moments_inverse_case
+    front = special.gamma(1.0 - beta) / (
+        special.gamma(alpha) * special.gamma(1.0 - alpha) ** 2
+        * special.gamma(1.0 + alpha - beta))
     z = t1 / t2
     own = (t1 ** (2.0 * alpha - beta) * t2 ** -beta
            * special.beta(alpha, alpha - beta + 1.0)
@@ -216,7 +219,8 @@ def stationary_covariance(alpha: float, s: float) -> float:
     incomplete beta function I_{e^{-|s|}}(alpha, 1 - alpha)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    return special.betainc(alpha, 1.0 - alpha, math.exp(-abs(s)))
+    from scipy.special import betainc   # as in moments_inverse_case
+    return betainc(alpha, 1.0 - alpha, math.exp(-abs(s)))
 
 
 def increment_dependence_gap(alpha: float, beta: float,
@@ -226,6 +230,7 @@ def increment_dependence_gap(alpha: float, beta: float,
     _check_inverse_case(alpha, beta)
     if not 0 < t1 < t2 < t3:
         raise ValueError("need 0 < t1 < t2 < t3")
+    from scipy.special import gamma as _gamma   # as in moments_inverse_case
     m1 = _gamma(1.0 - beta) / (_gamma(1.0 - alpha) * _gamma(1.0 + alpha - beta))
     ab = alpha - beta
     a_term = m1 * m1 * (t2**ab - t1**ab) * (t3**ab - t2**ab)

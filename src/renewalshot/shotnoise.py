@@ -16,7 +16,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import limits, renewal
 from .laws import Constant, IncrementLaw, ResponseFunction
@@ -292,8 +291,11 @@ def _gaussian_variance(spec, u):
 
 
 def _gaussian_cdf(spec, u):
+    # imported here: under scipy 1.17 scipy.special is three quarters of
+    # the start-up time, and set-up never evaluates it
+    from scipy.special import ndtr
     sd = math.sqrt(_gaussian_variance(spec, u))
-    return lambda q: special.ndtr(q / sd)
+    return lambda q: ndtr(q / sd)
 
 
 def _d4_cdf(spec, u):

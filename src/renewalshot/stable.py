@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
+
+
+def _gamma(x):
+    # imported here: under scipy 1.17 scipy.special is three quarters of
+    # the start-up time, and set-up never evaluates it
+    from scipy.special import gamma
+    return gamma(x)
 
 
 def stable_scale(alpha: float) -> float:

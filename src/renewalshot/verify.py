@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import limits, renewal, shotnoise
 from .renewal import ResourceCapExceeded
@@ -77,15 +76,19 @@ def ks_one_sample(x, cdf):
     c = np.asarray(cdf(x), dtype=float)
     i = np.arange(n)
     d = max(np.max(c - i / n), np.max((i + 1) / n - c))
-    p = float(special.kolmogorov(d * math.sqrt(n)))
+    # imported here: under scipy 1.17 scipy.special is three quarters of
+    # the start-up time, and simulate and path-dump never evaluate it
+    from scipy.special import kolmogorov
+    p = float(kolmogorov(d * math.sqrt(n)))
     return float(d), p
 
 
 def ks_one_sample_normal(x, mean, variance):
     if variance <= 0:
         raise ValueError("variance must be positive")
+    from scipy.special import ndtr      # as in ks_one_sample
     sd = math.sqrt(variance)
-    return ks_one_sample(x, lambda q: special.ndtr((q - mean) / sd))
+    return ks_one_sample(x, lambda q: ndtr((q - mean) / sd))
 
 
 def _sectioned_z(v, reference):
@@ -625,7 +628,10 @@ class Plan(NamedTuple):
 
 def _closed_form_moments(spec, k):
     # every order the runner tests must have a reference (a ValueError of
-    # Regime.moment says it has none)
+    # Regime.moment says it has none).  For D4 this evaluates
+    # limits.moments_inverse_case, so D4 MOMENTS admission loads
+    # scipy.special: math.gamma differs from scipy.special.gamma in the
+    # last bits, so a probe on it would not vouch for the reference
     try:
         for order in range(1, k + 1):
             REGIMES[spec.regime].moment(spec, 1.0, order)

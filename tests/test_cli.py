@@ -489,10 +489,25 @@ def test_formula_covariance_at_alpha_equals_beta(capsys):
     (["moments", "--alpha", "0.5", "--beta", "0.25", "--u", "-1", "--k", "2"],
      "u must be positive"),
     (["absmoment", "--alpha", "1", "--r", "0.5"], "alpha = 1"),
-], ids=["beta-above-alpha", "negative-beta", "negative-u", "absmoment-alpha-1"])
+    (["moments", "--alpha", "0.5", "--beta", "0.25", "--u", "1", "--k", "2.7"],
+     "--k must be a whole number >= 1"),
+    (["moments", "--alpha", "0.5", "--beta", "0.25", "--u", "1", "--k", "inf"],
+     "needs finite flags"),
+    (["moments", "--alpha", "0.5", "--beta", "0.25", "--u", "1", "--k", "400"],
+     "overflows"),
+    (["absmoment", "--alpha", "2", "--r", "400", "--json"], "is not finite"),
+    (["solvec", "--alpha", "0.5", "--xm", "1", "--t", "inf", "--json"],
+     "needs finite flags"),
+    (["absmoment", "--alpha", "1.5", "--r", "nan", "--json"],
+     "needs finite flags"),
+], ids=["beta-above-alpha", "negative-beta", "negative-u", "absmoment-alpha-1",
+        "fractional-k", "infinite-k", "overflowing-k", "infinite-value",
+        "infinite-t", "nan-r"])
 def test_formula_outside_the_limit_exits_2(argv, why, capsys):
     assert cli.main(["formula", *argv]) == 2
-    assert why in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert why in out.err
+    assert out.out == ""            # no value, and no NaN or Infinity in JSON
 
 
 def test_formula_unknown_name_exits_2():
@@ -511,6 +526,20 @@ def test_program_bug_is_not_a_config_error(monkeypatch):
     monkeypatch.setattr(limits, "stationary_covariance", broken)
     with pytest.raises(TypeError):
         cli.main(["formula", "rs", "--alpha", "0.5", "--s", "0"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "path-dump"])
+def test_missing_out_directory_exits_2_before_any_path(a1_config, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       command):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a path was drawn before --out was checked")
+
+    monkeypatch.setattr(verify, "simulate_scaled_matrix", drawn)
+    monkeypatch.setattr(renewal, "sample_path", drawn)
+    out = tmp_path / "no" / "such" / "x"
+    assert cli.main([command, "--config", a1_config, "--out", str(out)]) == 2
+    assert "output directory" in capsys.readouterr().err
 
 
 def test_path_dump(a1_config, tmp_path):
@@ -609,6 +638,51 @@ def test_scipy_stats_loads_only_for_a_two_sample_test(tmp_path):
     # normal), NOSCALE_DRI (two-sample KS against X* draws)
     assert json.loads(out.stdout) == [[None, False], [0, False], [0, False],
                                       [0, True]]
+
+
+def test_scipy_special_loads_only_where_a_special_function_is_evaluated(
+        tmp_path):
+    # scipy.special is about three quarters of `import renewalshot` under
+    # scipy 1.17, so only the functions that evaluate one import it.  Fresh
+    # interpreters, as above; the D4 MOMENTS set-up runs in its own, since
+    # verify loads scipy.special first otherwise
+    configs = {}
+    for name, text in (("a1", A1_CONFIG), ("noscale_dri", NOSCALE_DRI_CONFIG),
+                       ("d4_exp_limit", EXP_LIMIT_CONFIG),
+                       ("bad_key", A1_CONFIG.replace("[grid]", "[grid]\nv = 1"))):
+        (tmp_path / f"{name}.ini").write_text(text)
+        configs[name] = str(tmp_path / f"{name}.ini")
+    out = str(tmp_path / "out")
+    script = (
+        "import json, sys\n"
+        "from renewalshot import cli\n"
+        "seen = [[None, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if argv[0] == 'setup':     # config parsing and admission\n"
+        "        spec, kw, _ = cli.load_config(argv[1])\n"
+        "        cli.verify.Scenario(spec=spec, **kw)\n"
+        "        rc = None\n"
+        "    else:\n"
+        "        rc = cli.main(argv)\n"
+        "    seen.append([rc, 'scipy.special' in sys.modules])\n"
+        "print(json.dumps(seen))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(steps):
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    io = lambda name: ["--config", configs[name], "--out", out]
+    assert run([["simulate", *io("a1")], ["path-dump", *io("a1")],
+                ["simulate", *io("noscale_dri")], ["verify", *io("bad_key")],
+                ["verify", *io("a1")]]) == [
+        [None, []], [0, False], [0, False], [0, False], [2, False], [0, True]]
+    # D4 MOMENTS admission evaluates the closed-form moments
+    assert run([["setup", configs["d4_exp_limit"]]]) == [[None, []], [None, True]]
 
 
 def test_console_entry_point():
