@@ -21,8 +21,7 @@ from renewalshot.shotnoise import D4, LimitSpec
 from renewalshot.verify import simulate_scaled_matrix
 
 alpha = 0.5
-spec = LimitSpec(D4, alpha, alpha, Pareto(alpha, 1.0),
-                 ParetoTailMatch(alpha, 1.0, 1.0))
+spec = LimitSpec(D4, Pareto(alpha, 1.0), ParetoTailMatch(alpha, 1.0, 1.0))
 
 n = 20000
 print("alpha = beta = %.2f, tail-matched response, n = %d" % (alpha, n))

@@ -14,7 +14,7 @@ from renewalshot.laws import ExpDecay, Exponential
 from renewalshot.shotnoise import NOSCALE_DRI, LimitSpec
 from renewalshot.streams import substream
 
-spec = LimitSpec(NOSCALE_DRI, 2.0, 0.0, Exponential(1.0), ExpDecay(1.0))
+spec = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
 n = 5000
 
 m = verify.simulate_scaled_matrix(spec, (1.0, 3.0), 500.0, n, 21,

@@ -99,13 +99,21 @@ def load_config(path):
     name = cp["regime"].get("name", "")
     if name not in shotnoise.REGIMES:
         raise ConfigError(f"unknown regime {name!r}")
-    alpha = float(cp["regime"].get("alpha", "2"))
-    beta = float(cp["regime"].get("beta", "0"))
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        # the report echoes them, and JSON has no NaN or Infinity
-        raise ConfigError(f"[regime] alpha and beta must be finite; got "
-                          f"alpha = {alpha}, beta = {beta}")
-    spec = LimitSpec(regime=name, alpha=alpha, beta=beta, law=law, h=h)
+    # alpha and beta follow from the law and the response; a declared one
+    # must be finite and agree with them
+    declared = {k: float(cp["regime"][k]) for k in ("alpha", "beta")
+                if k in cp["regime"]}
+    if not all(math.isfinite(v) for v in declared.values()):
+        raise ConfigError("[regime] alpha and beta must be finite; got "
+                          + ", ".join(f"{k} = {v}" for k, v in
+                                      declared.items()))
+    spec = LimitSpec(regime=name, law=law, h=h)
+    for key, given in declared.items():
+        if given != getattr(spec, key):
+            source = spec.law if key == "alpha" else spec.h
+            raise InadmissibleSpec(
+                f"[regime] {key} = {given} disagrees with {source!r}, "
+                f"whose {key} is {getattr(spec, key)}")
 
     _check_keys(cp["grid"], {"u", "t"}, "grid")
     u_grid = _float_list(cp["grid"].get("u", "1"))
@@ -130,16 +138,19 @@ def load_config(path):
                       "delay": run.get("delay", "zero")}
 
 
-def _check_out(out):
-    """Refuse an --out whose directory is missing before any path is drawn,
-    not when the first output is written."""
+def _check_out(out, opened):
+    """Refuse an --out whose directory is missing, or one that names a
+    directory where the command opens --out itself (`opened`), before any
+    path is drawn, not when the first output is written."""
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"output directory {folder!r} does not exist")
+    if opened and os.path.isdir(out):
+        raise ConfigError(f"--out {out!r} is a directory")
 
 
-def _scenario(args):
-    _check_out(args.out)
+def _scenario(args, opened):
+    _check_out(args.out, opened)
     spec, kw, _ = load_config(args.config)
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -147,7 +158,7 @@ def _scenario(args):
 
 
 def cmd_simulate(args):
-    scn = _scenario(args)
+    scn = _scenario(args, opened=True)
     t = scn.t_ladder[-1]
     samples = verify.simulate_scaled_matrix(
         scn.spec, scn.u_grid, t, scn.replicates, scn.seed, scn.threads,
@@ -174,7 +185,8 @@ def _report_paths(out):
 
 
 def cmd_verify(args):
-    report = verify.run_scenario(_scenario(args))
+    # verify writes <out>.json and its siblings, not --out itself
+    report = verify.run_scenario(_scenario(args, opened=False))
     jpath, cpath, ppath = _report_paths(args.out)
     with open(jpath, "w", encoding="utf-8") as f:
         f.write(report.to_json())
@@ -234,7 +246,7 @@ def cmd_formula(args):
 
 
 def cmd_path_dump(args):
-    _check_out(args.out)
+    _check_out(args.out, opened=True)
     spec, kw, extras = load_config(args.config)
     seed = args.seed if args.seed is not None else kw["seed"]
     horizon = extras["horizon"]

@@ -12,9 +12,24 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def _family(cls):
+    """cls as a frozen dataclass whose parameters are stored as floats
+    before its __post_init__ checks them, so that Pareto(2, 1) is
+    Pareto(2.0, 1.0), repr included."""
+    check = cls.__post_init__
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        check(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +82,7 @@ class IncrementLaw(ABC):
             raise ValueError("law has infinite mean; no stationary version exists")
 
 
-@dataclass(frozen=True)
+@_family
 class Exponential(IncrementLaw):
     rate: float
 
@@ -102,7 +117,7 @@ class Exponential(IncrementLaw):
         return self.sample(rng, size)
 
 
-@dataclass(frozen=True)
+@_family
 class Uniform(IncrementLaw):
     a: float
     b: float
@@ -145,7 +160,7 @@ class Uniform(IncrementLaw):
         return np.where(u <= a / mu, u * mu, tri)
 
 
-@dataclass(frozen=True)
+@_family
 class Gamma(IncrementLaw):
     shape: float
     rate: float
@@ -193,7 +208,7 @@ class Gamma(IncrementLaw):
         return rng.random(size) * rng.standard_gamma(k + 1, size) / r
 
 
-@dataclass(frozen=True)
+@_family
 class Pareto(IncrementLaw):
     """P(xi > t) = (x_m/t)^alpha for t >= x_m, 1 below x_m."""
 
@@ -287,7 +302,7 @@ class ResponseFunction(ABC):
         """Exact int_0^T h(y) dy via the family antiderivative."""
 
 
-@dataclass(frozen=True)
+@_family
 class PowerDecay(ResponseFunction):
     """h(t) = (t + c0)^{-beta}."""
 
@@ -316,7 +331,7 @@ class PowerDecay(ResponseFunction):
         return ((T + c0) ** (1.0 - b) - c0 ** (1.0 - b)) / (1.0 - b)
 
 
-@dataclass(frozen=True)
+@_family
 class ExpDecay(ResponseFunction):
     lam: float
 
@@ -333,7 +348,7 @@ class ExpDecay(ResponseFunction):
         return -math.expm1(-self.lam * T) / self.lam
 
 
-@dataclass(frozen=True)
+@_family
 class Window(ResponseFunction):
     """Half-open indicator 1_{[a,b)}."""
 
@@ -354,7 +369,7 @@ class Window(ResponseFunction):
         return max(0.0, min(T, self.b) - self.a)
 
 
-@dataclass(frozen=True)
+@_family
 class Constant(ResponseFunction):
     v: float
 
@@ -371,7 +386,7 @@ class Constant(ResponseFunction):
         return self.v * T
 
 
-@dataclass(frozen=True)
+@_family
 class ParetoTailMatch(ResponseFunction):
     """h(t) = c * min(1, (x_m/t)^alpha), exactly c * P(xi > t) for the
     matching Pareto law."""

@@ -31,16 +31,30 @@ D4 = "D4"
 
 
 class InadmissibleSpec(ValueError):
-    """Raised when (regime, alpha, beta, law, h) violate a theorem hypothesis."""
+    """Raised when (regime, law, h) violate a theorem hypothesis."""
 
 
 @dataclass(frozen=True)
 class LimitSpec:
+    """A regime with its gap law and response; alpha and beta follow from
+    them."""
+
     regime: str
-    alpha: float
-    beta: float
     law: IncrementLaw
     h: ResponseFunction
+
+    @property
+    def alpha(self) -> float:
+        """The index of the stable law whose domain of attraction holds the
+        gap law: its tail index, capped at 2 (the Gaussian case)."""
+        return float(min(self.law.tail_index, 2.0))
+
+    @property
+    def beta(self) -> float | None:
+        """-beta is the regular-variation index of h; None for a response
+        that is not regularly varying (ExpDecay, Window)."""
+        rv = self.h.rv_index
+        return None if rv is None else float(rv)
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -240,18 +254,13 @@ def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 # hypotheses: (condition on the spec, message formatted with s=spec); every
-# scaled regime (g is not None) lists _H_DECLARED_BETA last
-_H_DECLARED_BETA = (lambda s: s.h.rv_index == s.beta,
-                    "scaled regimes need h regularly varying with index "
-                    "-beta = -{s.beta}; {s.h!r} has index {s.h.rv_index}")
-_H_TAIL_ALPHA = (lambda s: s.law.tail_index == s.alpha,
-                 "{s.regime} requires a gap law with tail index alpha = "
-                 "{s.alpha}; {s.law!r} has {s.law.tail_index}")
-_GAUSSIAN_HYPOTHESES = (
-    (lambda s: s.alpha == 2, "{s.regime} requires alpha = 2"),
-    (lambda s: 0 <= s.beta < 0.5,
-     "{s.regime} requires beta in [0, 1/2), got {s.beta}"),
-)
+# scaled regime (g is not None) lists _H_REGULARLY_VARYING first, so that
+# no later hypothesis meets beta None
+_H_REGULARLY_VARYING = (lambda s: s.beta is not None,
+                        "{s.regime} needs a regularly varying response; "
+                        "{s.h!r} is not")
+_GAUSSIAN_BETA = (lambda s: 0 <= s.beta < 0.5,
+                  "{s.regime} requires beta in [0, 1/2), got {s.beta}")
 
 
 def _plain(spec, paths, u, ts):
@@ -436,27 +445,30 @@ REGIMES = {
         reference=_x_star_reference,
         moment=_zero_mean, hurst=None),
     A1: Regime(
-        admits=_GAUSSIAN_HYPOTHESES + (
-            (lambda s: math.isfinite(s.law.variance),
-             "A1 requires a finite-variance law"),
-            _H_DECLARED_BETA),
+        admits=(_H_REGULARLY_VARYING,
+                (lambda s: math.isfinite(s.law.variance),
+                 "A1 requires a finite-variance law"),
+                _GAUSSIAN_BETA),
         g=lambda spec, t: math.sqrt(
             spec.law.variance * spec.law.mean ** (-3) * t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A2: Regime(
-        admits=_GAUSSIAN_HYPOTHESES + (
-            (lambda s: not math.isfinite(s.law.variance),
-             "A2 requires infinite variance"),
-            _H_TAIL_ALPHA, _H_DECLARED_BETA),
+        admits=(_H_REGULARLY_VARYING,
+                (lambda s: not math.isfinite(s.law.variance),
+                 "A2 requires infinite variance"),
+                (lambda s: s.alpha == 2,
+                 "A2 requires alpha = 2; {s.law!r} has {s.alpha}"),
+                _GAUSSIAN_BETA),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A3: Regime(
-        admits=((lambda s: 1 < s.alpha < 2, "A3 requires alpha in (1, 2)"),
+        admits=(_H_REGULARLY_VARYING,
+                (lambda s: 1 < s.alpha < 2,
+                 "A3 requires alpha in (1, 2); {s.law!r} has {s.alpha}"),
                 (lambda s: 0 <= s.beta < 1.0 / s.alpha,
-                 "A3 requires beta in [0, 1/alpha); got {s.beta}"),
-                _H_TAIL_ALPHA, _H_DECLARED_BETA),
+                 "A3 requires beta in [0, 1/alpha); got {s.beta}")),
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
@@ -466,10 +478,11 @@ REGIMES = {
                 substream(scn.seed, *key), (scn.replicates, len(u))),
         moment=_zero_mean, hurst=_levy_hurst),
     D4: Regime(
-        admits=((lambda s: 0 < s.alpha < 1, "D4 requires alpha in (0, 1)"),
+        admits=(_H_REGULARLY_VARYING,
+                (lambda s: 0 < s.alpha < 1,
+                 "D4 requires alpha in (0, 1); {s.law!r} has {s.alpha}"),
                 (lambda s: 0 <= s.beta <= s.alpha,
-                 "D4 requires beta in [0, alpha]; got {s.beta}"),
-                _H_TAIL_ALPHA, _H_DECLARED_BETA),
+                 "D4 requires beta in [0, alpha]; got {s.beta}")),
         g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
         statistic=_tail_scaled, exact=_d4_cdf,
         reference=_inverse_subordinator_reference,

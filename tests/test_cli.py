@@ -62,9 +62,28 @@ seed = 2
 plans = KS_MARGINAL, MOMENTS:4
 """
 
-NOSCALE_DRI_CONFIG = A1_CONFIG.replace(
-    "name = A1", "name = NOSCALE_DRI").replace(
-    "kind = constant\nvalue = 1.0", "kind = expdecay\nlam = 1.0")
+# A1_CONFIG's [regime]: alpha and beta are optional, and a no-scaling
+# config that keeps them declares a beta its response does not have
+A1_REGIME = "name = A1\nalpha = 2\nbeta = 0\n"
+
+
+def _swap(text, *pairs):
+    """text with each (old, new) of pairs replaced; every old must occur,
+    so that a swap cannot silently do nothing."""
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+def _noscale(regime, response):
+    """A1_CONFIG under a no-scaling regime with the given [response] lines
+    and no declared alpha or beta."""
+    return _swap(A1_CONFIG, (A1_REGIME, f"name = {regime}\n"),
+                 ("kind = constant\nvalue = 1.0", response))
+
+
+NOSCALE_DRI_CONFIG = _noscale("NOSCALE_DRI", "kind = expdecay\nlam = 1.0")
 
 
 @pytest.fixture
@@ -272,8 +291,7 @@ def test_powerdecay_without_beta_exits_2(tmp_path, capsys):
 
 def test_centered_references_without_truncation_exit_2(tmp_path, capsys):
     p = tmp_path / "centered.ini"
-    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_CENTERED")
-                 .replace("kind = constant\nvalue = 1.0",
+    p.write_text(_noscale("NOSCALE_CENTERED",
                           "kind = powerdecay\nbeta = 0.75"))
     assert cli.main(["verify", "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 2
@@ -285,9 +303,7 @@ def test_slowly_decaying_response_without_truncation_exits_2(tmp_path,
     # PowerDecay(1.5) is integrable, but its X* tail bound is still 1.7e-3
     # at the 1e6 cap of the default truncation level
     p = tmp_path / "dri.ini"
-    p.write_text(A1_CONFIG.replace("name = A1", "name = NOSCALE_DRI")
-                 .replace("kind = constant\nvalue = 1.0",
-                          "kind = powerdecay\nbeta = 1.5"))
+    p.write_text(_noscale("NOSCALE_DRI", "kind = powerdecay\nbeta = 1.5"))
     assert cli.main(["verify", "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 2
     assert "x_star_truncation" in capsys.readouterr().err
@@ -318,20 +334,60 @@ def test_run_setting_out_of_range_exits_2(tmp_path, capsys, line, argv, why):
     (A1_CONFIG, "rate = 1.0", "rate = inf"),
     (A1_CONFIG, "rate = 1.0", "rate = nan"),
     (A1_CONFIG, "value = 1.0", "value = nan"),
-    (NOSCALE_DRI_CONFIG, "alpha = 2", "alpha = nan"),
-    (NOSCALE_DRI_CONFIG, "beta = 0", "beta = inf"),
+    (NOSCALE_DRI_CONFIG, "name = NOSCALE_DRI",
+     "name = NOSCALE_DRI\nalpha = nan"),
+    (NOSCALE_DRI_CONFIG, "name = NOSCALE_DRI",
+     "name = NOSCALE_DRI\nbeta = inf"),
 ], ids=["rate-inf", "rate-nan", "constant-nan", "alpha-nan", "beta-inf"])
 def test_nonfinite_law_or_response_parameter_exits_2(tmp_path, capsys, config,
                                                      old, new):
     # before, these died on a ZeroDivisionError traceback, exited 3 ("A1
     # requires a finite-variance law"), exited 0 with every record passing,
     # and exited 0 with "alpha": NaN and "beta": Infinity in the report
-    # (the no-scaling regimes read neither)
+    # (the no-scaling regimes read neither); a declared alpha or beta that
+    # is not finite is a config error (2), not a disagreement (3)
     p = tmp_path / "nonfinite.ini"
-    p.write_text(config.replace(old, new))
+    p.write_text(_swap(config, (old, new)))
     assert cli.main(["verify", "--config", str(p),
                      "--out", str(tmp_path / "r")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, swaps, values", [
+    # the no-scaling regimes read neither, so this exited 0 and echoed
+    # "alpha": 7.0 and "beta": -3.0 in the report
+    (NOSCALE_DRI_CONFIG,
+     [("name = NOSCALE_DRI", "name = NOSCALE_DRI\nalpha = 7\nbeta = -3")],
+     ("7.0", "2.0")),
+    # ExpDecay is not regularly varying: its beta is None, not 0
+    (NOSCALE_DRI_CONFIG,
+     [("name = NOSCALE_DRI", "name = NOSCALE_DRI\nbeta = 0")],
+     ("0.0", "None")),
+    # a declared beta against the decay index of the response
+    (A1_CONFIG,
+     [("kind = constant\nvalue = 1.0", "kind = powerdecay\nbeta = 0.4"),
+      ("beta = 0\n", "beta = 0.25\n")], ("0.25", "0.4")),
+    # a declared alpha against the law: exponential gaps are in the
+    # Gaussian domain, alpha = 2
+    (A1_CONFIG, [("alpha = 2\n", "alpha = 1.5\n")], ("1.5", "2.0")),
+    (EXP_LIMIT_CONFIG, [("alpha = 0.5\nbeta", "alpha = 0.75\nbeta")],
+     ("0.75", "0.5")),
+], ids=["noscale-alpha-7-beta-minus-3", "noscale-beta-of-expdecay", "a1-beta",
+        "a1-alpha", "d4-alpha"])
+def test_declared_alpha_or_beta_that_disagrees_exits_3(
+        tmp_path, capsys, monkeypatch, config, swaps, values):
+    # alpha and beta follow from the law and the response; a [regime] that
+    # declares one must declare that value, and is refused before any path
+    def drawn(*args, **kwargs):
+        raise AssertionError("a path was drawn for a refused config")
+
+    monkeypatch.setattr(verify, "simulate_scaled_matrix", drawn)
+    p = tmp_path / "declared.ini"
+    p.write_text(_swap(config, *swaps))
+    assert cli.main(["verify", "--config", str(p),
+                     "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "disagrees" in err and all(v in err for v in values), err
 
 
 def test_too_few_replicates_exits_2(tmp_path, capsys):
@@ -345,7 +401,7 @@ def test_too_few_replicates_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("swaps, lines", [
     # 2.06e7 expected shots in the X* references, 3.4e4 in the matrices
-    ({"name = A1": "name = NOSCALE_DRI",
+    ({A1_REGIME: "name = NOSCALE_DRI\n",
       "kind = constant\nvalue = 1.0": "kind = expdecay\nlam = 1.0",
       "u = 0.5, 1.0": "u = 1, 2", "t = 60": "t = 100"},
      "max_shots = 1e6\nx_star_truncation = 1e5"),
@@ -356,9 +412,8 @@ def test_too_few_replicates_exits_2(tmp_path, capsys):
     ({"plans = KS_MARGINAL": "plans = TIME_REVERSAL"}, "max_shots = 1e4"),
 ], ids=["x-star-references", "mean-abs-n", "time-reversal"])
 def test_shot_cap_covers_every_path_loop(tmp_path, capsys, swaps, lines):
-    text = A1_CONFIG.replace("replicates = 120", "replicates = 100")
-    for old, new in swaps.items():
-        text = text.replace(old, new)
+    text = _swap(A1_CONFIG, ("replicates = 120", "replicates = 100"),
+                 *swaps.items())
     p = tmp_path / "cap.ini"
     p.write_text(text + lines + "\n")
     assert cli.main(["verify", "--config", str(p),
@@ -382,7 +437,9 @@ def test_readme_config_block_loads(tmp_path):
     p = tmp_path / "readme.ini"
     p.write_text(readme.split("```ini\n")[1].split("```")[0])
     spec, kw, _ = cli.load_config(str(p))
-    assert spec.regime == "A3"
+    # its [regime] declares no alpha or beta; they follow from the law
+    # and the response
+    assert (spec.regime, spec.alpha, spec.beta) == ("A3", 1.5, 0.25)
     verify.Scenario(spec=spec, **kw)
 
 
@@ -540,6 +597,20 @@ def test_missing_out_directory_exits_2_before_any_path(a1_config, tmp_path,
     out = tmp_path / "no" / "such" / "x"
     assert cli.main([command, "--config", a1_config, "--out", str(out)]) == 2
     assert "output directory" in capsys.readouterr().err
+    # simulate and path-dump open --out itself, so a directory there is
+    # refused too (it died on an IsADirectoryError, exit 1, after every
+    # path was drawn); verify writes <out>.json and its siblings
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command == "verify":
+        monkeypatch.undo()
+        assert cli.main([command, "--config", a1_config,
+                         "--out", str(folder)]) in (0, 1)
+        assert (tmp_path / "folder.json").exists()
+    else:
+        assert cli.main([command, "--config", a1_config,
+                         "--out", str(folder)]) == 2
+        assert "is a directory" in capsys.readouterr().err
 
 
 def test_path_dump(a1_config, tmp_path):

@@ -326,7 +326,7 @@ def test_x_star_centered_sampling():
     law = Uniform(0.5, 1.5)
     h = PowerDecay(0.75)
     n = 5000
-    spec = LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, h)
+    spec = LimitSpec(NOSCALE_CENTERED, law, h)
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
     x = REGIMES[NOSCALE_CENTERED].reference(scn, (1.0,), (7,),
@@ -334,6 +334,6 @@ def test_x_star_centered_sampling():
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se
     with pytest.raises(InadmissibleSpec):   # integrable h: NOSCALE_DRI
-        LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, law, ExpDecay(1.0))
+        LimitSpec(NOSCALE_CENTERED, law, ExpDecay(1.0))
     with pytest.raises(InadmissibleSpec):   # infinite variance
-        LimitSpec(NOSCALE_CENTERED, 2.0, 0.0, Pareto(1.5, 1.0), h)
+        LimitSpec(NOSCALE_CENTERED, Pareto(1.5, 1.0), h)
