@@ -21,7 +21,8 @@ from renewalshot.shotnoise import D4, LimitSpec
 from renewalshot.verify import simulate_scaled_matrix
 
 alpha = 0.5
-spec = LimitSpec(D4, Pareto(alpha, 1.0), ParetoTailMatch(alpha, 1.0, 1.0))
+spec = LimitSpec(Pareto(alpha, 1.0), ParetoTailMatch(alpha, 1.0, 1.0))
+assert spec.regime == D4        # infinite mean: alpha < 1, beta = alpha
 
 n = 20000
 print("alpha = beta = %.2f, tail-matched response, n = %d" % (alpha, n))

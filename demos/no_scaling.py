@@ -14,7 +14,8 @@ from renewalshot.laws import ExpDecay, Exponential
 from renewalshot.shotnoise import NOSCALE_DRI, LimitSpec
 from renewalshot.streams import substream
 
-spec = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
+spec = LimitSpec(Exponential(1.0), ExpDecay(1.0))
+assert spec.regime == NOSCALE_DRI   # ExpDecay is directly Riemann integrable
 n = 5000
 
 m = verify.simulate_scaled_matrix(spec, (1.0, 3.0), 500.0, n, 21,

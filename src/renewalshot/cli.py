@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: simulate, verify, formula, path-dump.  Scenario configs are
-INI documents with sections [law], [response], [regime], [grid], [run];
+INI documents with sections [law], [response], [grid], [run] and an
+optional [regime], which declares what follows from [law] and [response];
 unknown keys are rejected so silent typos cannot change an experiment.
 
 Exit codes: 0 success, 1 verification failures, 2 config/usage error,
@@ -90,30 +91,29 @@ def load_config(path):
     for sec in cp.sections():
         if sec not in ("law", "response", "regime", "grid", "run"):
             raise ConfigError(f"unknown section [{sec}]")
-    for sec in ("law", "response", "regime", "grid", "run"):
+    for sec in ("law", "response", "grid", "run"):
         if sec not in cp:
             raise ConfigError(f"missing section [{sec}]")
     law = _build(cp["law"], "law", "family", _LAWS)
     h = _build(cp["response"], "response", "kind", _RESPONSES)
-    _check_keys(cp["regime"], {"name", "alpha", "beta"}, "regime")
-    name = cp["regime"].get("name", "")
-    if name not in shotnoise.REGIMES:
-        raise ConfigError(f"unknown regime {name!r}")
-    # alpha and beta follow from the law and the response; a declared one
-    # must be finite and agree with them
-    declared = {k: float(cp["regime"][k]) for k in ("alpha", "beta")
-                if k in cp["regime"]}
-    if not all(math.isfinite(v) for v in declared.values()):
-        raise ConfigError("[regime] alpha and beta must be finite; got "
-                          + ", ".join(f"{k} = {v}" for k, v in
-                                      declared.items()))
-    spec = LimitSpec(regime=name, law=law, h=h)
+    # [regime] is optional; what it declares must agree with the spec
+    regime = cp["regime"] if "regime" in cp else {}
+    _check_keys(regime, {"name", "alpha", "beta"}, "regime")
+    declared = {k: float(regime[k]) for k in ("alpha", "beta") if k in regime}
     for key, given in declared.items():
-        if given != getattr(spec, key):
-            source = spec.law if key == "alpha" else spec.h
+        if not math.isfinite(given):
+            raise ConfigError(f"[regime] {key} must be finite; got {given}")
+    if "name" in regime:
+        declared["name"] = regime["name"].upper()
+        if declared["name"] not in shotnoise.REGIMES:
+            raise ConfigError(f"unknown regime {regime['name']!r}")
+    spec = LimitSpec(law, h)
+    for key, given in declared.items():
+        derived = getattr(spec, "regime" if key == "name" else key)
+        if given != derived:
             raise InadmissibleSpec(
-                f"[regime] {key} = {given} disagrees with {source!r}, "
-                f"whose {key} is {getattr(spec, key)}")
+                f"[regime] {key} = {given} disagrees with {law!r} and "
+                f"{h!r}, which give {derived}")
 
     _check_keys(cp["grid"], {"u", "t"}, "grid")
     u_grid = _float_list(cp["grid"].get("u", "1"))

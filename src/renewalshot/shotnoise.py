@@ -11,7 +11,7 @@ index); adding a regime means adding one entry there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -31,17 +31,17 @@ D4 = "D4"
 
 
 class InadmissibleSpec(ValueError):
-    """Raised when (regime, law, h) violate a theorem hypothesis."""
+    """Raised when a scenario violates a theorem hypothesis."""
 
 
 @dataclass(frozen=True)
 class LimitSpec:
-    """A regime with its gap law and response; alpha and beta follow from
-    them."""
+    """A gap law and a response.  The regime is the one REGIMES row whose
+    hypotheses all hold (see Regime); alpha and beta follow from them."""
 
-    regime: str
     law: IncrementLaw
     h: ResponseFunction
+    regime: str = field(init=False)
 
     @property
     def alpha(self) -> float:
@@ -57,11 +57,14 @@ class LimitSpec:
         return None if rv is None else float(rv)
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise InadmissibleSpec(f"unknown regime {self.regime!r}")
-        for holds, why in REGIMES[self.regime].admits:
-            if not holds(self):
-                raise InadmissibleSpec(why.format(s=self))
+        failed = []
+        for name, row in REGIMES.items():
+            why = next((w for ok, w in row.admits if not ok(self)), None)
+            if why is None:
+                return object.__setattr__(self, "regime", name)
+            failed.append(f"{name} {why.format(s=self)}")
+        raise InadmissibleSpec(f"no regime admits {self.law!r} with "
+                               f"{self.h!r}: " + "; ".join(failed))
 
 
 def evaluate(path: RenewalPath, h: ResponseFunction, t: float) -> float:
@@ -253,14 +256,13 @@ def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
 # the regime table
 # ---------------------------------------------------------------------------
 
-# hypotheses: (condition on the spec, message formatted with s=spec); every
-# scaled regime (g is not None) lists _H_REGULARLY_VARYING first, so that
-# no later hypothesis meets beta None
+# hypotheses: (condition on the spec, message formatted with s=spec that
+# follows the row's name); every scaled regime (g is not None) lists
+# _H_REGULARLY_VARYING first, so that no later hypothesis meets beta None
 _H_REGULARLY_VARYING = (lambda s: s.beta is not None,
-                        "{s.regime} needs a regularly varying response; "
-                        "{s.h!r} is not")
+                        "needs a regularly varying response")
 _GAUSSIAN_BETA = (lambda s: 0 <= s.beta < 0.5,
-                  "{s.regime} requires beta in [0, 1/2), got {s.beta}")
+                  "requires beta in [0, 1/2), got {s.beta}")
 
 
 def _plain(spec, paths, u, ts):
@@ -396,11 +398,12 @@ def _levy_hurst(spec):
 
 @dataclass(frozen=True)
 class Regime:
-    """One row of the limit-theorem table; every callable takes the
-    LimitSpec first, but `reference`, which takes the verify.Scenario that
-    holds it and the size, seed and knobs of the draw.  Callables reach
-    `limits` through the module, so wrapping a `limits` function (for
-    tracing, say) reaches them too.
+    """One row of the limit-theorem table, the regime of each (law, h)
+    that all its `admits` hold for; no two rows admit one pair.  Every
+    callable takes the LimitSpec first, but `reference`, which takes the
+    verify.Scenario that holds it and the size, seed and knobs of the draw.
+    Callables reach `limits` through the module, so wrapping a `limits`
+    function (for tracing, say) reaches them too.
     A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
     the sampler makes it one: D4 (one jump-epoch draw per row) and the
     no-scaling limits (independent at distinct u).  A1-A3 columns have the
@@ -429,25 +432,23 @@ class Regime:
 REGIMES = {
     NOSCALE_DRI: Regime(
         admits=((lambda s: s.h.dri,
-                 "NOSCALE_DRI needs a directly Riemann integrable response"),
-                (lambda s: math.isfinite(s.law.mean),
-                 "no-scaling limit needs a finite mean")),
+                 "needs a directly Riemann integrable response"),
+                (lambda s: math.isfinite(s.law.mean), "needs a finite mean")),
         g=None, statistic=_plain, exact=lambda spec, u: None,
         reference=_x_star_reference,
         moment=_x_star_mean, hurst=None),
     NOSCALE_CENTERED: Regime(
         admits=((lambda s: math.isfinite(s.law.variance),
-                 "centered no-scaling regime (C1) needs finite variance"),
+                 "needs finite variance"),
                 (lambda s: not s.h.integrable and s.h.square_integrable,
-                 "centered regime needs a non-integrable, square-integrable "
-                 "response")),
+                 "needs a non-integrable, square-integrable response")),
         g=None, statistic=_centered, exact=lambda spec, u: None,
         reference=_x_star_reference,
         moment=_zero_mean, hurst=None),
     A1: Regime(
         admits=(_H_REGULARLY_VARYING,
                 (lambda s: math.isfinite(s.law.variance),
-                 "A1 requires a finite-variance law"),
+                 "requires a finite-variance law"),
                 _GAUSSIAN_BETA),
         g=lambda spec, t: math.sqrt(
             spec.law.variance * spec.law.mean ** (-3) * t),
@@ -456,9 +457,8 @@ REGIMES = {
     A2: Regime(
         admits=(_H_REGULARLY_VARYING,
                 (lambda s: not math.isfinite(s.law.variance),
-                 "A2 requires infinite variance"),
-                (lambda s: s.alpha == 2,
-                 "A2 requires alpha = 2; {s.law!r} has {s.alpha}"),
+                 "requires infinite variance"),
+                (lambda s: s.alpha == 2, "requires alpha = 2, got {s.alpha}"),
                 _GAUSSIAN_BETA),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
         statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
@@ -466,9 +466,9 @@ REGIMES = {
     A3: Regime(
         admits=(_H_REGULARLY_VARYING,
                 (lambda s: 1 < s.alpha < 2,
-                 "A3 requires alpha in (1, 2); {s.law!r} has {s.alpha}"),
+                 "requires alpha in (1, 2), got {s.alpha}"),
                 (lambda s: 0 <= s.beta < 1.0 / s.alpha,
-                 "A3 requires beta in [0, 1/alpha); got {s.beta}")),
+                 "requires beta in [0, 1/alpha), got {s.beta}")),
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
@@ -480,9 +480,9 @@ REGIMES = {
     D4: Regime(
         admits=(_H_REGULARLY_VARYING,
                 (lambda s: 0 < s.alpha < 1,
-                 "D4 requires alpha in (0, 1); {s.law!r} has {s.alpha}"),
+                 "requires alpha in (0, 1), got {s.alpha}"),
                 (lambda s: 0 <= s.beta <= s.alpha,
-                 "D4 requires beta in [0, alpha]; got {s.beta}")),
+                 "requires beta in [0, alpha], got {s.beta}")),
         g=lambda spec, t: 1.0 / float(spec.law.tail_prob(t)),
         statistic=_tail_scaled, exact=_d4_cdf,
         reference=_inverse_subordinator_reference,

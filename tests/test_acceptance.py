@@ -16,7 +16,7 @@ from scipy import integrate
 from renewalshot import cli, limits, renewal, shotnoise, verify
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
-from renewalshot.shotnoise import (A1, A3, D4, NOSCALE_DRI, LimitSpec)
+from renewalshot.shotnoise import LimitSpec
 from renewalshot.stable import StableSpec, abs_moment
 from renewalshot.streams import substream
 from renewalshot.verify import (energy_distance_test, ks_one_sample,
@@ -35,7 +35,7 @@ def report(capsys):
 
 
 def test_acceptance_1_renewal_clt_and_moment_convergence(report):
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     t0 = time.time()
     m = simulate_scaled_matrix(spec, (1.0,), 1e4, 10000, 1, max_shots=1e9)
     d, p = ks_one_sample_normal(m[:, 0], 0.0, 1.0)
@@ -58,7 +58,7 @@ def test_acceptance_1_renewal_clt_and_moment_convergence(report):
 
 def test_acceptance_2_a1_with_decay_joint_structure(report):
     beta, n = 0.25, 5000
-    spec = LimitSpec(A1, Exponential(1.0), PowerDecay(beta))
+    spec = LimitSpec(Exponential(1.0), PowerDecay(beta))
     u_grid = (0.5, 1.0, 2.0)
     m = simulate_scaled_matrix(spec, u_grid, 1e4, n, 0, max_shots=1e9)
     ks_ps = []
@@ -84,7 +84,7 @@ def test_acceptance_2_a1_with_decay_joint_structure(report):
 
 
 def test_acceptance_3_a3_stable_limit(report):
-    spec = LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25))
+    spec = LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25))
     m = simulate_scaled_matrix(spec, (1.0,), 1e4, 10000, 0, max_shots=1e9)
     ref = limits.marginal_sample_finite_mean(1.5, 0.25, 1.0,
                                              substream(0, 2, 0), 10000)
@@ -95,7 +95,7 @@ def test_acceptance_3_a3_stable_limit(report):
 
 
 def test_acceptance_4_infinite_mean_moments(report):
-    spec = LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25))
+    spec = LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25))
     m = simulate_scaled_matrix(spec, (1.0,), 1e4, 100000, 0, max_shots=1e9)
     x = m[:, 0]
     z1 = moment_test(x, 1, limits.moments_inverse_case(0.5, 0.25, 1.0, 1))
@@ -119,7 +119,7 @@ def test_acceptance_4_infinite_mean_moments(report):
 # of the critical value (t >= 3.8e6) and (b) the moment bias measured on
 # seeds other than 0 is under about half a standard error: t = 1e7.
 def test_acceptance_5_exponential_limit(report):
-    spec = LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0))
+    spec = LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0))
     t = 1e7
     m = simulate_scaled_matrix(spec, (1.0,), t, 100000, 0, max_shots=1e9)
     x = m[:, 0]
@@ -135,7 +135,7 @@ def test_acceptance_5_exponential_limit(report):
 
 
 def test_acceptance_6_no_scaling_iid_copies(report):
-    spec = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
+    spec = LimitSpec(Exponential(1.0), ExpDecay(1.0))
     n = 10000
     m = simulate_scaled_matrix(spec, (1.0, 2.0), 1e3, n, 0, max_shots=1e9)
     trunc = shotnoise.default_x_star_truncation(spec)
@@ -243,7 +243,7 @@ plans = KS_MARGINAL
         outs.append(out.read_bytes())
     identical = outs[0] == outs[1]
 
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     scn = verify.Scenario(spec=spec, u_grid=(1.0,), t_ladder=(200.0,),
                           replicates=400, seed=7)
     reports_equal = (verify.run_scenario(scn).to_json()

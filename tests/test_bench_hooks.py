@@ -15,7 +15,7 @@ from pathlib import Path
 
 from renewalshot import limits, renewal, verify
 from renewalshot.laws import Constant, Exponential
-from renewalshot.shotnoise import A1, LimitSpec
+from renewalshot.shotnoise import LimitSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,7 +50,7 @@ def test_every_rung_passes_the_matrix_probe(monkeypatch):
     probe = workloads.MatrixProbe()
     probe.install()
     scn = verify.Scenario(
-        spec=LimitSpec(A1, Exponential(1.0), Constant(1.0)),
+        spec=LimitSpec(Exponential(1.0), Constant(1.0)),
         u_grid=(0.5, 1.0, 2.0), t_ladder=(50.0, 100.0), replicates=100,
         seed=5)
     digests = {}
@@ -71,7 +71,7 @@ def test_a_direct_matrix_call_passes_the_probe_once(monkeypatch):
                         verify.simulate_scaled_matrix)
     probe = workloads.MatrixProbe()
     probe.install()
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     for threads in (1, 2):
         probe.calls.clear()
         verify.simulate_scaled_matrix(spec, (0.5, 1.0, 2.0), 100.0, 100, 5,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from renewalshot import cli, limits, renewal, verify
+from renewalshot import cli, limits, renewal, shotnoise, verify
 
 
 A1_CONFIG = """\
@@ -390,6 +390,40 @@ def test_declared_alpha_or_beta_that_disagrees_exits_3(
     assert "disagrees" in err and all(v in err for v in values), err
 
 
+def test_regime_section_is_optional(tmp_path):
+    # the regime follows from the law and the response, so a config
+    # without [regime], or with its name alone, reports byte for byte as
+    # the one that declares name, alpha and beta
+    texts = {"full": A1_CONFIG,
+             "name": _swap(A1_CONFIG, (A1_REGIME, "name = A1\n")),
+             "none": _swap(A1_CONFIG, ("[regime]\n" + A1_REGIME, ""))}
+    reports = {}
+    for key, text in texts.items():
+        p = tmp_path / f"{key}.ini"
+        p.write_text(text)
+        assert cli.main(["verify", "--config", str(p),
+                         "--out", str(tmp_path / key)]) in (0, 1)
+        reports[key] = [(tmp_path / f"{key}{ext}").read_bytes()
+                        for ext in (".json", ".csv", ".plot.csv")]
+    assert reports["none"] == reports["name"] == reports["full"]
+
+
+@pytest.mark.parametrize("name, code, fragments", [
+    # a known name that disagrees with the pair names both regimes
+    ("A1", 3, ("disagrees", "name = A1", "give D4")),
+    ("bogus", 2, ("unknown regime 'bogus'",)),
+    # matched case-insensitively, as family and kind are
+    ("d4", 0, ()),
+])
+def test_declared_regime_name(tmp_path, capsys, name, code, fragments):
+    p = tmp_path / "named.ini"
+    p.write_text(_swap(EXP_LIMIT_CONFIG, ("name = D4", f"name = {name}")))
+    assert cli.main(["simulate", "--config", str(p),
+                     "--out", str(tmp_path / "s.csv")]) == code
+    err = capsys.readouterr().err
+    assert all(f in err for f in fragments), err
+
+
 def test_too_few_replicates_exits_2(tmp_path, capsys):
     # exit 3 is for a violated hypothesis or a plan that does not apply
     p = tmp_path / "few.ini"
@@ -441,6 +475,15 @@ def test_readme_config_block_loads(tmp_path):
     # and the response
     assert (spec.regime, spec.alpha, spec.beta) == ("A3", 1.5, 0.25)
     verify.Scenario(spec=spec, **kw)
+
+
+def test_readme_regime_table_lists_the_rows():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("## Regimes\n\n")[1].split("\n\n")[0]
+    names = [row.split("|")[1].strip().strip("`")
+             for row in table.splitlines()[2:]]
+    assert names == list(shotnoise.REGIMES)
 
 
 def test_unknown_key_exits_2(tmp_path):

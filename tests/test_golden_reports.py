@@ -23,8 +23,7 @@ import pytest
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
-from renewalshot.shotnoise import (A1, A2, A3, D4, NOSCALE_CENTERED,
-                                   NOSCALE_DRI, LimitSpec)
+from renewalshot.shotnoise import LimitSpec
 from renewalshot.verify import Scenario, run_scenario, simulate_scaled_matrix
 
 FIXTURE = Path(__file__).with_name("golden_reports.json")
@@ -38,19 +37,18 @@ A3_PLANS = ("KS_MARGINAL", "MOMENTS:1") + FINITE_MEAN_SCALED_PLANS[2:]
 D4_PLANS = ("KS_MARGINAL", "MOMENTS:4", "SELF_SIMILARITY")
 
 CASES = {
-    "noscale_dri": (LimitSpec(NOSCALE_DRI, Exponential(1.0),
-                              ExpDecay(1.0)), NOSCALE_PLANS, {}),
-    "noscale_centered": (LimitSpec(NOSCALE_CENTERED,
-                                   Exponential(1.0), PowerDecay(0.75)),
+    "noscale_dri": (LimitSpec(Exponential(1.0), ExpDecay(1.0)),
+                    NOSCALE_PLANS, {}),
+    "noscale_centered": (LimitSpec(Exponential(1.0), PowerDecay(0.75)),
                          NOSCALE_PLANS, {"x_star_truncation": 200.0}),
-    "a1": (LimitSpec(A1, Exponential(1.0), PowerDecay(0.25)),
+    "a1": (LimitSpec(Exponential(1.0), PowerDecay(0.25)),
            FINITE_MEAN_SCALED_PLANS, {}),
-    "a2": (LimitSpec(A2, Pareto(2.0, 1.0), Constant(1.0)),
+    "a2": (LimitSpec(Pareto(2.0, 1.0), Constant(1.0)),
            FINITE_MEAN_SCALED_PLANS, {}),
-    "a3": (LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25)), A3_PLANS, {}),
-    "d4_beta_below_alpha": (LimitSpec(D4, Pareto(0.5, 1.0),
-                                      PowerDecay(0.25)), D4_PLANS, {}),
-    "d4_beta_equals_alpha": (LimitSpec(D4, Pareto(0.5, 1.0),
+    "a3": (LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25)), A3_PLANS, {}),
+    "d4_beta_below_alpha": (LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25)),
+                            D4_PLANS, {}),
+    "d4_beta_equals_alpha": (LimitSpec(Pareto(0.5, 1.0),
                                        ParetoTailMatch(0.5, 1.0, 1.0)),
                              D4_PLANS + ("STATIONARITY_LOGTIME",), {}),
 }
@@ -64,7 +62,7 @@ MATRIX_CASES = {
     "noscale_centered": (CASES["noscale_centered"][0], 100.0, 200),
     "a1": (CASES["a1"][0], 100.0, 200),
     "a1_past_one_block": (CASES["a1"][0], 3000.0, 100),
-    "a2": (LimitSpec(A2, Pareto(2.0, 1.0), Constant(3.0)), 100.0, 200),
+    "a2": (LimitSpec(Pareto(2.0, 1.0), Constant(3.0)), 100.0, 200),
     "a3": (CASES["a3"][0], 100.0, 200),
     "d4_beta_below_alpha": (CASES["d4_beta_below_alpha"][0], 1000.0, 200),
     "d4_beta_equals_alpha": (CASES["d4_beta_equals_alpha"][0], 1e4, 600),
@@ -106,7 +104,7 @@ def test_report_bytes_match_golden(name):
 def test_integer_parameters_report_as_floats(monkeypatch):
     # alpha and beta are derived as floats and the laws and responses store
     # their parameters as floats, so integer arguments change no byte
-    spec = LimitSpec(A2, Pareto(2, 1), Constant(1))
+    spec = LimitSpec(Pareto(2, 1), Constant(1))
     monkeypatch.setitem(CASES, "a2", (spec,) + CASES["a2"][1:])
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert report_hashes("a2") == golden["a2"]

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from renewalshot import limits
-from renewalshot.laws import Exponential, ExpDecay, Pareto, PowerDecay, Uniform
+from renewalshot.laws import Exponential, ExpDecay, PowerDecay, Uniform
 from renewalshot.limits import (ProcessPath, covariance_inverse_case,
                                 frac_integral, increment_dependence_gap,
                                 inverse_frac_integral,
@@ -17,8 +17,7 @@ from renewalshot.limits import (ProcessPath, covariance_inverse_case,
                                 simulate_levy_path, stationary_covariance,
                                 x_star_tail_bound)
 from renewalshot.stable import sample_subordinator_increment
-from renewalshot.shotnoise import (NOSCALE_CENTERED, REGIMES,
-                                   InadmissibleSpec, LimitSpec)
+from renewalshot.shotnoise import NOSCALE_CENTERED, REGIMES, LimitSpec
 from renewalshot.streams import substream
 from renewalshot.verify import (Scenario, _Pool, ks_one_sample_normal,
                                 ks_two_sample, moment_test)
@@ -326,14 +325,11 @@ def test_x_star_centered_sampling():
     law = Uniform(0.5, 1.5)
     h = PowerDecay(0.75)
     n = 5000
-    spec = LimitSpec(NOSCALE_CENTERED, law, h)
+    spec = LimitSpec(law, h)
+    assert spec.regime == NOSCALE_CENTERED
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
     x = REGIMES[NOSCALE_CENTERED].reference(scn, (1.0,), (7,),
                                             _Pool(1).rows)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se
-    with pytest.raises(InadmissibleSpec):   # integrable h: NOSCALE_DRI
-        LimitSpec(NOSCALE_CENTERED, law, ExpDecay(1.0))
-    with pytest.raises(InadmissibleSpec):   # infinite variance
-        LimitSpec(NOSCALE_CENTERED, Pareto(1.5, 1.0), h)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
-                              ParetoTailMatch, PowerDecay, Uniform, Window)
+from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma,
+                              Pareto, ParetoTailMatch, PowerDecay, Uniform,
+                              Window)
 from renewalshot.limits import x_star_tail_bound
 from renewalshot import renewal, shotnoise, verify
 from renewalshot.renewal import RenewalPath, ZERO_DELAYED, sample_path
@@ -85,18 +86,18 @@ _D4_LADDER = ((0.5, 1.0, 2.0), (1000.0, 10000.0))
 
 
 @pytest.mark.parametrize("spec, ladder, n, wide", [
-    (LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0)),
+    (LimitSpec(Exponential(1.0), ExpDecay(1.0)),
      _LADDER, 20, False),
-    (LimitSpec(NOSCALE_CENTERED, Exponential(1.0),
+    (LimitSpec(Exponential(1.0),
                PowerDecay(0.75)), _LADDER, 20, False),
-    (LimitSpec(A1, Exponential(1.0), PowerDecay(0.25)), _LADDER, 20, False),
-    (LimitSpec(A1, Exponential(1.0), PowerDecay(0.25)),
+    (LimitSpec(Exponential(1.0), PowerDecay(0.25)), _LADDER, 20, False),
+    (LimitSpec(Exponential(1.0), PowerDecay(0.25)),
      ((0.5, 1.0, 2.0), (500.0, 1000.0)), 4, True),
-    (LimitSpec(A2, Pareto(2.0, 1.0), Constant(3.0)), _LADDER, 20, False),
-    (LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25)), _LADDER, 20, False),
-    (LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25)),
+    (LimitSpec(Pareto(2.0, 1.0), Constant(3.0)), _LADDER, 20, False),
+    (LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25)), _LADDER, 20, False),
+    (LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25)),
      _D4_LADDER, 200, False),
-    (LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5)),
+    (LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5)),
      _D4_LADDER, 200, False),
 ], ids=["NOSCALE_DRI", "NOSCALE_CENTERED", "A1-gathered", "A1-sliced",
         "A2-constant", "A3", "D4-beta<alpha", "D4-beta=alpha"])
@@ -180,7 +181,7 @@ def test_centered_statistic_centering():
     p = _path()
     law = Exponential(1.0)
     h = PowerDecay(0.75)
-    spec = LimitSpec(NOSCALE_CENTERED, law, h)
+    spec = LimitSpec(law, h)
     u, t = np.array([0.5, 1.0]), 40.0
     got = scaled_statistic(spec, p, u, t)
     assert got.tolist() == [evaluate(p, h, tau) - h.integral(tau) / law.mean
@@ -215,75 +216,101 @@ def test_solve_c_logarithmic_ell():
 
 
 def test_scaling_g_formulas():
-    a1 = LimitSpec(A1, Exponential(2.0), Constant(1.0))
+    a1 = LimitSpec(Exponential(2.0), Constant(1.0))
     law = a1.law
     assert scaling_g(a1, 100.0) == pytest.approx(
         math.sqrt(law.variance * law.mean ** -3 * 100.0), rel=1e-12)
-    a3 = LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25))
+    a3 = LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25))
     mu = Pareto(1.5, 1.0).mean
     assert scaling_g(a3, 1000.0) == pytest.approx(
         mu ** (-1 - 1 / 1.5) * 100.0, rel=1e-12)
-    d4 = LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25))
+    d4 = LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25))
     assert scaling_g(d4, 400.0) == pytest.approx(400.0 ** 0.5, rel=1e-12)
     with pytest.raises(InadmissibleSpec):
-        scaling_g(LimitSpec(NOSCALE_DRI, Exponential(1.0),
+        scaling_g(LimitSpec(Exponential(1.0),
                             ExpDecay(1.0)), 10.0)
 
 
 def test_constant_response_cancels_exactly():
     p = _path(T=220.0)
     for v in (1.0, 7.25):
-        spec = LimitSpec(A1, Exponential(1.0), Constant(v))
+        spec = LimitSpec(Exponential(1.0), Constant(v))
         got = scaled_statistic(spec, p, (1.0, 2.0), 100.0)
         if v == 1.0:
             base = got
     np.testing.assert_array_equal(base, got)
 
 
-def test_admissibility_rejections():
-    with pytest.raises(InadmissibleSpec, match=r"\[0, 1/alpha\)"):
-        LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.8))
-    with pytest.raises(InadmissibleSpec):
-        LimitSpec(A1, Exponential(1.0), PowerDecay(0.7))
-    with pytest.raises(InadmissibleSpec):   # A1 needs finite variance
-        LimitSpec(A1, Pareto(1.5, 1.0), Constant(1.0))
-    with pytest.raises(InadmissibleSpec):   # A2 needs the tail-2 Pareto
-        LimitSpec(A2, Exponential(1.0), Constant(1.0))
-    with pytest.raises(InadmissibleSpec, match="alpha = 2"):
-        LimitSpec(A2, Pareto(1.5, 1.0), Constant(1.0))
-    with pytest.raises(InadmissibleSpec, match=r"alpha in \(1, 2\)"):
-        LimitSpec(A3, Pareto(2.5, 1.0), PowerDecay(0.25))
-    with pytest.raises(InadmissibleSpec):   # D4 needs infinite mean
-        LimitSpec(D4, Pareto(1.5, 1.0), PowerDecay(0.25))
-    with pytest.raises(InadmissibleSpec):   # windows vanish at large age
-        LimitSpec(A1, Exponential(1.0), Window(0.0, 1.0))
-    with pytest.raises(InadmissibleSpec):   # dRi required
-        LimitSpec(NOSCALE_DRI, Exponential(1.0), PowerDecay(0.25))
-    with pytest.raises(InadmissibleSpec):   # integrable h is the dRi regime
-        LimitSpec(NOSCALE_CENTERED, Exponential(1.0), ExpDecay(1.0))
-    with pytest.raises(InadmissibleSpec):
-        LimitSpec("bogus", Exponential(1.0), Constant(1.0))
+# (law, h, the regime they give, or the fragments of the refusal's
+# message); the first rows pin the bounds each regime splits the plane by
+_DERIVED = [
+    (Exponential(1.0), ExpDecay(1.0), NOSCALE_DRI),     # integrable h
+    (Exponential(1.0), Window(0.0, 1.0), NOSCALE_DRI),  # vanishes at large age
+    (Uniform(0.5, 1.5), ExpDecay(1.0), NOSCALE_DRI),
+    (Pareto(2.0, 1.0), ExpDecay(1.0), NOSCALE_DRI),     # not regularly
+    (Pareto(1.5, 1.0), ExpDecay(1.0), NOSCALE_DRI),     # varying: no scaling
+    (Exponential(1.0), PowerDecay(1.5), NOSCALE_DRI),   # beta > 1
+    (Exponential(1.0), PowerDecay(1.0), NOSCALE_CENTERED),  # beta in (1/2, 1]
+    (Exponential(1.0), PowerDecay(0.7), NOSCALE_CENTERED),
+    (Uniform(0.5, 1.5), PowerDecay(0.75), NOSCALE_CENTERED),
+    (Exponential(1.0), Constant(1.0), A1),              # finite variance
+    (Exponential(1.0), PowerDecay(0.25), A1),           # beta < 1/2
+    (Pareto(2.5, 1.0), PowerDecay(0.25), A1),           # alpha 2.5 caps to 2
+    (Pareto(2.0, 1.0), PowerDecay(0.25), A2),           # tail index 2
+    (Pareto(1.5, 1.0), Constant(1.0), A3),              # alpha in (1, 2)
+    (Pareto(1.5, 1.0), PowerDecay(0.25), A3),
+    (Pareto(0.5, 1.0), PowerDecay(0.25), D4),           # infinite mean
+    (Pareto(0.5, 1.0), ParetoTailMatch(0.5), D4),       # beta = alpha
+    (Pareto(1.5, 1.0), PowerDecay(0.8), ("[0, 1/alpha)", "alpha = 2")),
+    (Pareto(1.5, 1.0), PowerDecay(0.75),
+     ("NOSCALE_CENTERED needs finite variance",)),
+    (Pareto(2.0, 1.0), PowerDecay(0.7), ("A2 requires beta in [0, 1/2)",)),
+    (Pareto(1.0, 1.0), PowerDecay(0.25),
+     ("alpha in (1, 2)", "alpha in (0, 1)")),
+    (Pareto(0.5, 1.0), PowerDecay(0.75), ("D4 requires beta in [0, alpha]",)),
+    (Pareto(0.5, 1.0), ExpDecay(1.0),
+     ("NOSCALE_DRI needs a finite mean", "regularly varying")),
+]
 
 
-@pytest.mark.parametrize("regime, alpha, beta, law", [
-    (A1, 2.0, 0.25, Exponential(1.0)),
-    (A2, 2.0, 0.0, Pareto(2.0, 1.0)),
-    (A3, 1.5, 0.25, Pareto(1.5, 1.0)),
-    (D4, 0.5, 0.25, Pareto(0.5, 1.0)),
-])
-def test_scaled_regimes_reject_a_response_without_power_decay(regime, alpha,
-                                                              beta, law):
-    # ExpDecay is not regularly varying (rv_index None): h(t) is no
-    # t^{-beta} for any beta, whatever the regime's other hypotheses
-    with pytest.raises(InadmissibleSpec, match="regularly varying"):
-        LimitSpec(regime, law, ExpDecay(1.0))
-    spec = LimitSpec(regime, law, PowerDecay(beta))
-    assert (spec.alpha, spec.beta) == (alpha, beta)
+@pytest.mark.parametrize("law, h, want", _DERIVED, ids=[
+    f"{law!r}-{h!r}".replace(" ", "") for law, h, _ in _DERIVED])
+def test_regime_follows_from_law_and_response(law, h, want):
+    if isinstance(want, str):
+        assert LimitSpec(law, h).regime == want
+        return
+    with pytest.raises(InadmissibleSpec) as refused:
+        LimitSpec(law, h)
+    # the message names the pair and each row's first failed hypothesis
+    msg = str(refused.value)
+    assert all(f in msg for f in (repr(law), repr(h), *want)), msg
+    assert all(f"{name} " in msg for name in REGIMES), msg
+
+
+def test_no_two_regimes_admit_one_pair():
+    laws = [Exponential(1.0), Uniform(0.5, 1.5), Gamma(2.0, 2.0)] + [
+        Pareto(a) for a in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)]
+    responses = [Constant(1.0), ExpDecay(1.0), Window(0.0, 1.0)] + [
+        PowerDecay(b) for b in (0.0, 0.25, 0.5, 0.6, 2 / 3, 0.75, 0.8, 1.0,
+                                1.25, 1.5, 2.0)] + [
+        ParetoTailMatch(a) for a in (0.5, 0.75, 1.0, 1.5, 2.0)]
+    seen = set()
+    for law in laws:
+        for h in responses:
+            try:
+                spec = LimitSpec(law, h)
+            except InadmissibleSpec:
+                continue
+            holding = [name for name, row in REGIMES.items()
+                       if all(ok(spec) for ok, _ in row.admits)]
+            assert holding == [spec.regime], (law, h)
+            seen.add(spec.regime)
+    assert seen == set(REGIMES)
 
 
 def test_scaled_statistic_validates_grid():
     p = _path(T=50.0)
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     with pytest.raises(ValueError):
         scaled_statistic(spec, p, (1.0, 2.0), 100.0)   # beyond horizon
     with pytest.raises(ValueError):
@@ -291,18 +318,18 @@ def test_scaled_statistic_validates_grid():
 
 
 def test_a2_admits_tail_two_pareto():
-    spec = LimitSpec(A2, Pareto(2.0, 1.0), Constant(1.0))
+    spec = LimitSpec(Pareto(2.0, 1.0), Constant(1.0))
     assert scaling_g(spec, 500.0) > 0
 
 
 def test_default_x_star_truncation_needs_an_integrable_response():
-    dri = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
+    dri = LimitSpec(Exponential(1.0), ExpDecay(1.0))
     T = default_x_star_truncation(dri)
     assert x_star_tail_bound(dri.law, dri.h, T) <= 1e-9
     # the tail bound is inf for the non-integrable PowerDecay(0.75), and
     # for the integrable PowerDecay(1.5) it is still 1.7e-3 at the 1e6 cap
-    centered = LimitSpec(NOSCALE_CENTERED, Exponential(1.0), PowerDecay(0.75))
-    slow = LimitSpec(NOSCALE_DRI, Exponential(1.0), PowerDecay(1.5))
+    centered = LimitSpec(Exponential(1.0), PowerDecay(0.75))
+    slow = LimitSpec(Exponential(1.0), PowerDecay(1.5))
     for spec in (centered, slow):
         with pytest.raises(ValueError, match="x_star_truncation"):
             default_x_star_truncation(spec)
@@ -313,7 +340,7 @@ def test_default_x_star_truncation_needs_an_integrable_response():
                                          (ExpDecay(0.5), 2.0)], ids=repr)
 def test_x_star_mean_is_the_whole_integral_over_mu(h, integral):
     # E X* = mu^{-1} int_0^inf h, with no cutoff of the slowly decaying h
-    spec = LimitSpec(NOSCALE_DRI, Exponential(2.0), h)
+    spec = LimitSpec(Exponential(2.0), h)
     assert REGIMES[NOSCALE_DRI].moment(spec, 1.0, 1) == pytest.approx(
         2.0 * integral, rel=1e-12)
 
@@ -324,7 +351,7 @@ def test_tail_matched_d4_floor_and_renewal_identity():
     # is 0 below h(t), so the KS distance to Exp(1) is at least
     # 1 - exp(-h(t)) whatever the draw.  E X(t) = 1 at every t, because
     # sum_k P(S_k <= t < S_{k+1}) = 1.
-    spec = LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0))
+    spec = LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0))
     for t in (1e2, 1e4):
         x = simulate_scaled_matrix(spec, (1.0,), t, 20000, 17,
                                    max_shots=1e9)[:, 0]
@@ -339,13 +366,13 @@ def test_tail_matched_d4_floor_and_renewal_identity():
 # one admissible spec per regime table entry; D4 twice, because its limit
 # law is exact for beta = alpha and self-simulated otherwise
 TABLE_SPECS = [
-    LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0)),
-    LimitSpec(NOSCALE_CENTERED, Exponential(1.0), PowerDecay(0.75)),
-    LimitSpec(A1, Exponential(1.0), PowerDecay(0.25)),
-    LimitSpec(A2, Pareto(2.0, 1.0), Constant(1.0)),
-    LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25)),
-    LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25)),
-    LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)), ]
+    LimitSpec(Exponential(1.0), ExpDecay(1.0)),
+    LimitSpec(Exponential(1.0), PowerDecay(0.75)),
+    LimitSpec(Exponential(1.0), PowerDecay(0.25)),
+    LimitSpec(Pareto(2.0, 1.0), Constant(1.0)),
+    LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25)),
+    LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25)),
+    LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)), ]
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS,
@@ -425,31 +452,31 @@ _A2_NOT_EQUIVARIANT = pytest.mark.xfail(strict=True, reason=(
     "c_1 is the root for x_m = 1"))
 
 _EQUIVARIANT_ROWS = [
-    pytest.param(LimitSpec(NOSCALE_DRI, Exponential(2.0), ExpDecay(1.0)),
-                 100.0, LimitSpec(NOSCALE_DRI, Exponential(1.0),
+    pytest.param(LimitSpec(Exponential(2.0), ExpDecay(1.0)),
+                 100.0, LimitSpec(Exponential(1.0),
                                   ExpDecay(0.5)), 200.0, 1.0,
                  id="NOSCALE_DRI"),
     # the centered statistic is not normalized: X and mu^-1 int h both
     # carry the response's factor r^beta
-    pytest.param(LimitSpec(NOSCALE_CENTERED, Exponential(2.0),
+    pytest.param(LimitSpec(Exponential(2.0),
                            PowerDecay(0.75)),
-                 100.0, LimitSpec(NOSCALE_CENTERED, Exponential(1.0),
+                 100.0, LimitSpec(Exponential(1.0),
                                   PowerDecay(0.75, 2.0)), 200.0, 2.0 ** 0.75,
                  id="NOSCALE_CENTERED"),
-    pytest.param(LimitSpec(A1, Exponential(2.0), PowerDecay(0.25)),
-                 100.0, LimitSpec(A1, Exponential(1.0), PowerDecay(0.25, 2.0)),
+    pytest.param(LimitSpec(Exponential(2.0), PowerDecay(0.25)),
+                 100.0, LimitSpec(Exponential(1.0), PowerDecay(0.25, 2.0)),
                  200.0, 1.0, id="A1"),
-    pytest.param(LimitSpec(A2, Pareto(2.0, 3.0), PowerDecay(0.25, 3.0)),
-                 3000.0, LimitSpec(A2, Pareto(2.0, 1.0), PowerDecay(0.25)),
+    pytest.param(LimitSpec(Pareto(2.0, 3.0), PowerDecay(0.25, 3.0)),
+                 3000.0, LimitSpec(Pareto(2.0, 1.0), PowerDecay(0.25)),
                  1000.0, 1.0, id="A2", marks=_A2_NOT_EQUIVARIANT),
-    pytest.param(LimitSpec(A3, Pareto(1.5, 3.0), PowerDecay(0.25, 3.0)),
-                 300.0, LimitSpec(A3, Pareto(1.5, 1.0), PowerDecay(0.25)),
+    pytest.param(LimitSpec(Pareto(1.5, 3.0), PowerDecay(0.25, 3.0)),
+                 300.0, LimitSpec(Pareto(1.5, 1.0), PowerDecay(0.25)),
                  100.0, 1.0, id="A3"),
-    pytest.param(LimitSpec(D4, Pareto(0.5, 3.0), PowerDecay(0.25, 3.0)),
-                 3000.0, LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25)),
+    pytest.param(LimitSpec(Pareto(0.5, 3.0), PowerDecay(0.25, 3.0)),
+                 3000.0, LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25)),
                  1000.0, 1.0, id="D4-beta<alpha"),
-    pytest.param(LimitSpec(D4, Pareto(0.5, 3.0), ParetoTailMatch(0.5, 3.0)),
-                 3000.0, LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5)),
+    pytest.param(LimitSpec(Pareto(0.5, 3.0), ParetoTailMatch(0.5, 3.0)),
+                 3000.0, LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5)),
                  1000.0, 1.0, id="D4-beta=alpha"),
 ]
 

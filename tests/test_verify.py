@@ -14,8 +14,7 @@ import pytest
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
-from renewalshot.shotnoise import (A1, A2, D4, NOSCALE_CENTERED, NOSCALE_DRI,
-                                   InadmissibleSpec, LimitSpec,
+from renewalshot.shotnoise import (D4, InadmissibleSpec, LimitSpec,
                                    scaled_statistic)
 from renewalshot import limits, renewal, shotnoise, verify
 from renewalshot.streams import (DOMAIN_AUX, DOMAIN_REFERENCE,
@@ -193,13 +192,13 @@ def test_copula_test_is_the_boolean_cube_form(n, max_n, grid, ties):
         assert got == _copula_cube(x, y, 49, seed, max_n, grid)
 
 
-D4_SPEC = LimitSpec(D4, Pareto(0.5, 1.0), PowerDecay(0.25))
-DRI_SPEC = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
-CENTERED_SPEC = LimitSpec(NOSCALE_CENTERED, Exponential(1.0), PowerDecay(0.75))
+D4_SPEC = LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25))
+DRI_SPEC = LimitSpec(Exponential(1.0), ExpDecay(1.0))
+CENTERED_SPEC = LimitSpec(Exponential(1.0), PowerDecay(0.75))
 
 
 def _a1_scenario(**kw):
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     base = dict(spec=spec, u_grid=(1.0,), t_ladder=(100.0,), replicates=300,
                 seed=17, plans=("KS_MARGINAL",))
     base.update(kw)
@@ -278,7 +277,7 @@ def test_plan_named_twice_is_refused(plans):
 def test_d4_moments_csv_has_plain_floats():
     # limits.moments_inverse_case and limits.stationary_covariance return
     # numpy.float64, whose repr is "np.float64(...)"
-    tail_matched = LimitSpec(D4, Pareto(0.5, 1.0),
+    tail_matched = LimitSpec(Pareto(0.5, 1.0),
                              ParetoTailMatch(0.5, 1.0, 1.0))
     for spec, plan, records in ((D4_SPEC, "MOMENTS:2", 2),
                                 (tail_matched, "STATIONARITY_LOGTIME", 4)):
@@ -365,7 +364,7 @@ def test_mean_abs_n_report_serialises():
 
 def test_worker_count_does_not_change_output(monkeypatch):
     monkeypatch.setattr(verify, "_FORK_MIN_S", 0.0)    # fork anyway
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     m1 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=1)
     m2 = simulate_scaled_matrix(spec, (1.0, 2.0), 50.0, 240, 9, threads=3)
     np.testing.assert_array_equal(m1, m2)
@@ -373,12 +372,12 @@ def test_worker_count_does_not_change_output(monkeypatch):
 
 ORACLE_CASES = [
     # heavy-tailed counts: some rows outgrow the first piece of gaps
-    (LimitSpec(D4, Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)),
+    (LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0)),
      1e4, 300),
     # constant response: statistic computed with h == 1
-    (LimitSpec(A2, Pareto(2.0, 1.0), Constant(3.0)), 50.0, 100),
+    (LimitSpec(Pareto(2.0, 1.0), Constant(3.0)), 50.0, 100),
     # paths of about 5000 shots: more than one 4096-gap block
-    (LimitSpec(A1, Gamma(2.0, 2.0), PowerDecay(0.25)), 2500.0, 100),
+    (LimitSpec(Gamma(2.0, 2.0), PowerDecay(0.25)), 2500.0, 100),
 ]
 
 
@@ -413,7 +412,7 @@ def test_no_replicates_is_refused_before_a_pool_starts(monkeypatch, threads):
     # threads 1 returned a (0, 1) matrix, threads 2 raised numpy's "need at
     # least one array to concatenate" from the pool
     _no_map(monkeypatch)
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     with pytest.raises(ValueError, match="replicate"):
         simulate_scaled_matrix(spec, (1.0,), 10.0, 0, 1, threads=threads)
 
@@ -431,14 +430,14 @@ def test_bad_grid_is_refused_before_a_pool_starts(monkeypatch, threads,
     # (1, nan) gave a column of NaN and t = nan a matrix of NaN; at threads
     # 2 a decreasing grid raised only from inside a worker
     _no_map(monkeypatch)
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     with pytest.raises(ValueError, match="u-grid|t must"):
         simulate_scaled_matrix(spec, u_grid, t, 100, 1, threads=threads)
 
 
 @pytest.mark.parametrize("u_grid, t", _BAD_GRIDS)
 def test_bad_grid_is_refused_by_the_statistic(u_grid, t):
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     path = sample_path(spec.law, 50.0, ZERO_DELAYED, substream(1, 9, 0))
     # the grid is checked before the horizon
     with pytest.raises(ValueError, match="u-grid|t must"):
@@ -446,7 +445,7 @@ def test_bad_grid_is_refused_by_the_statistic(u_grid, t):
 
 
 def test_resource_cap():
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     with pytest.raises(ResourceCapExceeded):
         simulate_scaled_matrix(spec, (1.0,), 1e6, 10000, 0, max_shots=1e6)
 
@@ -492,7 +491,7 @@ def _watch_rows(monkeypatch):
 # D4 rows outgrow their first draw; A1 PowerDecay paths pass 4096 gaps
 LADDER_SPECS = {
     "D4": (D4_SPEC, (50.0, 200.0, 1e3)),
-    "A1": (LimitSpec(A1, Gamma(2.0, 2.0), PowerDecay(0.25)),
+    "A1": (LimitSpec(Gamma(2.0, 2.0), PowerDecay(0.25)),
            (100.0, 400.0, 2500.0)),
 }
 
@@ -566,7 +565,7 @@ THREADED_RUNS = {
         spec=D4_SPEC, u_grid=(0.5, 1.0, 2.0), t_ladder=(50.0, 100.0),
         plans=("KS_MARGINAL", "SELF_SIMILARITY"), reference_mesh_d=1e-2),
     "NOSCALE_DRI-x-star": dict(
-        spec=LimitSpec(NOSCALE_DRI, Gamma(2.0, 2.0), ExpDecay(1.0)),
+        spec=LimitSpec(Gamma(2.0, 2.0), ExpDecay(1.0)),
         u_grid=(1.0, 2.0), t_ladder=(20.0, 40.0),
         plans=("KS_MARGINAL", "TIME_REVERSAL")),
     "A1-mean-abs-n": dict(t_ladder=(100.0, 400.0), plans=("MEAN_ABS_N",)),
@@ -783,7 +782,7 @@ def test_report_serialization_shapes():
 
 
 def test_noscale_scenario_passes():
-    spec = LimitSpec(NOSCALE_DRI, Exponential(1.0), ExpDecay(1.0))
+    spec = LimitSpec(Exponential(1.0), ExpDecay(1.0))
     scn = Scenario(spec=spec, u_grid=(1.0, 2.0), t_ladder=(400.0,),
                    replicates=800, seed=3,
                    plans=("KS_MARGINAL", "JOINT_PAIRWISE_INDEPENDENCE"))
@@ -808,7 +807,7 @@ def test_true_null_calibration():
 
 def test_monotone_evidence_in_t():
     # KS distance to the limit shrinks on average as t grows
-    spec = LimitSpec(A1, Exponential(1.0), Constant(1.0))
+    spec = LimitSpec(Exponential(1.0), Constant(1.0))
     small, large = [], []
     for seed in range(20):
         for t, sink in ((30.0, small), (3000.0, large)):
