@@ -17,8 +17,8 @@ import numpy as np
 
 from .laws import IncrementLaw, ResponseFunction
 from .renewal import STATIONARY, sample_path
-from .stable import (StableSpec, kanter, sample_stable,
-                     sample_subordinator_increment, subordinator_scale)
+from .stable import (kanter, sample_stable, sample_subordinator_increment,
+                     subordinator_scale)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def simulate_levy_path(alpha: float, u_max: float, mesh: float,
     if mesh <= 0 or u_max <= 0:
         raise ValueError("mesh and u_max must be positive")
     n = int(round(u_max / mesh))
-    spec = StableSpec(alpha)
-    incs = mesh ** (1.0 / alpha) * sample_stable(spec, stream, n)
+    incs = mesh ** (1.0 / alpha) * sample_stable(alpha, stream, n)
     values = np.concatenate(([0.0], np.cumsum(incs)))
     grid = np.arange(n + 1) * mesh
     return ProcessPath(grid=grid, values=values, alpha=alpha)
@@ -156,7 +155,7 @@ def marginal_sample_finite_mean(alpha: float, beta: float, u: float,
     if alpha * beta >= 1:
         raise ValueError("need alpha * beta < 1")
     factor = u ** (1.0 / alpha - beta) / (1.0 - alpha * beta) ** (1.0 / alpha)
-    return factor * sample_stable(StableSpec(alpha), stream, size)
+    return factor * sample_stable(alpha, stream, size)
 
 
 def _check_inverse_case(alpha: float, beta: float) -> None:
@@ -221,24 +220,6 @@ def stationary_covariance(alpha: float, s: float) -> float:
         raise ValueError("alpha must lie in (0, 1)")
     from scipy.special import betainc   # as in moments_inverse_case
     return betainc(alpha, 1.0 - alpha, math.exp(-abs(s)))
-
-
-def increment_dependence_gap(alpha: float, beta: float,
-                             t1: float, t2: float, t3: float) -> float:
-    """B - A: cross moment of consecutive increments minus the product of
-    their means.  Nonzero gap certifies dependent increments."""
-    _check_inverse_case(alpha, beta)
-    if not 0 < t1 < t2 < t3:
-        raise ValueError("need 0 < t1 < t2 < t3")
-    from scipy.special import gamma as _gamma   # as in moments_inverse_case
-    m1 = _gamma(1.0 - beta) / (_gamma(1.0 - alpha) * _gamma(1.0 + alpha - beta))
-    ab = alpha - beta
-    a_term = m1 * m1 * (t2**ab - t1**ab) * (t3**ab - t2**ab)
-    b_term = (covariance_inverse_case(alpha, beta, t2, t3)
-              - moments_inverse_case(alpha, beta, t2, 2)
-              - covariance_inverse_case(alpha, beta, t1, t3)
-              + covariance_inverse_case(alpha, beta, t1, t2))
-    return b_term - a_term
 
 
 def x_star_tail_bound(law: IncrementLaw, h: ResponseFunction, T: float) -> float:

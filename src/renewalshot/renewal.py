@@ -1,12 +1,13 @@
-"""Renewal path generation and counting diagnostics.
+"""Renewal path generation and the counting process N(t) on it.
 
 Paths store arrival epochs (not increments) because the shot noise sum
 indexes shots by their age t - S_k.  One builder, `epoch_rows`, makes
 the epochs of every path: a buffer with one sorted row per stream, each
 row drawn past the horizon and padded with +inf, so N(t) is exact for
-every t up to the horizon.  `sample_path` is its one-row case, cut at
-the horizon; `epoch_batches` walks the paths of a range of streams in
-buffers of rows, and `counts_at` counts N(t) on them.
+every t up to the horizon.  `epoch_batches` walks the paths of a range
+of streams in buffers of rows, and `counts_at` counts N(t) on them.
+`sample_path` is the one-row case, cut at the horizon, that `path-dump`
+writes with `dump_csv`; `count_at` is N(t) on one fresh path.
 """
 
 from __future__ import annotations
@@ -188,36 +189,6 @@ def sample_path(law: IncrementLaw, T: float, delay_kind: str,
     row = epoch_rows(law, T, delay_kind, (stream,), 1)[0]
     return RenewalPath(arrivals=row[:row.searchsorted(T, side="right")],
                        horizon=float(T))
-
-
-def _check_t(path: RenewalPath, t: float):
-    if not (0 <= t <= path.horizon):
-        raise ValueError(f"t={t} outside generated horizon [0, {path.horizon}]")
-
-
-def count(path: RenewalPath, t: float) -> int:
-    """N(t) = #{k : S_k <= t}."""
-    _check_t(path, t)
-    return int(np.searchsorted(path.arrivals, t, side="right"))
-
-
-def undershoot(path: RenewalPath, t: float) -> float:
-    """Z(t) = t - S_{N(t)-1}, the age of the last shot before t."""
-    n = count(path, t)
-    if n == 0:
-        raise ValueError("no arrival at or before t on this path")
-    return t - float(path.arrivals[n - 1])
-
-
-def count_increment(path: RenewalPath, s: float, t: float) -> int:
-    """N(t) - N(s-), the number of arrivals in the closed interval [s, t]."""
-    if s > t:
-        raise ValueError("need s <= t")
-    _check_t(path, t)
-    _check_t(path, s)
-    hi = np.searchsorted(path.arrivals, t, side="right")
-    lo = np.searchsorted(path.arrivals, s, side="left")
-    return int(hi - lo)
 
 
 def dump_csv(path: RenewalPath, fileobj) -> None:

@@ -627,17 +627,17 @@ class Plan(NamedTuple):
 
 
 def _closed_form_moments(spec, k):
-    # every order the runner tests must have a reference (a ValueError of
-    # Regime.moment says it has none).  For D4 this evaluates
-    # limits.moments_inverse_case, so D4 MOMENTS admission loads
-    # scipy.special: math.gamma differs from scipy.special.gamma in the
-    # last bits, so a probe on it would not vouch for the reference
+    # every order the runner tests must have a finite reference (a
+    # ValueError of Regime.moment says it has none; a large order overflows
+    # a float).  For D4 this evaluates limits.moments_inverse_case, so D4
+    # MOMENTS admission loads scipy.special: math.gamma differs from
+    # scipy.special.gamma in the last bits, so a probe on it would not
+    # vouch for the reference
     try:
-        for order in range(1, k + 1):
-            REGIMES[spec.regime].moment(spec, 1.0, order)
-    except ValueError:
+        return all(math.isfinite(REGIMES[spec.regime].moment(spec, 1.0, order))
+                   for order in range(1, k + 1))
+    except (ValueError, OverflowError):
         return False
-    return True
 
 
 def _hurst_zero(spec, _):

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import char_function, increment_dependence_gap
 from renewalshot import cli, limits, renewal, shotnoise, verify
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.shotnoise import LimitSpec
-from renewalshot.stable import StableSpec, abs_moment
+from renewalshot.stable import abs_moment
 from renewalshot.streams import substream
 from renewalshot.verify import (energy_distance_test, ks_one_sample,
                                 ks_one_sample_normal, ks_two_sample,
@@ -169,13 +170,13 @@ def test_acceptance_7_formula_cross_checks(report):
         diag.append(abs(cov / mom - 1.0))
 
     # independent oracle: E|W| = (2/pi) int_0^inf (1 - Re phi(z)) / z^2 dz
-    phi = StableSpec(1.5).char_function
-    quad, _ = integrate.quad(lambda z: (1.0 - phi(z).real) / z**2,
+    quad, _ = integrate.quad(lambda z: (1.0 - char_function(1.5, z).real)
+                             / z**2,
                              0.0, np.inf, limit=400)
     indep = 2.0 / math.pi * quad
     closed = abs_moment(1.5, 1.0)
 
-    gap = limits.increment_dependence_gap(0.5, 0.25, 1.0, 2.0, 3.0)
+    gap = increment_dependence_gap(0.5, 0.25, 1.0, 2.0, 3.0)
 
     ok = (max(r0) < 1e-10 and max(diag) < 1e-6
           and abs(closed - indep) < 1e-9

@@ -173,10 +173,14 @@ def test_response_without_power_decay_exits_3(tmp_path, capsys):
 def test_inadmissible_plan_exits_3(tmp_path, capsys):
     p = tmp_path / "plan.ini"
     one_point = A1_CONFIG.replace("u = 0.5, 1.0", "u = 1.0")
+    # MOMENTS:400 and MOMENTS:200: the order-k reference holds (k-1)!! or
+    # k!, which no float holds (an OverflowError exited 1 before)
     for config, plan in ((A1_CONFIG, "STATIONARITY_LOGTIME"),
                          (A1_CONFIG, "MOMENTS:0"), (A1_CONFIG, "MOMENTS:-2"),
                          (A1_CONFIG, "KS_MARGINAL:zzz"),
-                         (one_point, "SELF_SIMILARITY")):
+                         (one_point, "SELF_SIMILARITY"),
+                         (A1_CONFIG, "MOMENTS:400"),
+                         (D4_BETA_BELOW_ALPHA_CONFIG, "MOMENTS:200")):
         p.write_text(config.replace("plans = KS_MARGINAL",
                                     f"plans = {plan}"))
         assert cli.main(["verify", "--config", str(p),

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from oracles import increment_dependence_gap
 from renewalshot import limits
 from renewalshot.laws import Exponential, ExpDecay, PowerDecay, Uniform
 from renewalshot.limits import (ProcessPath, covariance_inverse_case,
-                                frac_integral, increment_dependence_gap,
-                                inverse_frac_integral,
+                                frac_integral, inverse_frac_integral,
                                 marginal_sample_finite_mean,
                                 moments_inverse_case, sample_X_star,
                                 simulate_inverse_subordinator_path,

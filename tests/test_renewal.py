@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from oracles import count, count_increment, undershoot
 from renewalshot.laws import Exponential, Gamma, Pareto, Uniform
 from renewalshot import renewal
-from renewalshot.renewal import (STATIONARY, ZERO_DELAYED, count, count_at,
-                                 count_increment, dump_csv, sample_path,
-                                 undershoot)
+from renewalshot.renewal import (STATIONARY, ZERO_DELAYED, count_at, dump_csv,
+                                 sample_path)
 from renewalshot.streams import substream, substreams
 from renewalshot.verify import ks_one_sample, ks_two_sample
 

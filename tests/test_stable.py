@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from renewalshot.stable import (StableSpec, abs_moment,
-                                sample_positive_stable, sample_stable,
-                                sample_subordinator_increment, stable_scale)
+from oracles import char_function
+from renewalshot.stable import (abs_moment, sample_positive_stable,
+                                sample_stable, sample_subordinator_increment,
+                                stable_scale)
 from renewalshot.streams import substream
 from renewalshot.verify import ks_two_sample, moment_test
 
@@ -20,25 +21,22 @@ def test_scale_closed_form():
 
 
 def test_char_function_empirical():
-    spec = StableSpec(1.5)
-    x = sample_stable(spec, substream(11, 3, 0), 200000)
+    x = sample_stable(1.5, substream(11, 3, 0), 200000)
     for z in (-1.5, -0.4, 0.7, 2.0):
         emp = np.exp(1j * z * x).mean()
-        assert abs(emp - spec.char_function(z)) < 0.01, z
+        assert abs(emp - char_function(1.5, z)) < 0.01, z
 
 
 def test_gaussian_case():
-    spec = StableSpec(2.0)
-    x = sample_stable(spec, substream(11, 3, 1), 100000)
+    x = sample_stable(2.0, substream(11, 3, 1), 100000)
     assert abs(x.mean()) < 4 / math.sqrt(len(x))
     assert abs(x.std() - 1.0) < 0.01
 
 
 def test_convolution_stability():
-    spec = StableSpec(1.5)
-    a = sample_stable(spec, substream(11, 3, 4), 20000)
-    b = sample_stable(spec, substream(11, 3, 5), 20000)
-    c = sample_stable(spec, substream(11, 3, 6), 20000)
+    a = sample_stable(1.5, substream(11, 3, 4), 20000)
+    b = sample_stable(1.5, substream(11, 3, 5), 20000)
+    c = sample_stable(1.5, substream(11, 3, 6), 20000)
     d, p = ks_two_sample((a + b) / 2 ** (1 / 1.5), c)
     assert p > 1e-3, (d, p)
 
@@ -83,7 +81,7 @@ def test_abs_moment_gaussian_branch():
 
 
 def test_abs_moment_empirical():
-    x = sample_stable(StableSpec(1.5), substream(11, 3, 11), 200000)
+    x = sample_stable(1.5, substream(11, 3, 11), 200000)
     z = moment_test(np.abs(x), 1, abs_moment(1.5, 1.0))
     assert abs(z) < 4, z
 
@@ -93,12 +91,14 @@ def test_abs_moment_rejects_order_at_tail_index():
         abs_moment(1.5, 1.5)
     with pytest.raises(ValueError):
         abs_moment(0.8, 1.0)
-    with pytest.raises(ValueError):         # alpha = 1, as StableSpec
+    with pytest.raises(ValueError, match="alpha = 1 is unsupported"):
         abs_moment(1.0, 0.5)
 
 
 def test_alpha_validation():
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\]"):
+        abs_moment(2.5, 0.5)
     with pytest.raises(ValueError):
-        StableSpec(2.5)
+        sample_stable(2.5, substream(0, 3, 0))
     with pytest.raises(ValueError):
         sample_positive_stable(1.0, substream(0, 3, 0))

@@ -791,20 +791,6 @@ def test_noscale_scenario_passes():
                             for r in rep.records if not r.passed]
 
 
-def test_true_null_calibration():
-    # comparing a sampler to itself: rejection rate at level 0.01 stays in
-    # [0.001, 0.03] over 1000 repetitions
-    rejections = 0
-    reps = 1000
-    for r in range(reps):
-        rng = substream(43, 3, r)
-        x = rng.normal(0.0, 1.0, 400)
-        y = rng.normal(0.0, 1.0, 400)
-        _, p = ks_two_sample(x, y)
-        rejections += p <= 0.01
-    assert 0.001 <= rejections / reps <= 0.03, rejections
-
-
 def test_monotone_evidence_in_t():
     # KS distance to the limit shrinks on average as t grows
     spec = LimitSpec(Exponential(1.0), Constant(1.0))
