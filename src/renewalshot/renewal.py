@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .laws import IncrementLaw
-from .streams import Substreams, substreams
+from .streams import substreams
 
 ZERO_DELAYED = "zero_delayed"
 STATIONARY = "stationary"
@@ -91,44 +91,38 @@ def _fill_epochs(out: np.ndarray, start: np.ndarray, gaps: np.ndarray) -> None:
         last = block[:, -1:]
 
 
-def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
+def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, stream,
                rows: int) -> np.ndarray:
-    """The epochs of one renewal path on [0, T] per stream, for the next
-    `rows` streams of the iterable `streams`: row i starts with the
-    stationary delay (0 when zero-delayed) and holds the path's epochs in
-    order, past the first one beyond T, then +inf padding.  A row whose
-    delay exceeds T is all +inf.  So each row is sorted and N(t) for
-    t <= T is the number of its entries <= t.
+    """The epochs of one renewal path on [0, T] per stream, for the
+    generators stream(i), i < rows (see streams.substreams): row i starts
+    with the stationary delay (0 when zero-delayed) and holds the path's
+    epochs in order, past the first one beyond T, then +inf padding.  A
+    row whose delay exceeds T is all +inf.  So each row is sorted and N(t)
+    for t <= T is the number of its entries <= t.
 
     Per row only stream work runs: the stationary delay and law.draw of
     ceil(expected_count(law, T)) values into row i of one buffer.  Then
     law.transform, the running sums inside 4096-gap blocks (see
     _fill_epochs), the +inf rows and the test for a last epoch still
-    <= T run once over the buffer.  A row that fails that test draws as
-    many gaps again, and again, from its own stream: re-keyed by
-    streams.again when `streams` is a Substreams (which re-keys one
-    generator per row), its delay and first draw drawn once more; else
-    the row's own generator, which must still be live.  So neither the
+    <= T run once over the buffer.  A row that fails that test restarts
+    its stream by calling stream(i) again, draws its delay and first draw
+    once more, and then as many gaps again, and again.  So neither the
     draw sizes nor the number of rows changes any epoch.  A stream serves
     one path: what is left of it depends on the draw sizes."""
     if delay_kind not in (ZERO_DELAYED, STATIONARY):
         raise ValueError(f"unknown delay kind {delay_kind!r}")
     first = math.ceil(expected_count(law, T))
     stationary = delay_kind == STATIONARY
-    base = streams.drawn if isinstance(streams, Substreams) else None
     draws = np.empty((rows, first))
     start = np.zeros(rows)
-    gens = []
-    for i, rng in zip(range(rows), streams):
-        gens.append(rng)
+    for i in range(rows):
+        rng = stream(i)
         if stationary:
             start[i] = law.stationary_delay(rng)
             if start[i] > T:
                 draws[i] = 0.0      # drawn nothing; its row becomes +inf
                 continue
         law.draw(rng, out=draws[i])
-    if len(gens) < rows:
-        raise ValueError(f"{rows} rows asked for, {len(gens)} streams given")
     gaps = law.transform(draws)
     out = np.empty((rows, 1 + first))
     _fill_epochs(out, start, gaps)
@@ -136,12 +130,10 @@ def epoch_rows(law: IncrementLaw, T: float, delay_kind: str, streams,
         out[start > T] = np.inf
     longer = {}                 # rows that outgrew the first draw
     for i in np.flatnonzero(out[:, first] <= T).tolist():
-        rng = gens[i]
-        if base is not None:
-            rng = streams.again(base + i)
-            if stationary:
-                law.stationary_delay(rng)
-            law.draw(rng, first)
+        rng = stream(i)
+        if stationary:
+            law.stationary_delay(rng)
+        law.draw(rng, first)
         row, g = out[i], gaps[i]
         while row[len(g)] <= T:
             g = np.concatenate((g, law.sample(rng, len(g))))
@@ -160,10 +152,10 @@ def epoch_batches(law: IncrementLaw, T: float, delay_kind: str, seed: int,
     """epoch_rows for the paths of streams (seed, *key, i), i of rows, in
     consecutive buffers: a buffer's paths times the first draw's width is
     at most _SUB_BATCH_EPOCHS (one path at least)."""
-    streams = substreams(seed, key, rows)
+    stream = substreams(seed, key, rows)
     per = max(1, _SUB_BATCH_EPOCHS // (1 + math.ceil(expected_count(law, T))))
     for lo in range(0, len(rows), per):
-        yield epoch_rows(law, T, delay_kind, streams,
+        yield epoch_rows(law, T, delay_kind, lambda i: stream(lo + i),
                          min(per, len(rows) - lo))
 
 
@@ -186,7 +178,13 @@ def sample_path(law: IncrementLaw, T: float, delay_kind: str,
     """Generate a renewal path on [0, T]: the one-row case of epoch_rows.
     A stationary delay needs a finite-mean law; the law's
     stationary_delay raises otherwise.  Give every path its own stream."""
-    row = epoch_rows(law, T, delay_kind, (stream,), 1)[0]
+    state = stream.bit_generator.state
+
+    def restart(i):
+        stream.bit_generator.state = state
+        return stream
+
+    row = epoch_rows(law, T, delay_kind, restart, 1)[0]
     return RenewalPath(arrivals=row[:row.searchsorted(T, side="right")],
                        horizon=float(T))
 
@@ -201,5 +199,4 @@ def dump_csv(path: RenewalPath, fileobj) -> None:
 def count_at(law: IncrementLaw, t: float, delay_kind: str,
              rng: np.random.Generator) -> int:
     """N(t) on a fresh path from rng, without keeping the path."""
-    return int(np.count_nonzero(
-        epoch_rows(law, t, delay_kind, (rng,), 1) <= t))
+    return len(sample_path(law, t, delay_kind, rng))

@@ -360,9 +360,10 @@ def _x_star_reference(scn, u_grid, key, map_rows):
 def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
     """Row i of rows: one draw of the jump epochs from stream
     (seed, *key, i), summed at every u of the grid."""
+    stream = substreams(seed, key, rows)
     return np.array([limits.inverse_frac_integral(
-        spec.alpha, spec.beta, u_grid, mesh_d, rng)
-        for rng in substreams(seed, key, rows)])
+        spec.alpha, spec.beta, u_grid, mesh_d, stream(i))
+        for i in range(len(rows))])
 
 
 def _inverse_subordinator_reference(scn, u_grid, key, map_rows):

@@ -91,14 +91,14 @@ def _philox_keys(master_seed: int, key: tuple, index: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def substreams(master_seed: int, key, indices) -> "Substreams":
-    """A Substreams whose i-th generator draws exactly what
-    substream(master_seed, *key, indices[i]) draws.
+def substreams(master_seed: int, key, indices):
+    """A function stream(i), i in [0, len(indices)), whose generator
+    draws exactly what substream(master_seed, *key, indices[i]) draws.
 
     The keys of all indices (each in [0, 2**32)) come from one vectorised
-    pass, and one Philox is re-keyed for each index.  So a yielded
-    generator is valid only until the next one is drawn: no caller keeps
-    it, and none spawns from it (its SeedSequence is not the index's).
+    pass, and stream(i) re-keys one Philox to key i (counter 0).  So its
+    generator is valid only until the next call: no caller keeps it, and
+    none spawns from it (its SeedSequence is not the index's).
     """
     key = tuple(key)
     index = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -111,38 +111,21 @@ def substreams(master_seed: int, key, indices) -> "Substreams":
         if not np.array_equal(keys[0], want):
             raise RuntimeError("substreams: derived Philox key differs from "
                                "numpy's SeedSequence")
-    return Substreams(keys)
+    # Python ints and lists: Philox's state setter reads them element by
+    # element, which is much faster than from numpy arrays
+    keys = keys.tolist()
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
 
+    def stream(i: int) -> np.random.Generator:
+        if not 0 <= i < len(keys):
+            raise ValueError(f"no stream {i}: {len(keys)} streams given")
+        state["state"]["key"] = keys[i]
+        bits.state = state
+        return gen
 
-class Substreams:
-    """Iterator over the streams of a list of Philox keys: step i re-keys
-    one Philox to key i (counter 0) and yields its generator.  `drawn`
-    counts the steps taken, and `again(i)` re-keys the generator to the
-    start of stream i once more, for a caller that goes back to a stream
-    it has passed (it too is valid until the next re-key)."""
-
-    def __init__(self, keys):
-        # Python ints and lists: Philox's state setter reads them element
-        # by element, which is much faster than from numpy arrays
-        self._keys = keys.tolist()
-        self.drawn = 0
-        self._bits = np.random.Philox(0)
-        self._gen = np.random.Generator(self._bits)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": [0] * 4, "key": None},
-                       "buffer": [0] * 4, "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.random.Generator:
-        if self.drawn == len(self._keys):
-            raise StopIteration
-        self.drawn += 1
-        return self.again(self.drawn - 1)
-
-    def again(self, i: int) -> np.random.Generator:
-        self._state["state"]["key"] = self._keys[i]
-        self._bits.state = self._state
-        return self._gen
+    return stream

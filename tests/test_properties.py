@@ -104,8 +104,9 @@ KEY_ELEMENTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40))
 @example(seed=0, key=[], start=1, count=1)
 def test_substreams_draw_what_substream_draws(seed, key, start, count):
     indices = range(start, min(start + count, 2**32))
-    for i, got in zip(indices, substreams(seed, key, indices), strict=True):
-        want = substream(seed, *key, i)
+    stream = substreams(seed, key, indices)
+    for j, i in enumerate(indices):
+        got, want = stream(j), substream(seed, *key, i)
         # 64-bit, 32-bit (half a word left over) and derived draws
         for draw in (lambda g: g.random(3),
                      lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
@@ -117,16 +118,17 @@ def test_substreams_draw_what_substream_draws(seed, key, start, count):
 @given(seed=st.integers(0, 2**70), key=st.lists(KEY_ELEMENTS, max_size=2),
        count=st.integers(2, 12), order=st.randoms(use_true_random=False))
 def test_again_draws_what_substream_draws(seed, key, count, order):
-    # every stream drawn first, then each again in shuffled order: the
+    # every stream drawn first, then each restarted in shuffled order: the
     # re-key resets the counter, the buffer and the half word left over
-    s = substreams(seed, key, range(count))
-    for g in s:
+    stream = substreams(seed, key, range(count))
+    for i in range(count):
+        g = stream(i)
         g.random(5)
         g.integers(0, 2**32, 3, dtype=np.uint32)
     indices = list(range(count))
     order.shuffle(indices)
     for i in indices:
-        got, want = s.again(i), substream(seed, *key, i)
+        got, want = stream(i), substream(seed, *key, i)
         for draw in (lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
                      lambda g: g.random(3),
                      lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),

@@ -144,6 +144,21 @@ def test_epochs_do_not_depend_on_piece_sizes(law, delay):
     assert len(got) > 2 * 4096
 
 
+def test_sample_path_restarts_a_path_that_outgrows_the_first_draw():
+    # Pareto(1/2) counts are heavy-tailed, so some of these paths outgrow
+    # the first draw sized by expected_count: sample_path then restores
+    # the stream's state on entry, draws the first piece again and more
+    law, T = Pareto(0.5, 1.0), 2e4
+    first = math.ceil(renewal.expected_count(law, T))
+    outgrown = 0
+    for i in range(60):
+        got = sample_path(law, T, ZERO_DELAYED, substream(10, 3, i)).arrivals
+        want = _whole_block_epochs(law, T, ZERO_DELAYED, substream(10, 3, i))
+        assert got.tobytes() == want.tobytes()
+        outgrown += len(got) - 1 >= first
+    assert outgrown >= 1
+
+
 def _rows_match_twins(rows, law, T, delay, seed):
     """Each row: its epochs <= T equal _whole_block_epochs on the twin
     stream substream(seed, 3, i), and the row stays sorted past T (drawn
@@ -205,7 +220,7 @@ def test_finite_mean_infinite_variance_draw_holds_most_paths():
 
 
 def test_builder_refuses_rows_without_streams():
-    with pytest.raises(ValueError, match="3 rows"):
+    with pytest.raises(ValueError, match="no stream 2"):
         renewal.epoch_rows(Exponential(1.0), 10.0, ZERO_DELAYED,
                            substreams(1, (3,), range(2)), 3)
 
