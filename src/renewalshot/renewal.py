@@ -176,6 +176,7 @@ def counts_at(law: IncrementLaw, ts, delay_kind: str, seed: int, key: tuple,
 def sample_path(law: IncrementLaw, T: float, delay_kind: str,
                 stream: np.random.Generator) -> RenewalPath:
     """Generate a renewal path on [0, T]: the one-row case of epoch_rows.
+    An outgrown row restarts by restoring the state stream had on entry.
     A stationary delay needs a finite-mean law; the law's
     stationary_delay raises otherwise.  Give every path its own stream."""
     state = stream.bit_generator.state

@@ -9,7 +9,8 @@ of parallelism.
 A Philox stream is fixed by its 128-bit key (its counter starts at 0), so
 a loop over many indices needs no SeedSequence and no Philox per index:
 `substreams` derives every key of the loop in one vectorised pass of
-numpy's SeedSequence mixing and re-keys one generator per loop.
+numpy's SeedSequence mixing and re-keys one generator per loop: its
+stream(i) is valid until the next call, which may restart stream i.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def substreams(master_seed: int, key, indices):
     The keys of all indices (each in [0, 2**32)) come from one vectorised
     pass, and stream(i) re-keys one Philox to key i (counter 0).  So its
     generator is valid only until the next call: no caller keeps it, and
-    none spawns from it (its SeedSequence is not the index's).
+    none spawns from it (its SeedSequence is not the index's).  A caller
+    may restart stream i by calling stream(i) again.
     """
     key = tuple(key)
     index = np.asarray(indices, dtype=np.int64).reshape(-1)

@@ -245,13 +245,20 @@ class Scenario:
             raise ValueError("need at least 100 replicates")
         shotnoise.check_grid(self.t_ladder, "t-ladder")
         shotnoise.check_grid(self.u_grid, "u-grid")
+        # a rung without g(t) (A2's c(t) needs t >= e) is refused before paths
+        g = REGIMES[self.spec.regime].g
+        for t in self.t_ladder if g else ():
+            try:
+                g(self.spec, t)
+            except (ValueError, ArithmeticError) as exc:
+                raise InadmissibleSpec(f"no g(t) at t = {t}: {exc}") from None
         names = [p.partition(":")[0] for p in self.plans]
         for i, p in enumerate(self.plans):
             plan, arg = _parse_plan(p)
             if names[i] in names[:i]:
                 # each (t, u, test) has one record
                 raise InadmissibleSpec(f"plan {names[i]} is named twice")
-            if not plan.admits(self.spec, arg):
+            if not plan.admits(self, arg):
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
                                        f"{self.spec.regime} spec")
             if len(self.u_grid) < plan.min_points:
@@ -621,54 +628,55 @@ class Plan(NamedTuple):
                             #  references, pool)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
-    admits: Callable        # (spec, k or None) -> bool, checked by Scenario
+    admits: Callable        # (scenario, k or None) -> bool, checked by it
     min_points: int = 1     # u-grid points the plan needs
     default_k: int | None = None  # k of a plain NAME; None: NAME:k refused
 
 
-def _closed_form_moments(spec, k):
-    # every order the runner tests must have a finite reference (a
-    # ValueError of Regime.moment says it has none; a large order overflows
-    # a float).  For D4 this evaluates limits.moments_inverse_case, so D4
-    # MOMENTS admission loads scipy.special: math.gamma differs from
-    # scipy.special.gamma in the last bits, so a probe on it would not
-    # vouch for the reference
+def _closed_form_moments(scn, k):
+    # every order the runner tests must have a finite reference at every u
+    # of the grid (a ValueError of Regime.moment says it has none; a large
+    # order or u overflows a float).  For D4 this evaluates
+    # limits.moments_inverse_case, so D4 MOMENTS admission loads
+    # scipy.special: math.gamma differs from scipy.special.gamma in the
+    # last bits, so a probe on it would not vouch for the reference
+    moment = REGIMES[scn.spec.regime].moment
     try:
-        return all(math.isfinite(REGIMES[spec.regime].moment(spec, 1.0, order))
-                   for order in range(1, k + 1))
+        return all(math.isfinite(moment(scn.spec, u, order))
+                   for u in scn.u_grid for order in range(1, k + 1))
     except (ValueError, OverflowError):
         return False
 
 
-def _hurst_zero(spec, _):
+def _hurst_zero(scn, _):
     # a self-similar limit with H = 0 is stationary in log time (Lamperti);
     # in the table only D4 with beta = alpha, the inverse-subordinator
     # functional the runner simulates, has H = 0
-    hurst = REGIMES[spec.regime].hurst
-    return hurst is not None and hurst(spec) == 0.0
+    hurst = REGIMES[scn.spec.regime].hurst
+    return hurst is not None and hurst(scn.spec) == 0.0
 
 
 PLANS = {
-    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda spec, _: True),
+    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda scn, _: True),
     MOMENTS: Plan(_run_moments, True, True, _closed_form_moments,
                   default_k=2),
     # i.i.d. copies: only the no-scaling limits
     JOINT_PAIRWISE_INDEPENDENCE: Plan(
         _run_pairwise_independence, True, True,
-        lambda spec, _: REGIMES[spec.regime].g is None, min_points=2),
+        lambda scn, _: REGIMES[scn.spec.regime].g is None, min_points=2),
     # stationary renewal paths need a finite mean
     TIME_REVERSAL: Plan(_run_time_reversal, False, False,
-                        lambda spec, _: math.isfinite(spec.law.mean)),
+                        lambda scn, _: math.isfinite(scn.spec.law.mean)),
     SELF_SIMILARITY: Plan(
         _run_self_similarity, False, False,
-        lambda spec, _: REGIMES[spec.regime].hurst is not None,
+        lambda scn, _: REGIMES[scn.spec.regime].hurst is not None,
         min_points=2),
     STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False,
                                _hurst_zero),
     # the stable limit of the counting process: finite-mean scaled regimes
     MEAN_ABS_N: Plan(_run_mean_abs_n, True, False,
-                     lambda spec, _: (REGIMES[spec.regime].g is not None
-                                      and math.isfinite(spec.law.mean))),
+                     lambda scn, _: (REGIMES[scn.spec.regime].g is not None
+                                     and math.isfinite(scn.spec.law.mean))),
 }
 
 

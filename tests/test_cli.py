@@ -173,19 +173,46 @@ def test_response_without_power_decay_exits_3(tmp_path, capsys):
 def test_inadmissible_plan_exits_3(tmp_path, capsys):
     p = tmp_path / "plan.ini"
     one_point = A1_CONFIG.replace("u = 0.5, 1.0", "u = 1.0")
+    wide = A1_CONFIG.replace("u = 0.5, 1.0", "u = 1, 10000").replace(
+        "t = 60", "t = 1")
     # MOMENTS:400 and MOMENTS:200: the order-k reference holds (k-1)!! or
-    # k!, which no float holds (an OverflowError exited 1 before)
+    # k!, which no float holds (an OverflowError exited 1 before); the
+    # A1 MOMENTS:150 reference u^75 149!! is finite at u = 1 but not at
+    # u = 10000 (admission probed u = 1 only, and verify wrote inf
+    # references, warned of overflow and exited 1)
     for config, plan in ((A1_CONFIG, "STATIONARITY_LOGTIME"),
                          (A1_CONFIG, "MOMENTS:0"), (A1_CONFIG, "MOMENTS:-2"),
                          (A1_CONFIG, "KS_MARGINAL:zzz"),
                          (one_point, "SELF_SIMILARITY"),
                          (A1_CONFIG, "MOMENTS:400"),
-                         (D4_BETA_BELOW_ALPHA_CONFIG, "MOMENTS:200")):
+                         (D4_BETA_BELOW_ALPHA_CONFIG, "MOMENTS:200"),
+                         (wide, "MOMENTS:150")):
         p.write_text(config.replace("plans = KS_MARGINAL",
                                     f"plans = {plan}"))
         assert cli.main(["verify", "--config", str(p),
                          "--out", str(tmp_path / "r")]) == 3, plan
         assert plan in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_rung_without_a_normalizer_exits_3_before_any_path(
+        tmp_path, capsys, monkeypatch, command):
+    # A2's c(t) solves c^2 = 2 t x_m^2 ln(c/x_m), which has a root only for
+    # t >= e: verify drew every replicate path and exited 2 from the
+    # statistic at t = 2, and simulate, which reads the last rung, exited 0
+    built = []
+    rows = renewal.epoch_rows
+    monkeypatch.setattr(renewal, "epoch_rows",
+                        lambda *a: built.append(a) or rows(*a))
+    p = tmp_path / "a2.ini"
+    p.write_text(A1_CONFIG.replace(
+        "family = exponential\nrate = 1.0",
+        "family = pareto\nalpha = 2\nxm = 1").replace(
+        "name = A1", "name = A2").replace("t = 60", "t = 2, 100"))
+    assert cli.main([command, "--config", str(p),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+    assert built == []
+    assert "no g(t) at t = 2.0" in capsys.readouterr().err
 
 
 def test_plan_named_twice_exits_3(tmp_path, capsys):
