@@ -258,12 +258,11 @@ class Scenario:
             if names[i] in names[:i]:
                 # each (t, u, test) has one record
                 raise InadmissibleSpec(f"plan {names[i]} is named twice")
-            if not plan.admits(self, arg):
+            why = next((w for ok, w in plan.admits if not ok(self, arg)), None)
+            if why is not None:
                 raise InadmissibleSpec(f"plan {p!r} does not apply to this "
-                                       f"{self.spec.regime} spec")
-            if len(self.u_grid) < plan.min_points:
-                raise InadmissibleSpec(f"plan {p!r} compares grid points and "
-                                       f"needs at least {plan.min_points}")
+                                       f"{self.spec.regime} spec: it "
+                                       + why.format(s=self, k=arg))
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -380,13 +379,14 @@ class _Pool:
     draw from their own streams (so any split of the rows gives the same
     bits) maps its rows through `rows`, with its expected work.
     `ladder` is the run's t-ladder: a matrix drawn at one rung draws the
-    later rungs too, and `ahead` keeps their matrices until their rung
-    asks for them."""
+    later rungs too.  `kept` holds what the run draws once: the later
+    rungs' matrices, which their own rung's call pops, and by plan name
+    the draws that serve every rung (KS references, MEAN_ABS_N counts)."""
 
     def __init__(self, threads: int, ladder=()):
         self.threads = threads
         self.ladder = tuple(ladder)
-        self.ahead = {}
+        self.kept = {}
 
     def workers(self, n: int) -> int:
         """The processes a map of n rows that repays a fork runs on:
@@ -464,22 +464,19 @@ def simulate_scaled_matrix(spec: LimitSpec, u_grid, t: float, n: int,
     if pool is None:
         pool = _Pool(threads)
     key = (t, spec, u_grid, n, seed)
-    if key in pool.ahead:
-        return pool.ahead.pop(key)
+    if key in pool.kept:
+        return pool.kept.pop(key)
     ts = (t,) + tuple(r for r in pool.ladder if r > t)
     shots = renewal.check_shot_cap(spec.law, max(u_grid) * ts[-1], n,
                                    max_shots)
     m = pool.rows(partial(_simulate_chunk, spec, u_grid, ts, seed), n, shots)
-    pool.ahead.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
-                      for i, r in enumerate(ts[1:], 1))
+    pool.kept.update(((r,) + key[1:], np.ascontiguousarray(m[:, i]))
+                     for i, r in enumerate(ts[1:], 1))
     return np.ascontiguousarray(m[:, 0])
 
 
 # ---------------------------------------------------------------------------
-# plan runners: (scenario, t, samples or None, k or None, records,
-# references: the draws of this run_scenario call that serve every rung
-# (limit-law references, MEAN_ABS_N counts), by plan,
-# pool: the _Pool of this run)
+# plan runners: (scenario, t, samples or None, k or None, records, pool)
 # ---------------------------------------------------------------------------
 
 def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
@@ -500,23 +497,23 @@ def _limit_reference_sample(scn: Scenario, key: tuple, u_grid, pool):
         scn, tuple(u_grid), (DOMAIN_REFERENCE,) + key, pool.rows)
 
 
-def _run_ks_marginal(scn, t, samples, arg, records, references, pool):
+def _run_ks_marginal(scn, t, samples, arg, records, pool):
     spec = scn.spec
     cdfs = [REGIMES[spec.regime].exact(spec, u) for u in scn.u_grid]
-    if any(cdf is None for cdf in cdfs) and KS_MARGINAL not in references:
+    if any(cdf is None for cdf in cdfs) and KS_MARGINAL not in pool.kept:
         # one draw of the whole grid serves every rung
-        references[KS_MARGINAL] = _limit_reference_sample(
+        pool.kept[KS_MARGINAL] = _limit_reference_sample(
             scn, (1, 0), scn.u_grid, pool)
     for j, (u, cdf) in enumerate(zip(scn.u_grid, cdfs)):
         col = samples[:, j]
         if cdf is not None:
             d, p = ks_one_sample(col, cdf)
         else:
-            d, p = ks_two_sample(col, references[KS_MARGINAL][:, j])
+            d, p = ks_two_sample(col, pool.kept[KS_MARGINAL][:, j])
         records.append(_record(scn, t, u, KS_MARGINAL, d, 0.0, p=p))
 
 
-def _run_moments(scn, t, samples, arg, records, references, pool):
+def _run_moments(scn, t, samples, arg, records, pool):
     moment = REGIMES[scn.spec.regime].moment
     for j, u in enumerate(scn.u_grid):
         for k in range(1, arg + 1):
@@ -527,8 +524,7 @@ def _run_moments(scn, t, samples, arg, records, references, pool):
                                    z=z))
 
 
-def _run_pairwise_independence(scn, t, samples, arg, records, references,
-                               pool):
+def _run_pairwise_independence(scn, t, samples, arg, records, pool):
     n = len(samples)
     for i in range(len(scn.u_grid)):
         for j in range(i + 1, len(scn.u_grid)):
@@ -547,7 +543,7 @@ def _run_pairwise_independence(scn, t, samples, arg, records, references,
 _REVERSAL_PAIRS = ((3.0, 50.0), (5.0, 50.0), (10.0, 50.0))
 
 
-def _run_time_reversal(scn, t, samples, arg, records, references, pool):
+def _run_time_reversal(scn, t, samples, arg, records, pool):
     law = scn.spec.law
     n = scn.replicates
     # every loop of the plan draws n paths to at most this horizon
@@ -566,7 +562,7 @@ def _run_time_reversal(scn, t, samples, arg, records, references, pool):
         records.append(_record(scn, horizon, s, TIME_REVERSAL, d, 0.0, p=p))
 
 
-def _run_self_similarity(scn, t, samples, arg, records, references, pool):
+def _run_self_similarity(scn, t, samples, arg, records, pool):
     """Check the limit law's Hurst scaling between the smallest and largest
     grid points using independent reference batches."""
     u_lo, u_hi = scn.u_grid[0], scn.u_grid[-1]
@@ -581,8 +577,7 @@ def _run_self_similarity(scn, t, samples, arg, records, references, pool):
 _LOGTIME_LAGS = (0.0, math.log(2.0))
 
 
-def _run_stationarity_logtime(scn, t, samples, arg, records, references,
-                              pool):
+def _run_stationarity_logtime(scn, t, samples, arg, records, pool):
     v = 0.5                                  # log-time shift for the lag pair
     u_pts = sorted({1.0} | {math.exp(s) for s in _LOGTIME_LAGS}
                    | {math.exp(v)} | {math.exp(v + s) for s in _LOGTIME_LAGS})
@@ -597,19 +592,19 @@ def _run_stationarity_logtime(scn, t, samples, arg, records, references,
                                    ref, ref, z=z))
 
 
-def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
+def _run_mean_abs_n(scn, t, samples, arg, records, pool):
     spec = scn.spec
     law = spec.law
     n = scn.replicates
-    if MEAN_ABS_N not in references:
+    if MEAN_ABS_N not in pool.kept:
         # the counts of every rung from one path per stream to the last t
         shots = renewal.check_shot_cap(law, scn.t_ladder[-1], n,
                                        scn.max_shots)
-        references[MEAN_ABS_N] = pool.rows(partial(
+        pool.kept[MEAN_ABS_N] = pool.rows(partial(
             renewal.counts_at, law, scn.t_ladder, renewal.ZERO_DELAYED,
             scn.seed, (DOMAIN_AUX, 500)), n, shots)
     g = shotnoise.scaling_g(spec, t)
-    dev = np.abs(references[MEAN_ABS_N][:, scn.t_ladder.index(t)]
+    dev = np.abs(pool.kept[MEAN_ABS_N][:, scn.t_ladder.index(t)]
                  - t / law.mean)
     est = dev.mean() / g
     ref = abs_moment(spec.alpha, 1.0)
@@ -624,12 +619,10 @@ def _run_mean_abs_n(scn, t, samples, arg, records, references, pool):
 # ---------------------------------------------------------------------------
 
 class Plan(NamedTuple):
-    runner: Callable        # (scenario, t, samples, arg, records,
-                            #  references, pool)
+    runner: Callable        # (scenario, t, samples, arg, records, pool)
     every_rung: bool        # False: run on the first rung of the t-ladder only
     needs_samples: bool     # reads the simulated matrix of the rung
-    admits: Callable        # (scenario, k or None) -> bool, checked by it
-    min_points: int = 1     # u-grid points the plan needs
+    admits: tuple           # hypotheses: ((scenario, k) -> bool, message)
     default_k: int | None = None  # k of a plain NAME; None: NAME:k refused
 
 
@@ -648,35 +641,38 @@ def _closed_form_moments(scn, k):
         return False
 
 
-def _hurst_zero(scn, _):
+_TWO_POINTS = (lambda scn, _: len(scn.u_grid) >= 2,
+               "compares grid points and needs at least 2")
+# stationary renewal paths need a finite mean
+_FINITE_MEAN = (lambda scn, _: math.isfinite(scn.spec.law.mean),
+                "needs a finite-mean law")
+_SELF_SIMILAR = (lambda scn, _: REGIMES[scn.spec.regime].hurst is not None,
+                 "needs a self-similar limit, which has a Hurst index")
+
+PLANS = {
+    KS_MARGINAL: Plan(_run_ks_marginal, True, True, ()),
+    MOMENTS: Plan(_run_moments, True, True, (
+        (_closed_form_moments, "needs a finite closed-form moment of each "
+                               "order up to {k} at each u of {s.u_grid}"),),
+        default_k=2),
+    JOINT_PAIRWISE_INDEPENDENCE: Plan(_run_pairwise_independence, True, True, (
+        (lambda scn, _: REGIMES[scn.spec.regime].g is None,
+         "needs a no-scaling limit, whose values are i.i.d. copies"),
+        _TWO_POINTS)),
+    TIME_REVERSAL: Plan(_run_time_reversal, False, False, (_FINITE_MEAN,)),
+    SELF_SIMILARITY: Plan(_run_self_similarity, False, False,
+                          (_SELF_SIMILAR, _TWO_POINTS)),
     # a self-similar limit with H = 0 is stationary in log time (Lamperti);
     # in the table only D4 with beta = alpha, the inverse-subordinator
     # functional the runner simulates, has H = 0
-    hurst = REGIMES[scn.spec.regime].hurst
-    return hurst is not None and hurst(scn.spec) == 0.0
-
-
-PLANS = {
-    KS_MARGINAL: Plan(_run_ks_marginal, True, True, lambda scn, _: True),
-    MOMENTS: Plan(_run_moments, True, True, _closed_form_moments,
-                  default_k=2),
-    # i.i.d. copies: only the no-scaling limits
-    JOINT_PAIRWISE_INDEPENDENCE: Plan(
-        _run_pairwise_independence, True, True,
-        lambda scn, _: REGIMES[scn.spec.regime].g is None, min_points=2),
-    # stationary renewal paths need a finite mean
-    TIME_REVERSAL: Plan(_run_time_reversal, False, False,
-                        lambda scn, _: math.isfinite(scn.spec.law.mean)),
-    SELF_SIMILARITY: Plan(
-        _run_self_similarity, False, False,
-        lambda scn, _: REGIMES[scn.spec.regime].hurst is not None,
-        min_points=2),
-    STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False,
-                               _hurst_zero),
+    STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False, (
+        _SELF_SIMILAR,
+        (lambda scn, _: REGIMES[scn.spec.regime].hurst(scn.spec) == 0.0,
+         "needs Hurst index 0 (D4 with beta = alpha)"))),
     # the stable limit of the counting process: finite-mean scaled regimes
-    MEAN_ABS_N: Plan(_run_mean_abs_n, True, False,
-                     lambda scn, _: (REGIMES[scn.spec.regime].g is not None
-                                     and math.isfinite(scn.spec.law.mean))),
+    MEAN_ABS_N: Plan(_run_mean_abs_n, True, False, (
+        (lambda scn, _: REGIMES[scn.spec.regime].g is not None,
+         "needs a scaled limit"), _FINITE_MEAN)),
 }
 
 
@@ -702,7 +698,6 @@ def run_scenario(s: Scenario) -> TestReport:
     report = TestReport(scenario=s.echo(), seed=s.seed)
     plans = [_parse_plan(p) for p in s.plans]
     needs_samples = any(plan.needs_samples for plan, _ in plans)
-    references = {}
     pool = _Pool(s.threads, s.t_ladder)
     for t in s.t_ladder:
         samples = None
@@ -715,6 +710,5 @@ def run_scenario(s: Scenario) -> TestReport:
                     samples[:, j], np.linspace(0.0, 1.0, 101))
         for plan, arg in plans:
             if plan.every_rung or t == s.t_ladder[0]:
-                plan.runner(s, t, samples, arg, report.records, references,
-                            pool)
+                plan.runner(s, t, samples, arg, report.records, pool)
     return report
