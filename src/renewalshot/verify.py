@@ -681,8 +681,9 @@ def _parse_plan(p):
     default_k for a plain NAME)."""
     name, colon, arg = p.partition(":")
     plan = PLANS.get(name)
-    if plan is None:
-        raise InadmissibleSpec(f"unknown test plan {p!r}")
+    if plan is None:                    # a config error, not a hypothesis
+        raise ValueError(f"unknown test plan {p!r}; the plans are "
+                         + ", ".join(PLANS))
     if not colon:
         return plan, plan.default_k
     if plan.default_k is None:

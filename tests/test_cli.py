@@ -191,7 +191,25 @@ def test_inadmissible_plan_exits_3(tmp_path, capsys):
                                     f"plans = {plan}"))
         assert cli.main(["verify", "--config", str(p),
                          "--out", str(tmp_path / "r")]) == 3, plan
-        assert plan in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert plan in err
+    # the last refusal names the hypothesis: the order and the grid
+    assert ("it needs a finite closed-form moment of each order up to 150 "
+            "at each u of (1.0, 10000.0)") in err
+
+
+def test_unknown_plan_exits_2(tmp_path, capsys):
+    # a misspelt name, a lower-case one and the plan '' of a trailing comma
+    # exited 3 as inadmissible; an unknown name is a config error, as an
+    # unknown key, regime, family or kind is
+    p = tmp_path / "plan.ini"
+    for plans in ("KS_MARGNAL", "ks_marginal", "KS_MARGINAL,"):
+        p.write_text(A1_CONFIG.replace("plans = KS_MARGINAL",
+                                       f"plans = {plans}"))
+        assert cli.main(["verify", "--config", str(p),
+                         "--out", str(tmp_path / "r")]) == 2, plans
+        err = capsys.readouterr().err
+        assert "unknown test plan" in err and ", ".join(verify.PLANS) in err
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -515,6 +533,15 @@ def test_readme_regime_table_lists_the_rows():
     names = [row.split("|")[1].strip().strip("`")
              for row in table.splitlines()[2:]]
     assert names == list(shotnoise.REGIMES)
+
+
+def test_readme_plan_table_lists_the_plans():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("## Plans\n\n")[1].split("\n\n")[0]
+    names = [row.split("|")[1].strip().strip("`")
+             for row in table.splitlines()[2:]]
+    assert names == list(verify.PLANS)
 
 
 def test_unknown_key_exits_2(tmp_path):

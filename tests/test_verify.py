@@ -220,27 +220,31 @@ def test_scenario_validation():
         _a1_scenario(spec=D4_SPEC, t_ladder=(-5.0, 10.0))
     with pytest.raises(InadmissibleSpec):
         _a1_scenario(u_grid=(2.0, 1.0))
-    with pytest.raises(InadmissibleSpec):
+    # an unknown plan name is a config error, as an unknown key is, not a
+    # violated hypothesis
+    with pytest.raises(ValueError, match="unknown test plan") as err:
         _a1_scenario(plans=("NO_SUCH_TEST",))
-    with pytest.raises(InadmissibleSpec):
+    assert not isinstance(err.value, InadmissibleSpec)
+    # each refused plan names the hypothesis that fails
+    with pytest.raises(InadmissibleSpec, match="no-scaling limit"):
         # pairwise independence only holds for the no-scaling limits
         _a1_scenario(u_grid=(1.0, 2.0),
                      plans=("JOINT_PAIRWISE_INDEPENDENCE",))
-    with pytest.raises(InadmissibleSpec):
+    with pytest.raises(InadmissibleSpec, match="Hurst index 0"):
         # log-time stationarity needs the beta = alpha D4 limit
         _a1_scenario(plans=("STATIONARITY_LOGTIME",))
-    with pytest.raises(InadmissibleSpec):
+    with pytest.raises(InadmissibleSpec, match="Hurst index 0"):
         _a1_scenario(spec=D4_SPEC, plans=("STATIONARITY_LOGTIME",))
-    with pytest.raises(InadmissibleSpec):
+    with pytest.raises(InadmissibleSpec, match="finite-mean law"):
         # MEAN_ABS_N needs a finite-mean scaled regime
         _a1_scenario(spec=D4_SPEC, plans=("MEAN_ABS_N",))
-    with pytest.raises(InadmissibleSpec):
+    with pytest.raises(InadmissibleSpec, match="scaled limit"):
         _a1_scenario(spec=DRI_SPEC, plans=("MEAN_ABS_N",))
-    with pytest.raises(InadmissibleSpec):
-        # a stationary no-scaling limit has no Hurst index
-        _a1_scenario(spec=DRI_SPEC, u_grid=(1.0, 4.0),
-                     plans=("SELF_SIMILARITY",))
-    with pytest.raises(InadmissibleSpec):
+    for plan in ("SELF_SIMILARITY", "STATIONARITY_LOGTIME"):
+        with pytest.raises(InadmissibleSpec, match="self-similar limit"):
+            # a stationary no-scaling limit has no Hurst index
+            _a1_scenario(spec=DRI_SPEC, u_grid=(1.0, 4.0), plans=(plan,))
+    with pytest.raises(InadmissibleSpec, match="finite-mean law"):
         # no stationary renewal process for an infinite-mean law
         _a1_scenario(spec=D4_SPEC, plans=("TIME_REVERSAL",))
     # plans that would test nothing: no moment order >= 1, an argument the
@@ -252,11 +256,15 @@ def test_scenario_validation():
     # a moment order with no closed-form reference (X* has order 1 only;
     # a plain MOMENTS asks for orders 1 and 2)
     for plan in ("MOMENTS", "MOMENTS:2"):
-        with pytest.raises(InadmissibleSpec, match="does not apply"):
+        with pytest.raises(InadmissibleSpec, match=(
+                r"does not apply to this NOSCALE_DRI spec: it needs a finite "
+                r"closed-form moment of each order up to 2 at each u of "
+                r"\(1\.0,\)")):
             _a1_scenario(spec=DRI_SPEC, plans=(plan,))
     for spec, plan in ((D4_SPEC, "SELF_SIMILARITY"),
                        (DRI_SPEC, "JOINT_PAIRWISE_INDEPENDENCE")):
-        with pytest.raises(InadmissibleSpec, match="at least 2"):
+        with pytest.raises(InadmissibleSpec,
+                           match="compares grid points and needs at least 2"):
             _a1_scenario(spec=spec, u_grid=(1.0,), plans=(plan,))
     _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0), plans=("SELF_SIMILARITY",))
     _a1_scenario(spec=DRI_SPEC, u_grid=(1.0, 2.0),
