@@ -99,11 +99,11 @@ def _sectioned_z(v, reference):
     if usable == 0:
         raise ValueError("sample too small for sectioning")
     batches = v[:usable].reshape(nb, -1).mean(axis=1)
-    est = batches.mean()
+    gap = batches.mean() - reference
     se = batches.std(ddof=1) / math.sqrt(nb)
-    if se == 0.0:
-        return 0.0 if est == reference else math.inf
-    return float((est - reference) / se)
+    if se == 0.0:                   # a sure miss, on the side of the mean
+        return math.copysign(math.inf, gap) if gap else 0.0
+    return float(gap / se)
 
 
 def moment_test(x, k, reference):
@@ -489,8 +489,8 @@ def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
 def _limit_reference_sample(scn: Scenario, key: tuple, u_grid, pool):
     """(replicates, len(u_grid)) draws of the limit law, column j of
     Y(u_j), from the streams under (seed, DOMAIN_REFERENCE, *key).  The
-    key (plan, batch) names the draw: KS_MARGINAL 1, SELF_SIMILARITY 2,
-    STATIONARITY_LOGTIME 3.  Rows are joint draws only where the regime's
+    key (plan, batch) names the draw: KS_MARGINAL 1, STATIONARITY_LOGTIME
+    3 (2 is retired).  Rows are joint draws only where the regime's
     sampler makes them so (see `shotnoise.Regime`); a sampler that draws
     each row from its own streams maps them over the pool."""
     return REGIMES[scn.spec.regime].reference(
@@ -563,13 +563,13 @@ def _run_time_reversal(scn, t, samples, arg, records, pool):
 
 
 def _run_self_similarity(scn, t, samples, arg, records, pool):
-    """Check the limit law's Hurst scaling between the smallest and largest
-    grid points using independent reference batches."""
+    """KS of (u_hi/u_lo)^H Y_t(u_lo) on the rung's rows [0, n/2) against
+    Y_t(u_hi) on rows [n/2, n); blind to a scale common to every u."""
     u_lo, u_hi = scn.u_grid[0], scn.u_grid[-1]
     hurst = REGIMES[scn.spec.regime].hurst(scn.spec)
-    a = _limit_reference_sample(scn, (2, 0), (u_lo,), pool)[:, 0]
-    b = _limit_reference_sample(scn, (2, 1), (u_hi,), pool)[:, 0]
-    d, p = ks_two_sample(a * (u_hi / u_lo) ** hurst, b)
+    half = len(samples) // 2
+    d, p = ks_two_sample(samples[:half, 0] * (u_hi / u_lo) ** hurst,
+                         samples[half:, -1])
     records.append(_record(scn, t, u_hi, SELF_SIMILARITY, d, hurst, p=p))
 
 
@@ -660,7 +660,7 @@ PLANS = {
          "needs a no-scaling limit, whose values are i.i.d. copies"),
         _TWO_POINTS)),
     TIME_REVERSAL: Plan(_run_time_reversal, False, False, (_FINITE_MEAN,)),
-    SELF_SIMILARITY: Plan(_run_self_similarity, False, False,
+    SELF_SIMILARITY: Plan(_run_self_similarity, False, True,
                           (_SELF_SIMILAR, _TWO_POINTS)),
     # a self-similar limit with H = 0 is stationary in log time (Lamperti);
     # in the table only D4 with beta = alpha, the inverse-subordinator

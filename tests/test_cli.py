@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -539,9 +540,16 @@ def test_readme_plan_table_lists_the_plans():
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
     table = readme.split("## Plans\n\n")[1].split("\n\n")[0]
-    names = [row.split("|")[1].strip().strip("`")
-             for row in table.splitlines()[2:]]
-    assert names == list(verify.PLANS)
+    # cells split at each pipe that is not escaped as \|
+    rows = [[c.strip() for c in re.split(r"(?<!\\)\|", row)[1:-1]]
+            for row in table.splitlines()]
+    assert rows[0][2:4] == ["rungs", "reads the matrix"]
+    # the name, the rungs and whether it reads the matrix, as PLANS has them
+    assert [(name.strip("`"), rungs, reads) for name, _, rungs, reads, _
+            in rows[2:]] == [
+        (name, "every" if plan.every_rung else "first",
+         "yes" if plan.needs_samples else "no")
+        for name, plan in verify.PLANS.items()]
 
 
 def test_unknown_key_exits_2(tmp_path):

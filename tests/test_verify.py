@@ -71,6 +71,10 @@ def test_moment_test_basics():
     assert abs(moment_test(x, 2, 2.0)) < 3
     bad = np.array([1.0, np.inf] * 200)
     assert moment_test(bad, 1, 1.0) == math.inf
+    # zero spread: a sure miss keeps the sign of the mean's error (a mean
+    # below the reference read +inf)
+    assert moment_test(np.full(100, 1.0), 1, 2.0) == -math.inf
+    assert moment_test(np.full(100, 1.0), 1, 0.5) == math.inf
     with pytest.raises(ValueError):
         moment_test(x, 0, 1.0)
 
@@ -81,6 +85,10 @@ def test_covariance_z():
     b = 0.5 * a + math.sqrt(0.75) * rng.normal(0, 1, 40000)
     assert abs(covariance_z(a, b, 0.5)) < 3
     assert abs(covariance_z(a, b, 0.0)) > 5
+    ones = np.ones(100)
+    assert covariance_z(ones, -ones, 0.0) == -math.inf
+    assert covariance_z(ones, ones, 0.0) == math.inf
+    assert covariance_z(ones, ones, 1.0) == 0.0
 
 
 def test_energy_distance_detects_and_calibrates():
@@ -192,6 +200,7 @@ def test_copula_test_is_the_boolean_cube_form(n, max_n, grid, ties):
         assert got == _copula_cube(x, y, 49, seed, max_n, grid)
 
 
+A1_SPEC = LimitSpec(Exponential(1.0), PowerDecay(0.25))
 D4_SPEC = LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25))
 DRI_SPEC = LimitSpec(Exponential(1.0), ExpDecay(1.0))
 CENTERED_SPEC = LimitSpec(Exponential(1.0), PowerDecay(0.75))
@@ -297,6 +306,8 @@ def test_d4_moments_csv_has_plain_floats():
 
 
 def test_ks_references_drawn_once_per_run(monkeypatch):
+    # one KS draw serves every rung; A1 has an exact CDF and draws none;
+    # SELF_SIMILARITY reads the matrix and draws nothing
     drawn = []
     inner = verify._limit_reference_sample
 
@@ -305,11 +316,42 @@ def test_ks_references_drawn_once_per_run(monkeypatch):
         return inner(scn, key, u_grid, pool)
 
     monkeypatch.setattr(verify, "_limit_reference_sample", counted)
+    for spec, want in ((D4_SPEC, [(1.0, 2.0)]), (A1_SPEC, [])):
+        drawn.clear()
+        scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0),
+                           t_ladder=(50.0, 100.0, 200.0), replicates=100,
+                           plans=("KS_MARGINAL", "SELF_SIMILARITY"),
+                           reference_mesh_d=1e-2)
+        rep = run_scenario(scn)
+        assert drawn == want and len(rep.records) == 7, spec.regime
+
+
+@pytest.mark.parametrize("spec", [A1_SPEC, D4_SPEC], ids=["A1", "D4"])
+def test_self_similarity_reads_the_engine(monkeypatch, spec):
+    # the record reads the engine's matrix: reversed u columns fail it,
+    # and a scale common to every column (the plan's blind spot) changes
+    # no byte of it; the setting was fixed before any run
+    scn = Scenario(spec=spec, u_grid=(0.5, 1.0, 2.0), t_ladder=(400.0,),
+                   replicates=2000, seed=1, plans=("SELF_SIMILARITY",))
+    m = simulate_scaled_matrix(spec, scn.u_grid, 400.0, 2000, 1)
+    records = []
+    for defect in (lambda x: x, lambda x: x[:, ::-1], lambda x: 2.0 * x):
+        monkeypatch.setattr(verify, "simulate_scaled_matrix",
+                            lambda *a, **kw: defect(m))
+        records += run_scenario(scn).records
+    plain, reversed_u, doubled = records
+    assert not reversed_u.passed and doubled == plain
+
+
+def test_self_similarity_alone_simulates_every_rung():
+    # its only plan reads the matrix, so the run draws one per rung
     scn = _a1_scenario(spec=D4_SPEC, u_grid=(1.0, 2.0),
-                       t_ladder=(50.0, 100.0, 200.0), replicates=100,
-                       reference_mesh_d=1e-2)
+                       t_ladder=(50.0, 100.0), replicates=100,
+                       plans=("SELF_SIMILARITY",))
     rep = run_scenario(scn)
-    assert drawn == [(1.0, 2.0)] and len(rep.records) == 6
+    assert [r.test for r in rep.records] == ["SELF_SIMILARITY"]
+    assert sorted(rep.plot_data) == [(t, u) for t in scn.t_ladder
+                                     for u in scn.u_grid]
 
 
 def _centered_x_star(s, scn, j, rng):
