@@ -193,9 +193,10 @@ def cmd_verify(args):
         f.write("\n")
     with open(cpath, "w", newline="", encoding="utf-8") as f:
         report.write_csv(f)
-    if report.plot_data:
-        with open(ppath, "w", newline="", encoding="utf-8") as f:
-            report.write_plot_data(f)
+    # the header alone for a run without a matrix, so no earlier run's
+    # plot file is left beside this report
+    with open(ppath, "w", newline="", encoding="utf-8") as f:
+        report.write_plot_data(f)
     if args.json:
         print(json.dumps({"all_passed": report.all_passed,
                           "n_records": len(report.records)}, sort_keys=True))

@@ -316,11 +316,11 @@ def _d4_cdf(spec, u):
     return lambda q: -np.expm1(-np.maximum(q, 0.0))
 
 
-def _gaussian_reference(scn, u_grid, key, map_rows):
+def _gaussian_reference(scn, key, map_rows):
     """Independent normal columns, one block from one stream."""
-    sd = np.sqrt([_gaussian_variance(scn.spec, u) for u in u_grid])
+    sd = np.sqrt([_gaussian_variance(scn.spec, u) for u in scn.u_grid])
     return substream(scn.seed, *key).normal(0.0, sd,
-                                            (scn.replicates, len(u_grid)))
+                                            (scn.replicates, len(sd)))
 
 
 def _x_star_rows(spec, T, columns, seed, key, rows):
@@ -344,17 +344,16 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
     return out
 
 
-def _x_star_reference(scn, u_grid, key, map_rows):
+def _x_star_reference(scn, key, map_rows):
     """Independent X* columns (see _x_star_rows), T the scenario's
     x_star_truncation or its default, under the scenario's shot cap; the
     map's work is the shots of its n * columns paths."""
-    spec, n = scn.spec, scn.replicates
+    spec, n, columns = scn.spec, scn.replicates, len(scn.u_grid)
     T = (default_x_star_truncation(spec) if scn.x_star_truncation is None
          else scn.x_star_truncation)
-    shots = renewal.check_shot_cap(spec.law, T, n * len(u_grid),
-                                   scn.max_shots)
-    return map_rows(partial(_x_star_rows, spec, T, len(u_grid), scn.seed,
-                            key), n, shots)
+    shots = renewal.check_shot_cap(spec.law, T, n * columns, scn.max_shots)
+    return map_rows(partial(_x_star_rows, spec, T, columns, scn.seed, key),
+                    n, shots)
 
 
 def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
@@ -366,12 +365,12 @@ def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
         for i in range(len(rows))])
 
 
-def _inverse_subordinator_reference(scn, u_grid, key, map_rows):
+def _inverse_subordinator_reference(scn, key, map_rows):
     """The rows of _inverse_subordinator_rows; the map's work is the jump
     epochs of each row's first piece (limits.expected_jumps)."""
     spec, n, mesh_d = scn.spec, scn.replicates, scn.reference_mesh_d
-    jumps = n * limits.expected_jumps(spec.alpha, max(u_grid), mesh_d)
-    return map_rows(partial(_inverse_subordinator_rows, spec, u_grid,
+    jumps = n * limits.expected_jumps(spec.alpha, max(scn.u_grid), mesh_d)
+    return map_rows(partial(_inverse_subordinator_rows, spec, scn.u_grid,
                             mesh_d, scn.seed, key), n, jumps=jumps)
 
 
@@ -402,7 +401,8 @@ class Regime:
     """One row of the limit-theorem table, the regime of each (law, h)
     that all its `admits` hold for; no two rows admit one pair.  Every
     callable takes the LimitSpec first, but `reference`, which takes the
-    verify.Scenario that holds it and the size, seed and knobs of the draw.
+    verify.Scenario that holds it, the u-grid and the size, seed and knobs
+    of the draw.
     Callables reach `limits` through the module, so wrapping a `limits`
     function (for tracing, say) reaches them too.
     A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
@@ -423,9 +423,10 @@ class Regime:
                                 # per path, rung t of ts and u, as
                                 # (len(paths), len(ts), len(u))
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
-    reference: Callable         # (scenario, u_grid, key, map_rows) ->
+    reference: Callable         # (scenario, key, map_rows) ->
                                 # (replicates, len(u_grid)) draws of Y on
-                                # the streams (seed, *key, ...)
+                                # the scenario's u-grid from the streams
+                                # (seed, *key, ...)
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
     hurst: Callable | None      # (spec) -> H; None: stationary limit
 
@@ -473,10 +474,10 @@ REGIMES = {
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
-        reference=lambda scn, u, key, map_rows:
+        reference=lambda scn, key, map_rows:
             limits.marginal_sample_finite_mean(
-                scn.spec.alpha, scn.spec.beta, np.asarray(u),
-                substream(scn.seed, *key), (scn.replicates, len(u))),
+                scn.spec.alpha, scn.spec.beta, np.asarray(scn.u_grid),
+                substream(scn.seed, *key), (scn.replicates, len(scn.u_grid))),
         moment=_zero_mean, hurst=_levy_hurst),
     D4: Regime(
         admits=(_H_REGULARLY_VARYING,

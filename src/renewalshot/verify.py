@@ -486,15 +486,15 @@ def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
     return TestRecord(t, u, test, statistic, reference, p, z, bool(passed))
 
 
-def _limit_reference_sample(scn: Scenario, key: tuple, u_grid, pool):
-    """(replicates, len(u_grid)) draws of the limit law, column j of
-    Y(u_j), from the streams under (seed, DOMAIN_REFERENCE, *key).  The
-    key (plan, batch) names the draw: KS_MARGINAL 1, STATIONARITY_LOGTIME
-    3 (2 is retired).  Rows are joint draws only where the regime's
-    sampler makes them so (see `shotnoise.Regime`); a sampler that draws
-    each row from its own streams maps them over the pool."""
+def _limit_reference_sample(scn: Scenario, pool):
+    """(replicates, len(u_grid)) draws of the limit law on the scenario's
+    grid, column j of Y(u_j): KS_MARGINAL's batch, from the streams under
+    (seed, DOMAIN_REFERENCE, 1, 0) (keys 2 and 3 are retired).  Rows are
+    joint draws only where the regime's sampler makes them so (see
+    `shotnoise.Regime`); a sampler that draws each row from its own
+    streams maps them over the pool."""
     return REGIMES[scn.spec.regime].reference(
-        scn, tuple(u_grid), (DOMAIN_REFERENCE,) + key, pool.rows)
+        scn, (DOMAIN_REFERENCE, 1, 0), pool.rows)
 
 
 def _run_ks_marginal(scn, t, samples, arg, records, pool):
@@ -502,8 +502,7 @@ def _run_ks_marginal(scn, t, samples, arg, records, pool):
     cdfs = [REGIMES[spec.regime].exact(spec, u) for u in scn.u_grid]
     if any(cdf is None for cdf in cdfs) and KS_MARGINAL not in pool.kept:
         # one draw of the whole grid serves every rung
-        pool.kept[KS_MARGINAL] = _limit_reference_sample(
-            scn, (1, 0), scn.u_grid, pool)
+        pool.kept[KS_MARGINAL] = _limit_reference_sample(scn, pool)
     for j, (u, cdf) in enumerate(zip(scn.u_grid, cdfs)):
         col = samples[:, j]
         if cdf is not None:
@@ -573,23 +572,19 @@ def _run_self_similarity(scn, t, samples, arg, records, pool):
     records.append(_record(scn, t, u_hi, SELF_SIMILARITY, d, hurst, p=p))
 
 
-# log-time lags s of the covariance pairs (e^w, e^(w+s))
-_LOGTIME_LAGS = (0.0, math.log(2.0))
-
-
 def _run_stationarity_logtime(scn, t, samples, arg, records, pool):
-    v = 0.5                                  # log-time shift for the lag pair
-    u_pts = sorted({1.0} | {math.exp(s) for s in _LOGTIME_LAGS}
-                   | {math.exp(v)} | {math.exp(v + s) for s in _LOGTIME_LAGS})
-    ys = _limit_reference_sample(scn, (3, 0), u_pts, pool)
-    col = {u: ys[:, j] for j, u in enumerate(u_pts)}
-    for s in _LOGTIME_LAGS:
-        ref = float(limits.stationary_covariance(scn.spec.alpha, s))
-        for w in (0, v):                     # pairs (e^w, e^(w+s))
-            z = covariance_z(col[math.exp(w)] - 1.0,
-                             col[math.exp(w + s)] - 1.0, ref)
-            records.append(_record(scn, t, s, f"{STATIONARITY_LOGTIME}:lag{w}",
-                                   ref, ref, z=z))
+    """The mean of (Y_t(u_i) - 1)(Y_t(u_j) - 1) on the rung's matrix
+    against R(ln(u_j/u_i)), for each pair u_i <= u_j of the grid: pairs
+    of one lag at different u test stationarity in log time."""
+    centered = samples - 1.0
+    for i, u_i in enumerate(scn.u_grid):
+        for j in range(i, len(scn.u_grid)):
+            a, b = centered[:, i], centered[:, j]
+            ref = float(limits.stationary_covariance(
+                scn.spec.alpha, math.log(scn.u_grid[j] / u_i)))
+            records.append(_record(
+                scn, t, scn.u_grid[j], f"{STATIONARITY_LOGTIME}:u={u_i}",
+                float(np.mean(a * b)), ref, z=covariance_z(a, b, ref)))
 
 
 def _run_mean_abs_n(scn, t, samples, arg, records, pool):
@@ -663,12 +658,11 @@ PLANS = {
     SELF_SIMILARITY: Plan(_run_self_similarity, False, True,
                           (_SELF_SIMILAR, _TWO_POINTS)),
     # a self-similar limit with H = 0 is stationary in log time (Lamperti);
-    # in the table only D4 with beta = alpha, the inverse-subordinator
-    # functional the runner simulates, has H = 0
-    STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, False, False, (
+    # in the table only D4 with beta = alpha has H = 0
+    STATIONARITY_LOGTIME: Plan(_run_stationarity_logtime, True, True, (
         _SELF_SIMILAR,
         (lambda scn, _: REGIMES[scn.spec.regime].hurst(scn.spec) == 0.0,
-         "needs Hurst index 0 (D4 with beta = alpha)"))),
+         "needs Hurst index 0 (D4 with beta = alpha)"), _TWO_POINTS)),
     # the stable limit of the counting process: finite-mean scaled regimes
     MEAN_ABS_N: Plan(_run_mean_abs_n, True, False, (
         (lambda scn, _: REGIMES[scn.spec.regime].g is not None,

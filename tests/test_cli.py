@@ -587,12 +587,19 @@ def test_verify_outputs_and_exit(a1_config, tmp_path):
 
 
 def test_verify_mean_abs_n_exits_0_or_1(tmp_path):
+    # a KS_MARGINAL run to the same --out first: a run without a matrix
+    # once left its plot file beside the new report
+    ks = tmp_path / "ks.ini"
+    ks.write_text(A1_CONFIG)
+    assert cli.main(["verify", "--config", str(ks),
+                     "--out", str(tmp_path / "r")]) in (0, 1)
     p = tmp_path / "mean_abs_n.ini"
     p.write_text(A1_CONFIG.replace("plans = KS_MARGINAL", "plans = MEAN_ABS_N"))
     rc = cli.main(["verify", "--config", str(p), "--out", str(tmp_path / "r")])
     assert rc in (0, 1)
     payload = json.loads((tmp_path / "r.json").read_text())
     assert [r["test"] for r in payload["records"]] == ["MEAN_ABS_N"]
+    assert (tmp_path / "r.plot.csv").read_text() == "t,u,prob,quantile\n"
 
 
 def test_verify_designed_failure_exits_1(tmp_path):

@@ -329,7 +329,6 @@ def test_x_star_centered_sampling():
     assert spec.regime == NOSCALE_CENTERED
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
-    x = REGIMES[NOSCALE_CENTERED].reference(scn, (1.0,), (7,),
-                                            _Pool(1).rows)[:, 0]
+    x = REGIMES[NOSCALE_CENTERED].reference(scn, (7,), _Pool(1).rows)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se

@@ -401,7 +401,7 @@ def test_regime_table_entry_is_complete(spec):
                             100.0)
     assert stat.shape == (2,) and np.all(np.isfinite(stat))
     assert math.isfinite(regime.moment(spec, 1.0, 1))
-    refs = regime.reference(_scenario(spec), (1.0, 2.0), (9,), _Pool(1).rows)
+    refs = regime.reference(_scenario(spec, (1.0, 2.0)), (9,), _Pool(1).rows)
     assert refs.shape == (100, 2) and np.all(np.isfinite(refs))
     cdf = regime.exact(spec, 1.0)
     if cdf is not None:
@@ -419,10 +419,8 @@ def test_d4_reference_column_does_not_depend_on_the_rest_of_the_grid():
     # one jump-epoch draw per row serves every u, and the epochs up to u do
     # not depend on the largest u of the grid
     spec = TABLE_SPECS[-2]
-    one = _limit_reference_sample(_scenario(spec, (1.0,)), (1, 0), (1.0,),
-                                  _Pool(1))
-    two = _limit_reference_sample(_scenario(spec, (1.0, 2.0)), (1, 0),
-                                  (1.0, 2.0), _Pool(1))
+    one = _limit_reference_sample(_scenario(spec, (1.0,)), _Pool(1))
+    two = _limit_reference_sample(_scenario(spec, (1.0, 2.0)), _Pool(1))
     assert one[:, 0].tobytes() == two[:, 0].tobytes()
 
 
@@ -430,7 +428,7 @@ def test_noscale_reference_columns_have_their_own_streams():
     # far-apart grid points once shared one stream key
     spec = TABLE_SPECS[0]
     scn = _scenario(spec, (2048.0, 4096.0))
-    refs = _limit_reference_sample(scn, (1, 0), scn.u_grid, _Pool(1))
+    refs = _limit_reference_sample(scn, _Pool(1))
     assert not np.array_equal(refs[:, 0], refs[:, 1])
 
 

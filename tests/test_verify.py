@@ -203,6 +203,8 @@ def test_copula_test_is_the_boolean_cube_form(n, max_n, grid, ties):
 A1_SPEC = LimitSpec(Exponential(1.0), PowerDecay(0.25))
 D4_SPEC = LimitSpec(Pareto(0.5, 1.0), PowerDecay(0.25))
 DRI_SPEC = LimitSpec(Exponential(1.0), ExpDecay(1.0))
+# D4 with beta = alpha: Hurst index 0
+TAIL_MATCHED_SPEC = LimitSpec(Pareto(0.5, 1.0), ParetoTailMatch(0.5, 1.0, 1.0))
 CENTERED_SPEC = LimitSpec(Exponential(1.0), PowerDecay(0.75))
 
 
@@ -271,7 +273,8 @@ def test_scenario_validation():
                 r"\(1\.0,\)")):
             _a1_scenario(spec=DRI_SPEC, plans=(plan,))
     for spec, plan in ((D4_SPEC, "SELF_SIMILARITY"),
-                       (DRI_SPEC, "JOINT_PAIRWISE_INDEPENDENCE")):
+                       (DRI_SPEC, "JOINT_PAIRWISE_INDEPENDENCE"),
+                       (TAIL_MATCHED_SPEC, "STATIONARITY_LOGTIME")):
         with pytest.raises(InadmissibleSpec,
                            match="compares grid points and needs at least 2"):
             _a1_scenario(spec=spec, u_grid=(1.0,), plans=(plan,))
@@ -294,36 +297,39 @@ def test_plan_named_twice_is_refused(plans):
 def test_d4_moments_csv_has_plain_floats():
     # limits.moments_inverse_case and limits.stationary_covariance return
     # numpy.float64, whose repr is "np.float64(...)"
-    tail_matched = LimitSpec(Pareto(0.5, 1.0),
-                             ParetoTailMatch(0.5, 1.0, 1.0))
-    for spec, plan, records in ((D4_SPEC, "MOMENTS:2", 2),
-                                (tail_matched, "STATIONARITY_LOGTIME", 4)):
-        rep = run_scenario(_a1_scenario(spec=spec, replicates=100,
-                                        plans=(plan,)))
+    for spec, plan, u_grid, records in (
+            (D4_SPEC, "MOMENTS:2", (1.0,), 2),
+            (TAIL_MATCHED_SPEC, "STATIONARITY_LOGTIME", (1.0, 2.0), 3)):
+        rep = run_scenario(_a1_scenario(spec=spec, u_grid=u_grid,
+                                        replicates=100, plans=(plan,)))
         buf = io.StringIO()
         rep.write_csv(buf)
         assert len(rep.records) == records and "np." not in buf.getvalue()
 
 
 def test_ks_references_drawn_once_per_run(monkeypatch):
-    # one KS draw serves every rung; A1 has an exact CDF and draws none;
-    # SELF_SIMILARITY reads the matrix and draws nothing
+    # one KS draw serves every rung; A1 and D4 with beta = alpha have an
+    # exact CDF and draw none; SELF_SIMILARITY and STATIONARITY_LOGTIME
+    # read the matrix and draw nothing
     drawn = []
     inner = verify._limit_reference_sample
 
-    def counted(scn, key, u_grid, pool):
-        drawn.append(tuple(u_grid))
-        return inner(scn, key, u_grid, pool)
+    def counted(scn, pool):
+        drawn.append(scn.u_grid)
+        return inner(scn, pool)
 
     monkeypatch.setattr(verify, "_limit_reference_sample", counted)
-    for spec, want in ((D4_SPEC, [(1.0, 2.0)]), (A1_SPEC, [])):
+    for spec, plan, want, records in (
+            (D4_SPEC, "SELF_SIMILARITY", [(1.0, 2.0)], 7),
+            (A1_SPEC, "SELF_SIMILARITY", [], 7),
+            (TAIL_MATCHED_SPEC, "STATIONARITY_LOGTIME", [], 15)):
         drawn.clear()
         scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0),
                            t_ladder=(50.0, 100.0, 200.0), replicates=100,
-                           plans=("KS_MARGINAL", "SELF_SIMILARITY"),
+                           plans=("KS_MARGINAL", plan),
                            reference_mesh_d=1e-2)
         rep = run_scenario(scn)
-        assert drawn == want and len(rep.records) == 7, spec.regime
+        assert drawn == want and len(rep.records) == records, spec
 
 
 @pytest.mark.parametrize("spec", [A1_SPEC, D4_SPEC], ids=["A1", "D4"])
@@ -341,6 +347,33 @@ def test_self_similarity_reads_the_engine(monkeypatch, spec):
         records += run_scenario(scn).records
     plain, reversed_u, doubled = records
     assert not reversed_u.passed and doubled == plain
+
+
+def test_stationarity_logtime_reads_the_engine(monkeypatch):
+    # the pair and variance records read the engine's matrix: a x1.5
+    # scale fails every record, and the u = 2 column with its rows
+    # shuffled, which leaves the pair uncorrelated, fails the pair record;
+    # the setting was fixed before any run (a x1.1 scale is not reliably
+    # seen there)
+    scn = Scenario(spec=TAIL_MATCHED_SPEC, u_grid=(1.0, 2.0),
+                   t_ladder=(1e5,), replicates=2000, seed=1,
+                   plans=("STATIONARITY_LOGTIME",))
+    m = simulate_scaled_matrix(scn.spec, scn.u_grid, 1e5, 2000, 1)
+    shuffled = m.copy()
+    shuffled[:, 1] = m[substream(7, DOMAIN_AUX).permutation(len(m)), 1]
+    runs = []
+    for defect in (m, 1.5 * m, shuffled):
+        monkeypatch.setattr(verify, "simulate_scaled_matrix",
+                            lambda *a, defect=defect, **kw: defect)
+        runs.append(run_scenario(scn).records)
+    plain, scaled, unpaired = runs
+    assert [r.test for r in plain] == [
+        "STATIONARITY_LOGTIME:u=1.0", "STATIONARITY_LOGTIME:u=1.0",
+        "STATIONARITY_LOGTIME:u=2.0"]
+    assert [r.u for r in plain] == [1.0, 2.0, 2.0]
+    assert all(r.passed for r in plain)
+    assert not any(r.passed for r in scaled)
+    assert not unpaired[1].passed
 
 
 def test_self_similarity_alone_simulates_every_rung():
@@ -384,8 +417,8 @@ def test_x_star_draws_use_one_stream_per_draw(monkeypatch, spec, draw):
         want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
                          for i in range(n)])
         for threads in (1, 2):
-            got = verify._limit_reference_sample(scn, key[1:], scn.u_grid,
-                                                 verify._Pool(threads))
+            got = shotnoise.REGIMES[spec.regime].reference(
+                scn, key, verify._Pool(threads).rows)
             assert got[:, j].tobytes() == want.tobytes()
 
 
