@@ -175,6 +175,8 @@ def moments_inverse_case(alpha: float, beta: float, u: float, k: int) -> float:
     _check_inverse_case(alpha, beta)
     if not u > 0:
         raise ValueError("u must be positive")
+    if k > 170:     # k! overflows a float: say so before k Gamma ratios
+        raise OverflowError("int too large to convert to float")
     # imported here: under scipy 1.17 scipy.special is three quarters of
     # the start-up time, and set-up evaluates it only for D4 moments
     from scipy.special import gamma as _gamma

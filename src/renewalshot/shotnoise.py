@@ -19,8 +19,8 @@ import numpy as np
 
 from . import limits, renewal
 from .laws import Constant, IncrementLaw, ResponseFunction
-from .renewal import RenewalPath
-from .streams import substream, substreams
+from .renewal import RenewalPath, ResourceCapExceeded
+from .streams import DOMAIN_REFERENCE, substream, substreams
 
 NOSCALE_DRI = "NOSCALE_DRI"
 NOSCALE_CENTERED = "NOSCALE_CENTERED"
@@ -28,6 +28,9 @@ A1 = "A1"
 A2 = "A2"
 A3 = "A3"
 D4 = "D4"
+
+# every limit-law draw comes from a stream (seed, *REFERENCE_KEY, ...)
+REFERENCE_KEY = (DOMAIN_REFERENCE, 1, 0)
 
 
 class InadmissibleSpec(ValueError):
@@ -235,18 +238,18 @@ def scaled_statistic(spec: LimitSpec, path: RenewalPath,
                                           (t,))[0, 0]
 
 
-def default_x_star_truncation(spec: LimitSpec, tol: float = 1e-9) -> float:
-    """Level T where the X* truncation bound is at most tol: 10 mu doubled
-    until it is.  A ValueError once T passes 1e6 with the bound still
-    above tol (always for a non-integrable response, whose bound is inf):
-    the level must then be given as x_star_truncation."""
+def default_x_star_truncation(spec: LimitSpec) -> float:
+    """Level T where the X* truncation bound is at most 1e-9: 10 mu
+    doubled until it is.  A ValueError once T passes 1e6 with the bound
+    still above 1e-9 (always for a non-integrable response, whose bound is
+    inf): the level must then be given as x_star_truncation."""
     law, h = spec.law, spec.h
     T = 10.0 * law.mean
-    while (bound := limits.x_star_tail_bound(law, h, T)) > tol:
+    while (bound := limits.x_star_tail_bound(law, h, T)) > 1e-9:
         if T >= 1e6:
             raise ValueError(
                 f"the X* truncation bound of {h!r} is {bound:.3g} at "
-                f"T = {T:g}, above {tol:g}, so there is no default X* "
+                f"T = {T:g}, above 1e-09, so there is no default X* "
                 "truncation level; set x_star_truncation")
         T *= 2.0
     return T
@@ -316,25 +319,18 @@ def _d4_cdf(spec, u):
     return lambda q: -np.expm1(-np.maximum(q, 0.0))
 
 
-def _gaussian_reference(scn, key, map_rows):
-    """Independent normal columns, one block from one stream."""
-    sd = np.sqrt([_gaussian_variance(scn.spec, u) for u in scn.u_grid])
-    return substream(scn.seed, *key).normal(0.0, sd,
-                                            (scn.replicates, len(sd)))
-
-
-def _x_star_rows(spec, T, columns, seed, key, rows):
+def _x_star_rows(spec, T, columns, seed, rows):
     """Rows `rows` of the X* columns truncated at T: draw (i, j) is the
     sum of h over the epochs <= T, in order, of the stationary path of
-    stream (seed, *key, j, i), so it equals limits.sample_X_star on that
-    stream bit for bit; for a non-integrable h (the centered regime)
-    minus mu^{-1} int_0^T h."""
+    stream (seed, *REFERENCE_KEY, j, i), so it equals limits.sample_X_star
+    on that stream bit for bit; for a non-integrable h (the centered
+    regime) minus mu^{-1} int_0^T h."""
     law, h = spec.law, spec.h
     out = np.empty((len(rows), columns))
     for j in range(columns):
         sums = []
         for paths in renewal.epoch_batches(law, T, renewal.STATIONARY, seed,
-                                           key + (j,), rows):
+                                           REFERENCE_KEY + (j,), rows):
             used = paths <= T
             sums.append(_row_sums(h.eval(paths[used]),
                                   np.count_nonzero(used, axis=1)))
@@ -344,7 +340,7 @@ def _x_star_rows(spec, T, columns, seed, key, rows):
     return out
 
 
-def _x_star_reference(scn, key, map_rows):
+def _x_star_reference(scn, map_rows):
     """Independent X* columns (see _x_star_rows), T the scenario's
     x_star_truncation or its default, under the scenario's shot cap; the
     map's work is the shots of its n * columns paths."""
@@ -352,26 +348,29 @@ def _x_star_reference(scn, key, map_rows):
     T = (default_x_star_truncation(spec) if scn.x_star_truncation is None
          else scn.x_star_truncation)
     shots = renewal.check_shot_cap(spec.law, T, n * columns, scn.max_shots)
-    return map_rows(partial(_x_star_rows, spec, T, columns, scn.seed, key),
-                    n, shots)
+    return map_rows(partial(_x_star_rows, spec, T, columns, scn.seed), n,
+                    shots)
 
 
-def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, key, rows):
+def _inverse_subordinator_rows(spec, u_grid, mesh_d, seed, rows):
     """Row i of rows: one draw of the jump epochs from stream
-    (seed, *key, i), summed at every u of the grid."""
-    stream = substreams(seed, key, rows)
+    (seed, *REFERENCE_KEY, i), summed at every u of the grid."""
+    stream = substreams(seed, REFERENCE_KEY, rows)
     return np.array([limits.inverse_frac_integral(
         spec.alpha, spec.beta, u_grid, mesh_d, stream(i))
         for i in range(len(rows))])
 
 
-def _inverse_subordinator_reference(scn, key, map_rows):
-    """The rows of _inverse_subordinator_rows; the map's work is the jump
-    epochs of each row's first piece (limits.expected_jumps)."""
+def _inverse_subordinator_reference(scn, map_rows):
+    """The rows of _inverse_subordinator_rows; the map's work, under the
+    shot cap, is the jump epochs of each row's first piece."""
     spec, n, mesh_d = scn.spec, scn.replicates, scn.reference_mesh_d
     jumps = n * limits.expected_jumps(spec.alpha, max(scn.u_grid), mesh_d)
+    if jumps > scn.max_shots:
+        raise ResourceCapExceeded(
+            f"estimated jump epoch count exceeds cap {scn.max_shots:g}")
     return map_rows(partial(_inverse_subordinator_rows, spec, scn.u_grid,
-                            mesh_d, scn.seed, key), n, jumps=jumps)
+                            mesh_d, scn.seed), n, jumps=jumps)
 
 
 def _gaussian_moment(spec, u, k):
@@ -405,17 +404,17 @@ class Regime:
     of the draw.
     Callables reach `limits` through the module, so wrapping a `limits`
     function (for tracing, say) reaches them too.
-    A `reference` row is a joint draw of (Y(u_1), ..., Y(u_k)) only where
-    the sampler makes it one: D4 (one jump-epoch draw per row) and the
-    no-scaling limits (independent at distinct u).  A1-A3 columns have the
-    right marginals but are drawn independently.  The D4 and no-scaling
-    samplers draw each row from its own streams and hand their rows to
-    map_rows(fn, n, epochs=0, jumps=0), which returns fn's rows for
-    [0, n) from calls of fn on ranges of rows (verify's run pool); the
-    map's expected renewal-path epochs and D4 jump epochs give its
-    expected seconds, which decide whether the rows are worth splitting;
-    the A1-A3 blocks come from one stream each, cannot be split, and
-    ignore it."""
+    A row has an `exact` CDF at every u or a `reference` sampler (A1 and
+    A2, whose marginals are normal, have none).  A `reference` row is a
+    joint draw of (Y(u_1), ..., Y(u_k)) only where the sampler makes it
+    one: D4 (one jump-epoch draw per row) and the no-scaling limits
+    (independent at distinct u); A3's columns are drawn independently.
+    The D4 and no-scaling samplers draw each row from its own streams
+    and hand their rows to map_rows(fn, n, epochs=0, jumps=0), which
+    returns fn's rows for [0, n) from calls of fn on ranges of rows
+    (verify's run pool); the map's expected renewal-path epochs and D4
+    jump epochs give its expected seconds, which decide whether the rows
+    are worth splitting; A3's one-stream block cannot be split."""
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
@@ -423,10 +422,10 @@ class Regime:
                                 # per path, rung t of ts and u, as
                                 # (len(paths), len(ts), len(u))
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
-    reference: Callable         # (scenario, key, map_rows) ->
+    reference: Callable | None  # (scenario, map_rows) ->
                                 # (replicates, len(u_grid)) draws of Y on
                                 # the scenario's u-grid from the streams
-                                # (seed, *key, ...)
+                                # (seed, *REFERENCE_KEY, ...); None: exact
     moment: Callable            # (spec, u, k) -> E Y(u)^k; else ValueError
     hurst: Callable | None      # (spec) -> H; None: stationary limit
 
@@ -454,7 +453,7 @@ REGIMES = {
                 _GAUSSIAN_BETA),
         g=lambda spec, t: math.sqrt(
             spec.law.variance * spec.law.mean ** (-3) * t),
-        statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
+        statistic=_g_scaled, exact=_gaussian_cdf, reference=None,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A2: Regime(
         admits=(_H_REGULARLY_VARYING,
@@ -463,7 +462,7 @@ REGIMES = {
                 (lambda s: s.alpha == 2, "requires alpha = 2, got {s.alpha}"),
                 _GAUSSIAN_BETA),
         g=lambda spec, t: spec.law.mean ** (-1.5) * solve_c(spec.law, t),
-        statistic=_g_scaled, exact=_gaussian_cdf, reference=_gaussian_reference,
+        statistic=_g_scaled, exact=_gaussian_cdf, reference=None,
         moment=_gaussian_moment, hurst=_levy_hurst),
     A3: Regime(
         admits=(_H_REGULARLY_VARYING,
@@ -474,10 +473,10 @@ REGIMES = {
         g=lambda spec, t: (spec.law.mean ** (-1.0 - 1.0 / spec.alpha)
                            * solve_c(spec.law, t)),
         statistic=_g_scaled, exact=lambda spec, u: None,
-        reference=lambda scn, key, map_rows:
-            limits.marginal_sample_finite_mean(
-                scn.spec.alpha, scn.spec.beta, np.asarray(scn.u_grid),
-                substream(scn.seed, *key), (scn.replicates, len(scn.u_grid))),
+        reference=lambda scn, map_rows: limits.marginal_sample_finite_mean(
+            scn.spec.alpha, scn.spec.beta, np.asarray(scn.u_grid),
+            substream(scn.seed, *REFERENCE_KEY),
+            (scn.replicates, len(scn.u_grid))),
         moment=_zero_mean, hurst=_levy_hurst),
     D4: Regime(
         admits=(_H_REGULARLY_VARYING,

@@ -28,8 +28,7 @@ from . import limits, renewal, shotnoise
 from .renewal import ResourceCapExceeded
 from .shotnoise import REGIMES, LimitSpec, InadmissibleSpec
 from .stable import abs_moment
-from .streams import (DOMAIN_AUX, DOMAIN_REFERENCE, DOMAIN_REPLICATE,
-                      substream)
+from .streams import DOMAIN_AUX, DOMAIN_REPLICATE, substream
 
 KS_MARGINAL = "KS_MARGINAL"
 MOMENTS = "MOMENTS"
@@ -93,12 +92,12 @@ def ks_one_sample_normal(x, mean, variance):
 
 def _sectioned_z(v, reference):
     """z-score of the mean of v against a reference, with the standard
-    error estimated by sectioning into 20 batches (robust to heavy tails)."""
+    error estimated by sectioning every row of v into 20 batches of
+    floor(n/20) or ceil(n/20) rows (robust to heavy tails)."""
     nb = 20
-    usable = (len(v) // nb) * nb
-    if usable == 0:
+    if len(v) < nb:
         raise ValueError("sample too small for sectioning")
-    batches = v[:usable].reshape(nb, -1).mean(axis=1)
+    batches = np.array([b.mean() for b in np.array_split(v, nb)])
     gap = batches.mean() - reference
     se = batches.std(ddof=1) / math.sqrt(nb)
     if se == 0.0:                   # a sure miss, on the side of the mean
@@ -487,14 +486,10 @@ def _record(scn: Scenario, t, u, test, statistic, reference, p=None, z=None):
 
 
 def _limit_reference_sample(scn: Scenario, pool):
-    """(replicates, len(u_grid)) draws of the limit law on the scenario's
-    grid, column j of Y(u_j): KS_MARGINAL's batch, from the streams under
-    (seed, DOMAIN_REFERENCE, 1, 0) (keys 2 and 3 are retired).  Rows are
-    joint draws only where the regime's sampler makes them so (see
-    `shotnoise.Regime`); a sampler that draws each row from its own
-    streams maps them over the pool."""
-    return REGIMES[scn.spec.regime].reference(
-        scn, (DOMAIN_REFERENCE, 1, 0), pool.rows)
+    """KS_MARGINAL's (replicates, len(u_grid)) draws of the limit law,
+    column j of Y(u_j), from the streams (seed, *shotnoise.REFERENCE_KEY,
+    ...); `shotnoise.Regime` says which rows are joint draws."""
+    return REGIMES[scn.spec.regime].reference(scn, pool.rows)
 
 
 def _run_ks_marginal(scn, t, samples, arg, records, pool):

@@ -494,7 +494,14 @@ def test_too_few_replicates_exits_2(tmp_path, capsys):
       "plans = KS_MARGINAL": "plans = MEAN_ABS_N"}, "max_shots = 1e5"),
     # 1.2e4 expected shots in each stationary time-reversal loop
     ({"plans = KS_MARGINAL": "plans = TIME_REVERSAL"}, "max_shots = 1e4"),
-], ids=["x-star-references", "mean-abs-n", "time-reversal"])
+    # 1.09e4 expected shots in the matrix, 90,100 expected jump epochs in
+    # the D4 reference, which once escaped the cap (exit 1)
+    ({"family = exponential\nrate = 1.0":
+      "family = pareto\nalpha = 0.5\nxm = 1.0",
+      "kind = constant\nvalue = 1.0": "kind = powerdecay\nbeta = 0.25",
+      A1_REGIME: "name = D4\n", "u = 0.5, 1.0": "u = 0.5, 1, 2",
+      "t = 60": "t = 100", "seed = 11": "seed = 1"}, "max_shots = 5e4"),
+], ids=["x-star-references", "mean-abs-n", "time-reversal", "d4-reference"])
 def test_shot_cap_covers_every_path_loop(tmp_path, capsys, swaps, lines):
     text = _swap(A1_CONFIG, ("replicates = 120", "replicates = 100"),
                  *swaps.items())

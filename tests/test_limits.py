@@ -89,6 +89,27 @@ def test_moments_inverse_case_values():
             moments_inverse_case(alpha, beta, u, 2)
 
 
+def test_moments_inverse_case_overflows_before_any_gamma(monkeypatch):
+    # k! is above the float maximum for every k >= 171; that once raised
+    # only after k Gamma ratios (13.5 s at k = 1e6)
+    gamma = special.gamma
+    calls = []
+
+    def counting_gamma(x):
+        calls.append(x)
+        if len(calls) > 4:
+            raise AssertionError("Gamma evaluated before the overflow")
+        return gamma(x)
+
+    monkeypatch.setattr(special, "gamma", counting_gamma)
+    for k in (171, 10 ** 9):
+        with pytest.raises(OverflowError):
+            moments_inverse_case(0.5, 0.25, 1.0, k)
+    assert calls == []
+    assert math.isfinite(moments_inverse_case(0.5, 0.5, 1.0, 1))
+    assert len(calls) == 3       # the patch reaches the function
+
+
 def test_covariance_inverse_equals_second_moment_on_diagonal():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -329,6 +350,6 @@ def test_x_star_centered_sampling():
     assert spec.regime == NOSCALE_CENTERED
     scn = Scenario(spec=spec, u_grid=(1.0,), t_ladder=(100.0,),
                    replicates=n, seed=31, x_star_truncation=300.0)
-    x = REGIMES[NOSCALE_CENTERED].reference(scn, (7,), _Pool(1).rows)[:, 0]
+    x = REGIMES[NOSCALE_CENTERED].reference(scn, _Pool(1).rows)[:, 0]
     se = x.std() / math.sqrt(n)
     assert abs(x.mean()) < 4 * se

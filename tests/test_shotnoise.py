@@ -387,7 +387,7 @@ def test_regime_table_entry_is_complete(spec):
     for f in dataclasses.fields(Regime)[1:]:
         assert getattr(regime, f.name) is None or callable(
             getattr(regime, f.name)), f.name
-    for name in ("statistic", "exact", "reference", "moment"):
+    for name in ("statistic", "exact", "moment"):
         assert getattr(regime, name) is not None, name
     # no normalizer exactly when the limit is stationary (no Hurst index)
     assert (regime.g is None) == (regime.hurst is None)
@@ -401,11 +401,18 @@ def test_regime_table_entry_is_complete(spec):
                             100.0)
     assert stat.shape == (2,) and np.all(np.isfinite(stat))
     assert math.isfinite(regime.moment(spec, 1.0, 1))
-    refs = regime.reference(_scenario(spec, (1.0, 2.0)), (9,), _Pool(1).rows)
-    assert refs.shape == (100, 2) and np.all(np.isfinite(refs))
-    cdf = regime.exact(spec, 1.0)
-    if cdf is not None:
-        q = np.asarray(cdf(np.sort(refs[:, 0])))
+    # a row without a sampler has an exact CDF at every u; the CDF is
+    # checked at the sorted draws where there are draws, else on a grid
+    cdfs = [regime.exact(spec, u) for u in (1.0, 2.0)]
+    if regime.reference is None:
+        assert all(cdf is not None for cdf in cdfs)
+        points = np.linspace(-3.0, 3.0, 61)
+    else:
+        refs = regime.reference(_scenario(spec, (1.0, 2.0)), _Pool(1).rows)
+        assert refs.shape == (100, 2) and np.all(np.isfinite(refs))
+        points = np.sort(refs[:, 0])
+    if cdfs[0] is not None:
+        q = np.asarray(cdfs[0](points))
         assert np.all((q > 0) & (q < 1)) and np.all(np.diff(q) >= 0)
 
 

@@ -17,8 +17,7 @@ from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
 from renewalshot.shotnoise import (D4, InadmissibleSpec, LimitSpec,
                                    scaled_statistic)
 from renewalshot import limits, renewal, shotnoise, verify
-from renewalshot.streams import (DOMAIN_AUX, DOMAIN_REFERENCE,
-                                 DOMAIN_REPLICATE, substream)
+from renewalshot.streams import DOMAIN_AUX, DOMAIN_REPLICATE, substream
 from renewalshot.verify import (ResourceCapExceeded, Scenario,
                                 copula_independence_test, covariance_z,
                                 energy_distance_test, ks_one_sample_normal,
@@ -89,6 +88,27 @@ def test_covariance_z():
     assert covariance_z(ones, -ones, 0.0) == -math.inf
     assert covariance_z(ones, ones, 0.0) == math.inf
     assert covariance_z(ones, ones, 1.0) == 0.0
+
+
+def test_sectioned_z_reads_every_row():
+    # 119 rows: the last 19 once never entered z, so moving them from about
+    # 1 to 1e6 (the mean from 1.13 to 159665) left z at 0.5737
+    x = np.random.default_rng(3).exponential(1.0, 119)
+    y = x.copy()
+    y[100:] = 1e6
+    assert moment_test(y, 1, 1.0) != moment_test(x, 1, 1.0)
+    ones = np.ones(119)
+    assert covariance_z(y, ones, 1.0) != covariance_z(x, ones, 1.0)
+    # 20 sections of 5 or 6 rows; where 20 divides n, the equal sections
+    # of before, bit for bit
+    for v in (x, x[:100], np.random.default_rng(4).exponential(1.0, 2000)):
+        batches = np.array([b.mean() for b in np.array_split(v, 20)])
+        if len(v) % 20 == 0:
+            assert batches.tobytes() == v.reshape(20, -1).mean(
+                axis=1).tobytes()
+        want = (batches.mean() - 1.0) / (batches.std(ddof=1)
+                                         / math.sqrt(20))
+        assert moment_test(v, 1, 1.0) == want
 
 
 def test_energy_distance_detects_and_calibrates():
@@ -411,14 +431,14 @@ def test_x_star_draws_use_one_stream_per_draw(monkeypatch, spec, draw):
     n = 100
     scn = _a1_scenario(spec=spec, u_grid=(1.0, 2.0), replicates=n,
                        x_star_truncation=30.0, reference_mesh_d=1e-2)
-    key = (DOMAIN_REFERENCE, 4, 1)
+    key = shotnoise.REFERENCE_KEY
     for j in range(2):
         column = key if spec is D4_SPEC else key + (j,)
         want = np.array([draw(spec, scn, j, substream(scn.seed, *column, i))
                          for i in range(n)])
         for threads in (1, 2):
             got = shotnoise.REGIMES[spec.regime].reference(
-                scn, key, verify._Pool(threads).rows)
+                scn, verify._Pool(threads).rows)
             assert got[:, j].tobytes() == want.tobytes()
 
 
