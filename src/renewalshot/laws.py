@@ -404,10 +404,15 @@ class ParetoTailMatch(ResponseFunction):
         return self.alpha
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            tail = (self.xm / t) ** self.alpha
-        return self.c * np.where(t < self.xm, 1.0, tail)
+        # x_m / max(t, x_m) is 1 below x_m and never divides by 0; the
+        # divide, the power and the scale work in one buffer.  For scalar
+        # t, x is a numpy scalar: the divide makes a new one and **= and
+        # *= rebind it, so it keeps numpy's scalar power
+        x = np.maximum(np.asarray(t, dtype=float), self.xm)
+        x = np.divide(self.xm, x, out=x if x.ndim else None)
+        x **= self.alpha
+        x *= self.c
+        return x
 
     def integral(self, T):
         a, xm, c = self.alpha, self.xm, self.c

@@ -92,12 +92,18 @@ def ks_one_sample_normal(x, mean, variance):
 
 def _sectioned_z(v, reference):
     """z-score of the mean of v against a reference, with the standard
-    error estimated by sectioning every row of v into 20 batches of
-    floor(n/20) or ceil(n/20) rows (robust to heavy tails)."""
+    error estimated by sectioning every row of v into 20 consecutive
+    batches (batch means; robust to heavy tails).  With n = 20 q + r
+    rows, the first r batches hold q + 1 rows and the other 20 - r hold
+    q, as np.array_split(v, 20) cuts them; each run of equal batches is
+    one reshape, whose row means are the batch means bit for bit."""
     nb = 20
     if len(v) < nb:
         raise ValueError("sample too small for sectioning")
-    batches = np.array([b.mean() for b in np.array_split(v, nb)])
+    q, r = divmod(len(v), nb)
+    cut = r * (q + 1)
+    batches = np.concatenate([v[:cut].reshape(r, q + 1).mean(axis=1),
+                              v[cut:].reshape(nb - r, q).mean(axis=1)])
     gap = batches.mean() - reference
     se = batches.std(ddof=1) / math.sqrt(nb)
     if se == 0.0:                   # a sure miss, on the side of the mean
@@ -304,7 +310,9 @@ class TestReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "all_passed": self.all_passed,
-            "records": [asdict(r) for r in self.records],
+            # a record's fields are numbers, strings and None: its own
+            # attribute dict, not asdict's deep copy
+            "records": [vars(r) for r in self.records],
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -319,12 +327,15 @@ class TestReport:
                         int(r.passed)])
 
     def write_plot_data(self, fileobj) -> None:
-        w = csv.writer(fileobj, lineterminator="\n")
-        w.writerow(["t", "u", "prob", "quantile"])
-        probs = np.linspace(0.0, 1.0, 101)
+        """One row t,u,prob,quantile per plotted quantile, as csv.writer
+        writes them (no field needs quoting), one string per (t, u)."""
+        fileobj.write("t,u,prob,quantile\n")
+        probs = [f",{round(p, 2)!r},"
+                 for p in np.linspace(0.0, 1.0, 101).tolist()]
         for (t, u), q in sorted(self.plot_data.items()):
-            for p, qv in zip(probs, q):
-                w.writerow([t, u, round(float(p), 2), repr(float(qv))])
+            tu = f"{t},{u}"
+            fileobj.write("".join(f"{tu}{p}{qv!r}\n"
+                                  for p, qv in zip(probs, q.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +706,10 @@ def run_scenario(s: Scenario) -> TestReport:
             samples = simulate_scaled_matrix(s.spec, s.u_grid, t,
                                              s.replicates, s.seed, s.threads,
                                              s.max_shots, pool=pool)
-            for j, u in enumerate(s.u_grid):
-                report.plot_data[(t, u)] = np.quantile(
-                    samples[:, j], np.linspace(0.0, 1.0, 101))
+            quantiles = np.quantile(samples, np.linspace(0.0, 1.0, 101),
+                                    axis=0)
+            for u, q in zip(s.u_grid, quantiles.T):
+                report.plot_data[(t, u)] = q
         for plan, arg in plans:
             if plan.every_rung or t == s.t_ladder[0]:
                 plan.runner(s, t, samples, arg, report.records, pool)

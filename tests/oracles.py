@@ -1,12 +1,17 @@
 """Independent per-path and closed-form oracles that only the tests use.
 
-The package computes every statistic in batches; these are the plain
-one-path, one-formula forms the tests check it against.  This module
+The package computes every statistic in batches and writes each report
+in a few strings; these are the plain one-path, one-formula and
+one-row-at-a-time forms the tests check it against.  This module
 holds no tests (pytest collects only `test_*.py`); the test modules
 import it by name, which pytest's default import mode allows by putting
 `tests/` on the path.
 """
 
+import csv
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -78,3 +83,42 @@ def increment_dependence_gap(alpha: float, beta: float,
               - covariance_inverse_case(alpha, beta, t1, t3)
               + covariance_inverse_case(alpha, beta, t1, t2))
     return b_term - a_term
+
+
+def sectioned_z(v, reference):
+    """verify._sectioned_z with one mean per np.array_split section."""
+    batches = np.array([b.mean() for b in np.array_split(v, 20)])
+    gap = batches.mean() - reference
+    se = batches.std(ddof=1) / math.sqrt(20)
+    if se == 0.0:
+        return math.copysign(math.inf, gap) if gap else 0.0
+    return float(gap / se)
+
+
+def report_json(report) -> str:
+    """TestReport.to_json with each record through dataclasses.asdict."""
+    return json.dumps({"scenario": report.scenario, "seed": report.seed,
+                       "all_passed": report.all_passed,
+                       "records": [dataclasses.asdict(r)
+                                   for r in report.records]},
+                      sort_keys=True, indent=2)
+
+
+def plot_data_csv(report) -> str:
+    """TestReport.write_plot_data through csv.writer, one row at a time."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", "u", "prob", "quantile"])
+    probs = np.linspace(0.0, 1.0, 101)
+    for (t, u), q in sorted(report.plot_data.items()):
+        for p, qv in zip(probs, q):
+            w.writerow([t, u, round(float(p), 2), repr(float(qv))])
+    return buf.getvalue()
+
+
+def pareto_tail_match(h, t):
+    """ParetoTailMatch.eval as c * where(t < x_m, 1, (x_m/t)^alpha)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = (h.xm / t) ** h.alpha
+    return h.c * np.where(t < h.xm, 1.0, tail)

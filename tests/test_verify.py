@@ -7,10 +7,12 @@ import math
 import multiprocessing
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import pareto_tail_match, plot_data_csv, report_json, sectioned_z
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Gamma, Pareto,
                               ParetoTailMatch, PowerDecay)
 from renewalshot.renewal import STATIONARY, ZERO_DELAYED, sample_path
@@ -99,16 +101,15 @@ def test_sectioned_z_reads_every_row():
     assert moment_test(y, 1, 1.0) != moment_test(x, 1, 1.0)
     ones = np.ones(119)
     assert covariance_z(y, ones, 1.0) != covariance_z(x, ones, 1.0)
-    # 20 sections of 5 or 6 rows; where 20 divides n, the equal sections
-    # of before, bit for bit
-    for v in (x, x[:100], np.random.default_rng(4).exponential(1.0, 2000)):
-        batches = np.array([b.mean() for b in np.array_split(v, 20)])
-        if len(v) % 20 == 0:
-            assert batches.tobytes() == v.reshape(20, -1).mean(
-                axis=1).tobytes()
-        want = (batches.mean() - 1.0) / (batches.std(ddof=1)
-                                         / math.sqrt(20))
-        assert moment_test(v, 1, 1.0) == want
+    # the 20 batch means come from two reshapes: bit for bit the means of
+    # the np.array_split sections, for every n % 20, on heavy-tailed
+    # (Pareto(1/2) cubed) and on normal rows
+    rng = np.random.default_rng(4)
+    for n in [*range(20, 401), 1999, 2001, 10007]:
+        for v in ((rng.pareto(0.5, n) + 1.0) ** 3, rng.standard_normal(n)):
+            ref = float(np.median(v))
+            assert (verify._sectioned_z(v, ref).hex()
+                    == sectioned_z(v, ref).hex()), n
 
 
 def test_energy_distance_detects_and_calibrates():
@@ -882,6 +883,67 @@ def test_report_serialization_shapes():
     buf = io.StringIO()
     rep.write_plot_data(buf)
     assert len(buf.getvalue().splitlines()) == 4 * 101 + 1
+
+
+def test_report_writers_equal_their_asdict_and_csv_forms():
+    # the golden cases pin five seeded reports; this one holds what repr,
+    # json and csv could each write differently: signed zero, the least
+    # subnormal, huge floats, None p and z, integer and numpy t and u,
+    # several (t, u) cells
+    R = verify.TestRecord
+    records = [
+        R(1000.0, 0.5, "KS_MARGINAL", -0.0, 0.0, 5e-324, None, True),
+        R(10, 2, "MOMENTS:k=1", 1e300, -1e300, None, -0.0, False),
+        R(np.float64(1e4), 1.0, "MEAN_ABS_N", 5e-324, 1.0, None, None, True)]
+    rep = verify.TestReport(scenario={"seed": 3, "u_grid": [0.5, 2]}, seed=3,
+                            records=records)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]
+    rng = np.random.default_rng(8)
+    rep.plot_data = {
+        key: np.concatenate([special, rng.standard_normal(95)])
+        for key in [(1000.0, 0.5), (1000.0, 2), (10, 2), (10, 0.5),
+                    (np.float64(1e4), 1.0)]}
+    buf = io.StringIO()
+    rep.write_plot_data(buf)
+    assert buf.getvalue() == plot_data_csv(rep)
+    assert rep.to_json() == report_json(rep)
+    # a run without a matrix writes the header alone
+    empty = verify.TestReport(scenario={}, seed=0)
+    buf = io.StringIO()
+    empty.write_plot_data(buf)
+    assert buf.getvalue() == plot_data_csv(empty) == "t,u,prob,quantile\n"
+    assert empty.to_json() == report_json(empty)
+
+
+def test_pareto_tail_match_and_rung_quantiles_equal_their_old_forms():
+    # ParetoTailMatch.eval against c * where(t < x_m, 1, (x_m/t)^alpha):
+    # t = 0, below x_m, at x_m and far above it, as a float, a 0-d array
+    # and an array, bit for bit and with no RuntimeWarning
+    ts = [0.0, 0.5, 2.0, 3.7, 1e6, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for h in (ParetoTailMatch(0.5, 2.0, 3.0), ParetoTailMatch(1.0),
+                  ParetoTailMatch(1.5, 1.0, 0.25)):
+            for t in ts:
+                for x in (t, np.array(t)):
+                    got, want = h.eval(x), pareto_tail_match(h, x)
+                    assert type(got) is type(want)
+                    assert got.tobytes() == want.tobytes(), (h, t)
+            x = np.concatenate([ts, np.geomspace(1e-3, 1e9, 500)])
+            assert h.eval(x).tobytes() == pareto_tail_match(h, x).tobytes()
+    # a rung's plot quantiles, one np.quantile over axis 0, against
+    # np.quantile of each column; N(t) is an integer, so columns have ties
+    scn = _a1_scenario(u_grid=(0.5, 1.0, 2.0), t_ladder=(20.0, 40.0),
+                       replicates=200)
+    rep = run_scenario(scn)
+    probs = np.linspace(0.0, 1.0, 101)
+    for t in scn.t_ladder:
+        m = simulate_scaled_matrix(scn.spec, scn.u_grid, t, scn.replicates,
+                                   scn.seed)
+        for j, u in enumerate(scn.u_grid):
+            assert len(np.unique(m[:, j])) < scn.replicates // 4
+            assert (rep.plot_data[t, u].tobytes()
+                    == np.quantile(m[:, j], probs).tobytes())
 
 
 def test_noscale_scenario_passes():
