@@ -28,6 +28,14 @@ _BLOCK = 4096
 # epochs per buffer of epoch_batches: the statistic's vector passes over
 # one buffer then stay cache-sized whatever the number of paths
 _SUB_BATCH_EPOCHS = 2**14
+# from this many entries per row a Python step per row costs less than a
+# pass over the whole buffer: counts_at counts a wider buffer by one
+# searchsorted per row, and shotnoise.shot_noise sums its ages by a slice
+# per row and tau, not one masked gather (measured: A1 rows 2449 and 21416
+# wide lose by the gather; D4 Pareto(1/2) buffers to 2e4 gain, which are
+# 192 wide or, as one row that outgrew its first draw widens its whole
+# buffer, 383 and more)
+_GATHER_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -163,10 +171,15 @@ def counts_at(law: IncrementLaw, ts, delay_kind: str, seed: int, key: tuple,
               rows) -> np.ndarray:
     """(len(rows), len(ts)): N(t) for each t of the non-decreasing ts on
     the path of stream (seed, *key, i), i of rows, drawn once to ts[-1]
-    (the path to t is its prefix)."""
+    (the path to t is its prefix).  A buffer at least _GATHER_WIDTH wide
+    is counted by one searchsorted per row, a narrower one by a full-width
+    <= per t: the same counts, as the rows are sorted."""
     if not len(ts) or not np.all(np.diff(ts) >= 0):
         raise ValueError("ts must be non-empty and non-decreasing")
+    at = np.asarray(ts, dtype=float)
     counts = [
+        np.array([row.searchsorted(at, side="right") for row in paths])
+        if paths.shape[1] >= _GATHER_WIDTH else
         np.column_stack([np.count_nonzero(paths <= t, axis=1) for t in ts])
         for paths in epoch_batches(law, ts[-1], delay_kind, seed, key, rows)]
     return (np.concatenate(counts) if counts

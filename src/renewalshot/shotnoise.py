@@ -128,13 +128,6 @@ def scaling_g(spec: LimitSpec, t: float) -> float:
     return g(spec, t)
 
 
-# below this many entries per row, one masked gather over a whole buffer
-# of paths costs less than a Python slice per row and tau (measured: A1
-# rows 2449 and 21416 wide lose; D4 Pareto(1/2) buffers to 2e4 gain,
-# which are 192 wide or, as one row that outgrew its first draw widens its
-# whole buffer, 383 and more)
-_GATHER_WIDTH = 1024
-
 # numpy's pairwise-summation block (PW_BLOCKSIZE in its loops_utils.h)
 _PAIRWISE_BLOCK = 128
 
@@ -149,22 +142,23 @@ def shot_noise(paths, h: ResponseFunction, times) -> np.ndarray:
     equals `evaluate` bit for bit.  Short rows are gathered by one mask
     over the reversed buffer per rung, and the ages of every row and tau
     go through one h.eval, summed by _row_sums.  A long row finds every
-    tau's cut by one searchsorted and then, per tau, sums h.eval of the
-    ages of a reversed view of the row by np.add.reduce: one h.eval per
-    tau, as on a shared 2-core VM PowerDecay's (x + 1)**-0.25 cost 10.7 ns
-    per age on 35,000 ages, all three taus of an A1 row, and 4.5 ns on
-    20,000."""
+    tau's cut by one searchsorted and then, per tau, writes the ages of a
+    reversed view of the row into one workspace per call and sums their
+    h.eval by np.add.reduce: one h.eval per tau, as on a shared 2-core VM
+    PowerDecay's (x + 1)**-0.25 cost 10.7 ns per age on 35,000 ages, all
+    three taus of an A1 row, and 4.5 ns on 20,000."""
     paths = np.asarray(paths)
     taus = np.asarray(times, dtype=float)
     shape = (len(paths),) + taus.shape
-    if paths.shape[1] >= _GATHER_WIDTH:
+    if paths.shape[1] >= renewal._GATHER_WIDTH:
         flat = taus.ravel()
         out = np.zeros((len(paths), len(flat)))
+        work = np.empty(paths.shape[1])
         for row, x in zip(paths, out):
             cuts = row.searchsorted(flat, side="right").tolist()
             for j, (tau, k) in enumerate(zip(flat.tolist(), cuts)):
                 if k:               # else no epoch <= tau, and X is 0
-                    ages = np.subtract(tau, row[k - 1::-1])
+                    ages = np.subtract(tau, row[k - 1::-1], out=work[:k])
                     x[j] = np.add.reduce(h.eval(ages))
         return out.reshape(shape)
     # the columns of a buffer past the last epoch <= a rung's largest tau
@@ -234,8 +228,8 @@ def scaled_statistic(spec: LimitSpec, path: RenewalPath,
     u = check_grid(u_grid, "u-grid")
     if u[-1] * t > path.horizon:
         raise ValueError("u_max * t exceeds the generated horizon")
-    return REGIMES[spec.regime].statistic(spec, path.arrivals[None], u,
-                                          (t,))[0, 0]
+    return REGIMES[spec.regime].statistic(spec, u, (t,))(
+        path.arrivals[None])[0, 0]
 
 
 def default_x_star_truncation(spec: LimitSpec) -> float:
@@ -268,35 +262,40 @@ _GAUSSIAN_BETA = (lambda s: 0 <= s.beta < 0.5,
                   "requires beta in [0, 1/2), got {s.beta}")
 
 
-def _plain(spec, paths, u, ts):
+def _plain(spec, u, ts):
     """X(ut) itself."""
-    return shot_noise(paths, spec.h, np.multiply.outer(ts, u))
+    times = np.multiply.outer(ts, u)
+    return lambda paths: shot_noise(paths, spec.h, times)
 
 
-def _centered(spec, paths, u, ts, h=None):
+def _centered(spec, u, ts, h=None):
     """X(ut) - mu^{-1} int_0^{ut} h, with h = spec.h unless given."""
     h = spec.h if h is None else h
     times = np.multiply.outer(ts, u)
-    return shot_noise(paths, h, times) - [
-        [h.integral(tau) / spec.law.mean for tau in rung] for rung in times]
+    mean = np.array([[h.integral(tau) / spec.law.mean for tau in rung]
+                     for rung in times])
+    return lambda paths: shot_noise(paths, h, times) - mean
 
 
-def _tail_scaled(spec, paths, u, ts):
+def _tail_scaled(spec, u, ts):
     """P(xi > t)/h(t) * X(ut)."""
-    return _plain(spec, paths, u, ts) * [
-        [float(spec.law.tail_prob(t)) / float(spec.h.eval(t))] for t in ts]
+    plain = _plain(spec, u, ts)
+    scale = np.array([[float(spec.law.tail_prob(t)) / float(spec.h.eval(t))]
+                      for t in ts])
+    return lambda paths: plain(paths) * scale
 
 
 _UNIT = Constant(1.0)
 
 
-def _g_scaled(spec, paths, u, ts):
+def _g_scaled(spec, u, ts):
     """(X(ut) - mu^{-1} int_0^{ut} h) / (g(t) h(t))."""
     # a constant cancels algebraically; compute with h == 1 so the result
     # is bit-identical for every value of the constant
     h = _UNIT if isinstance(spec.h, Constant) else spec.h
-    return _centered(spec, paths, u, ts, h) / [
-        [scaling_g(spec, t) * float(h.eval(t))] for t in ts]
+    centered = _centered(spec, u, ts, h)
+    scale = np.array([[scaling_g(spec, t) * float(h.eval(t))] for t in ts])
+    return lambda paths: centered(paths) / scale
 
 
 def _gaussian_variance(spec, u):
@@ -401,7 +400,9 @@ class Regime:
     that all its `admits` hold for; no two rows admit one pair.  Every
     callable takes the LimitSpec first, but `reference`, which takes the
     verify.Scenario that holds it, the u-grid and the size, seed and knobs
-    of the draw.
+    of the draw.  `statistic(spec, u, ts)` computes the rung constants
+    (mu^{-1} int_0^{ut} h and g(t) h(t) or P(xi > t)/h(t)) once and
+    returns the function that applies them to each buffer of paths.
     Callables reach `limits` through the module, so wrapping a `limits`
     function (for tracing, say) reaches them too.
     A row has an `exact` CDF at every u or a `reference` sampler (A1 and
@@ -418,8 +419,9 @@ class Regime:
 
     admits: tuple               # hypotheses: (spec -> bool, message) pairs
     g: Callable | None          # (spec, t) -> g(t); None: no scaling
-    statistic: Callable         # (spec, paths, u, ts) -> statistic
-                                # per path, rung t of ts and u, as
+    statistic: Callable         # (spec, u, ts) -> the function of a
+                                # buffer `paths` giving the statistic per
+                                # path, rung t of ts and u, as
                                 # (len(paths), len(ts), len(u))
     exact: Callable             # (spec, u) -> CDF of Y(u), or None
     reference: Callable | None  # (scenario, map_rows) ->

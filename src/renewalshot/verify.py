@@ -248,8 +248,12 @@ class Scenario:
             raise ValueError("reference_mesh_d must be positive and finite")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates")
-        shotnoise.check_grid(self.t_ladder, "t-ladder")
-        shotnoise.check_grid(self.u_grid, "u-grid")
+        # stored as tuples of floats, as laws store their parameters: the
+        # plans index them and the reports echo them
+        for name in ("t_ladder", "u_grid"):
+            grid = shotnoise.check_grid(getattr(self, name),
+                                        name.replace("_", "-"))
+            object.__setattr__(self, name, tuple(grid.tolist()))
         # a rung without g(t) (A2's c(t) needs t >= e) is refused before paths
         g = REGIMES[self.spec.regime].g
         for t in self.t_ladder if g else ():
@@ -445,10 +449,11 @@ def _simulate_chunk(spec, u_grid, ts, seed, rows):
     substream, drawn once to u_max * ts[-1] (the path to u_max * t is its
     prefix), and one call of the regime's statistic per buffer of paths
     for every rung at once, so shot_noise sees every tau = u t of the
-    ladder in one call."""
-    statistic = REGIMES[spec.regime].statistic
+    ladder in one call; the statistic's rung constants are built once per
+    share."""
+    statistic = REGIMES[spec.regime].statistic(spec, u_grid, ts)
     return np.concatenate([
-        statistic(spec, paths, u_grid, ts)
+        statistic(paths)
         for paths in renewal.epoch_batches(
             spec.law, max(u_grid) * ts[-1], renewal.ZERO_DELAYED, seed,
             (DOMAIN_REPLICATE,), rows)])

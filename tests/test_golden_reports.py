@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from renewalshot.laws import (Constant, ExpDecay, Exponential, Pareto,
@@ -73,15 +74,15 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def report(name):
+def report(name, u_grid=(1.0, 2.0), t_ladder=(100.0, 400.0)):
     spec, plans, knobs = CASES[name]
-    return run_scenario(Scenario(spec=spec, u_grid=(1.0, 2.0),
-                                 t_ladder=(100.0, 400.0), replicates=100,
+    return run_scenario(Scenario(spec=spec, u_grid=u_grid,
+                                 t_ladder=t_ladder, replicates=100,
                                  seed=5, plans=plans, **knobs))
 
 
-def report_hashes(name):
-    rep = report(name)
+def report_hashes(name, **grids):
+    rep = report(name, **grids)
     csv_buf, plot_buf = io.StringIO(), io.StringIO()
     rep.write_csv(csv_buf)
     rep.write_plot_data(plot_buf)
@@ -108,6 +109,11 @@ def test_integer_parameters_report_as_floats(monkeypatch):
     monkeypatch.setitem(CASES, "a2", (spec,) + CASES["a2"][1:])
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert report_hashes("a2") == golden["a2"]
+    # so are integer and array grids: a numpy t-ladder used to fail
+    # MEAN_ABS_N's ladder.index(t) after simulating, and integer grids to
+    # echo 100 for 100.0
+    assert report_hashes("a1", u_grid=(1, 2),
+                         t_ladder=np.array([100, 400])) == golden["a1"]
 
 
 def test_one_pass_rule_for_every_record():

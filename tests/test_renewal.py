@@ -255,6 +255,32 @@ def test_counts_at_equals_path_lengths(law, T, delay):
         assert col.tolist() == want
 
 
+@pytest.mark.parametrize("T, wide", [(2000.0, False), (2300.0, True)],
+                         ids=["narrow", "wide"])
+def test_counts_at_on_either_side_of_the_gather_width(T, wide):
+    # stationary Pareto(1.5) paths, whose first draw is 926 entries wide
+    # to 2000 and 1045 to 2300: a buffer at least renewal._GATHER_WIDTH
+    # wide is counted by searchsorted, a narrower one by a full-width <=;
+    # both give the <= counts, at a t set on an epoch too, and 0 on a row
+    # whose delay lies past T
+    law, seed, key, n = Pareto(1.5, 1.0), 4, (3,), 400
+    buffers = list(renewal.epoch_batches(law, T, STATIONARY, seed, key,
+                                         range(n)))
+    widths = [b.shape[1] >= renewal._GATHER_WIDTH for b in buffers]
+    assert all(widths) if wide else not any(widths)
+    delayed = np.concatenate([b[:, 0] for b in buffers]) > T
+    row = buffers[0][np.argmin(delayed)]
+    k = row.searchsorted(T, side="right") // 2      # a middle epoch <= T
+    ts = (float(row[k]), T)
+    want = np.concatenate([
+        np.column_stack([np.count_nonzero(b <= t, axis=1) for t in ts])
+        for b in buffers])
+    got = renewal.counts_at(law, ts, STATIONARY, seed, key, range(n))
+    assert got.tolist() == want.tolist()
+    assert got[np.argmin(delayed), 0] == k + 1
+    assert delayed.any() and not got[delayed].any()
+
+
 @pytest.mark.parametrize("ts", [(), (1000.0, 5.0), (5.0, 1000.0, 999.0),
                                 (math.nan, 5.0)],
                          ids=["empty", "decreasing", "decreasing-last", "nan"])

@@ -56,7 +56,7 @@ def test_shot_noise_on_a_buffer_equals_evaluate(T):
     law, h, n = Exponential(1.0), PowerDecay(0.25), 20
     rows = renewal.epoch_rows(law, T, ZERO_DELAYED,
                               substreams(21, (3,), range(n)), n)
-    assert (rows.shape[1] < shotnoise._GATHER_WIDTH) == (T < 5000.0)
+    assert (rows.shape[1] < renewal._GATHER_WIDTH) == (T < 5000.0)
     times = (0.3 * T, T)
     got = shotnoise.shot_noise(rows, h, times)
     for i in range(n):
@@ -109,7 +109,7 @@ def test_every_rung_of_a_chunk_equals_evaluate(spec, ladder, n, wide):
     T = max(u_grid) * ts[-1]
     widths = {b.shape[1] for b in renewal.epoch_batches(
         spec.law, T, ZERO_DELAYED, seed, (DOMAIN_REPLICATE,), range(n))}
-    assert {w >= shotnoise._GATHER_WIDTH for w in widths} == {wide}
+    assert {w >= renewal._GATHER_WIDTH for w in widths} == {wide}
     if spec.regime == D4:               # some rows outgrow their first draw
         first = math.ceil(renewal.expected_count(spec.law, T))
         assert max(widths) > 1 + first
@@ -124,7 +124,33 @@ def test_every_rung_of_a_chunk_equals_evaluate(spec, ladder, n, wide):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("width", [8, shotnoise._GATHER_WIDTH],
+@pytest.mark.parametrize("n", [1, 40])
+def test_rung_constants_are_built_once_per_map(monkeypatch, n):
+    # an A1 path to 2e4 fills a buffer by itself, so the 40 replicates are
+    # 40 buffers; mu^-1 int_0^{ut} h (one integral per u) and g(t) are
+    # computed once for the map, not once per buffer
+    spec = LimitSpec(Exponential(1.0), PowerDecay(0.25))
+    u_grid, t = (0.5, 1.0, 2.0), 1e4
+    assert renewal._SUB_BATCH_EPOCHS < 1 + math.ceil(
+        renewal.expected_count(spec.law, max(u_grid) * t))
+    calls = {"integral": 0, "g": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PowerDecay, "integral",
+                        counted("integral", PowerDecay.integral))
+    monkeypatch.setattr(shotnoise, "scaling_g",
+                        counted("g", shotnoise.scaling_g))
+    m = simulate_scaled_matrix(spec, u_grid, t, n, 1, threads=1)
+    assert m.shape == (n, len(u_grid)) and np.all(np.isfinite(m))
+    assert calls == {"integral": len(u_grid), "g": 1}
+
+
+@pytest.mark.parametrize("width", [8, renewal._GATHER_WIDTH],
                          ids=["gathered", "sliced"])
 def test_shot_noise_before_the_first_epoch_is_zero(width):
     # a row whose first epoch lies after tau and a row of +inf hold no
